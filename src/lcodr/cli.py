@@ -86,10 +86,11 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: List[str], rows, run_id: str) -> None:
-    lines = [f"# run_id={run_id}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write rows (any iterable, consumed once) one line at a time."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(f"# run_id={run_id}\n{','.join(header)}\n")
+        for row in rows:
+            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
 
 
 def _hash_dict(payload: dict) -> str:
@@ -360,6 +361,7 @@ def cmd_mc(args) -> int:
                 "median", "p5", "p95"], summary_rows, run_id)
 
     prob_rows = []
+    skipped = []
     by_app = {}
     for d in dists:
         by_app.setdefault(d.application, []).append(d)
@@ -369,8 +371,11 @@ def cmd_mc(args) -> int:
                    for e in lcos if e.application == app.name]
         try:
             probs = cheapest_probability(ds, cfg, entries)
-        except LcodrError:
-            continue   # no feasible technology for this application
+        except LcodrError as exc:
+            print(f"warning: {app.name!r} left out of cheapest_probability.csv: {exc}",
+                  file=sys.stderr)
+            skipped.append({"application": app.name, "reason": str(exc)})
+            continue
         for order, (tech, prob) in enumerate(probs.items()):
             prob_rows.append([app.name, tech, order, prob])
     _write_csv(out / "cheapest_probability.csv",
@@ -399,11 +404,10 @@ def cmd_mc(args) -> int:
     written = [out / "lcodr_mc.csv", out / "cheapest_probability.csv",
                out / "cost_composition.csv"]
     if args.emit_samples:
-        sample_rows = []
-        for d in dists:
-            for i in range(cfg.samples):
-                sample_rows.append([d.technology, d.application, i,
-                                    bool(d.feasible[i]), float(d.samples[i])])
+        sample_rows = ([d.technology, d.application, i, ok, value]
+                       for d in dists
+                       for i, (ok, value) in enumerate(zip(d.feasible.tolist(),
+                                                           d.samples.tolist())))
         _write_csv(out / "lcodr_samples.csv",
                    ["technology", "application", "sample_index", "feasible",
                     "lcodr_vf_usd_per_mwh"], sample_rows, run_id)
@@ -414,7 +418,8 @@ def cmd_mc(args) -> int:
                                   "sigma_inputs": cfg.sigma_inputs,
                                   "sigma_vf": cfg.sigma_vf,
                                   "truncation_z": cfg.truncation_z,
-                                  "lcos_sampling": cfg.lcos_sampling.value}})
+                                  "lcos_sampling": cfg.lcos_sampling.value,
+                                  "skipped_applications": skipped}})
     print(f"wrote {', '.join(str(p) for p in written)}")
     return EXIT_OK
 
@@ -422,6 +427,16 @@ def cmd_mc(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum, else a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="YAML config merged over defaults")
@@ -472,9 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf = sub.add_parser("vf", help="value factors from time series")
     _add_common(p_vf)
     _add_data_flags(p_vf)
-    p_vf.add_argument("--subsample", type=int, default=None,
+    p_vf.add_argument("--subsample", type=_int_at_least(0), default=None,
                       help="asset subset size for the sensitivity distribution")
-    p_vf.add_argument("--iterations", type=int, default=1000)
+    p_vf.add_argument("--iterations", type=_int_at_least(1), default=1000)
     p_vf.set_defaults(func=cmd_vf)
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo uncertainty propagation")

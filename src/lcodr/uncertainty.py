@@ -7,18 +7,30 @@ distribution; all technologies are evaluated on the same perturbed draw
 Randomness is counter-based: each (seed, sample index, parameter id[,
 attempt]) tuple seeds its own generator, so results are bit-identical for a
 fixed seed no matter how samples are scheduled across workers.
+
+Evaluation is batched: a job perturbs a contiguous range of sample indices
+into a samples x parameters matrix and runs `costing.evaluate_batch` on it
+once per pairing, with numpy over the sample axis. The scalar
+`costing.evaluate_pairing` is the oracle: the batch kernel returns exactly
+its values for every sample, so batching changes no output.
 """
 
 from __future__ import annotations
 
 import enum
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .costing import PairingEvaluation, evaluate_pairing
+from .costing import (
+    BATCH_COLUMNS,
+    COST_COMPONENTS,
+    batch_columns,
+    batch_row,
+    evaluate_batch,
+)
 from .model import (
     ApplicationSpec,
     LcodrError,
@@ -36,8 +48,6 @@ from .model import (
 #: factors and LCOS reference entries follow in fixed blocks. Append-only.
 VF_ID_OFFSET = len(PARAMETERS)
 LCOS_ID_OFFSET = VF_ID_OFFSET + len(VALUE_FACTOR_KEYS)
-
-COST_COMPONENTS = ("investment", "om", "rewards", "rebound", "eol")
 
 
 class UncertaintyError(LcodrError):
@@ -80,6 +90,18 @@ class McConfig:
             raise ValidationError("sigmas must be >= 0", "sigma_inputs")
         if self.truncation_z <= 0:
             raise ValidationError("truncation must be > 0 sigma", "truncation_z")
+
+
+def _stream(*key: int) -> np.random.Generator:
+    """The generator of one substream key.
+
+    A uint32 array hands SeedSequence the same entropy words as the tuple
+    of the same ints, so both give the same draws, but it is quicker to
+    build. A key with a word outside [0, 2**32) keeps the tuple form.
+    """
+    if all(0 <= k < 2**32 for k in key):
+        return np.random.default_rng(np.array(key, dtype=np.uint32))
+    return np.random.default_rng(key)
 
 
 def sample_truncated_normal(mean: float, sigma: float, z: float,
@@ -133,7 +155,7 @@ def perturb_parameters(base: ParameterSet, cfg: McConfig,
             if not spec.perturb or cfg.sigma_inputs == 0.0:
                 values[spec.key] = value
                 continue
-            rng = np.random.default_rng((cfg.seed, sample_index, param_id, attempt))
+            rng = _stream(cfg.seed, sample_index, param_id, attempt)
             values[spec.key] = _perturb_value(value, cfg.sigma_inputs,
                                               cfg.truncation_z, rng,
                                               spec.lower, spec.upper)
@@ -142,8 +164,7 @@ def perturb_parameters(base: ParameterSet, cfg: McConfig,
             if cfg.sigma_vf == 0.0:
                 vf[key] = base_vf[key]
                 continue
-            rng = np.random.default_rng((cfg.seed, sample_index,
-                                         VF_ID_OFFSET + k, attempt))
+            rng = _stream(cfg.seed, sample_index, VF_ID_OFFSET + k, attempt)
             vf[key] = _perturb_value(base_vf[key], cfg.sigma_vf,
                                      cfg.truncation_z, rng, lower=1e-9)
         try:
@@ -202,22 +223,17 @@ class McDistribution:
                    feasible_fraction=float(feasible.mean()), **stats)
 
 
-def _evaluate_sample(args) -> list:
-    """Evaluate every pairing on one perturbed draw. Top-level so worker
-    processes can unpickle it; returns plain floats keyed by pairing order."""
-    base, cfg, sample_index, pairings = args
-    params = perturb_parameters(base, cfg, sample_index)
-    out = []
-    for scheme, app in pairings:
-        ev = evaluate_pairing(scheme, app, params)
-        if ev.feasible:
-            b = ev.breakdown
-            out.append((ev.breakdown.lcodr_vf, True,
-                        (b.investment, b.om_pv, b.rewards_pv, b.rebound_pv, b.eol_pv)))
-        else:
-            nan = float("nan")
-            out.append((nan, False, (nan,) * len(COST_COMPONENTS)))
-    return out
+def _evaluate_range(args) -> list:
+    """Evaluate every pairing on the sample indices [start, stop). Top-level
+    so worker processes can unpickle it; returns one BatchEvaluation per
+    pairing, in pairing order."""
+    base, cfg, start, stop, pairings = args
+    matrix = np.empty((stop - start, len(BATCH_COLUMNS)))
+    for row, i in enumerate(range(start, stop)):
+        matrix[row] = batch_row(perturb_parameters(base, cfg, i))
+    columns = batch_columns(matrix)
+    return [evaluate_batch(scheme, app, columns, base.assumptions)
+            for scheme, app in pairings]
 
 
 def run_monte_carlo(schemes: Sequence[SchemeKind], apps: Sequence[ApplicationSpec],
@@ -229,28 +245,33 @@ def run_monte_carlo(schemes: Sequence[SchemeKind], apps: Sequence[ApplicationSpe
     so cross-technology comparisons within a sample use common random
     numbers. Returns one McDistribution per pairing, ordered scheme-major.
 
-    workers > 1 spreads sample indices over processes; results are keyed by
-    index, so the output is identical for any worker count.
+    A job is a contiguous range of sample indices; serially there is one,
+    and workers > 1 spreads a few ranges per worker over processes. Ranges
+    are joined in index order and every sample is computed on its own, so
+    the output is identical for any worker count.
     """
     pairings = [(scheme, app) for scheme in schemes for app in apps]
-    jobs = [(base, cfg, i, pairings) for i in range(cfg.samples)]
     if workers is not None and workers > 1 and cfg.samples > 1:
-        chunk = max(1, cfg.samples // (workers * 4))
+        n_jobs = min(cfg.samples, workers * 4)
+        bounds = [cfg.samples * k // n_jobs for k in range(n_jobs + 1)]
+        jobs = [(base, cfg, lo, hi, pairings) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_sample, jobs, chunksize=chunk))
+            results = list(pool.map(_evaluate_range, jobs))
     else:
-        rows = [_evaluate_sample(job) for job in jobs]
+        results = [_evaluate_range((base, cfg, 0, cfg.samples, pairings))]
+
+    def join(arrays):
+        # a single job's arrays are used as they are, not copied
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
     distributions = []
     for j, (scheme, app) in enumerate(pairings):
-        samples = np.array([rows[i][j][0] for i in range(cfg.samples)])
-        feasible = np.array([rows[i][j][1] for i in range(cfg.samples)])
-        components = {
-            name: np.array([rows[i][j][2][c] for i in range(cfg.samples)])
-            for c, name in enumerate(COST_COMPONENTS)
-        }
+        parts = [result[j] for result in results]
+        components = {name: join([p.components[name] for p in parts])
+                      for name in COST_COMPONENTS}
         distributions.append(McDistribution.build(
-            scheme.value, app.name, samples, feasible, components))
+            scheme.value, app.name, join([p.lcodr_vf for p in parts]),
+            join([p.feasible for p in parts]), components))
     return distributions
 
 
@@ -272,7 +293,7 @@ def lcos_sample_matrix(lcos_entries: Sequence[Tuple[str, float]],
             matrix[e, :] = value
             continue
         for i in range(cfg.samples):
-            rng = np.random.default_rng((cfg.seed, i, LCOS_ID_OFFSET + e))
+            rng = _stream(cfg.seed, i, LCOS_ID_OFFSET + e)
             matrix[e, i] = _perturb_value(value, cfg.sigma_inputs,
                                           cfg.truncation_z, rng, lower=0.0)
     return matrix
@@ -309,15 +330,12 @@ def cheapest_probability(distributions: Sequence[McDistribution],
     if lcos_entries:
         values[n_dr:, :] = lcos_sample_matrix(lcos_entries, cfg)
 
-    wins = np.zeros(len(labels))
-    counted = 0
-    for i in range(cfg.samples):
-        col = values[:, i]
-        if not np.isfinite(col).any():
-            continue
-        wins[int(np.argmin(col))] += 1   # argmin takes the first minimum: tie-break
-        counted += 1
+    counted_mask = np.isfinite(values).any(axis=0)
+    counted = int(counted_mask.sum())
     if counted == 0:
         raise NoFeasibleTechnology(
             "no feasible technology in any sample for this application")
+    # argmin takes the first minimum: the tie-break
+    wins = np.bincount(np.argmin(values[:, counted_mask], axis=0),
+                       minlength=len(labels))
     return {label: float(wins[t] / counted) for t, label in enumerate(labels)}

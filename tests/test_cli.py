@@ -128,3 +128,32 @@ def test_mc_outputs_and_composition_shares(tmp_path):
         assert total == pytest.approx(1.0, abs=1e-12)
     samples = read_csv(out / "lcodr_samples.csv")
     assert len(samples) == 48 * 25
+
+
+@pytest.mark.parametrize("flags", [["--subsample", "5", "--iterations", "-1"],
+                                   ["--subsample", "5", "--iterations", "0"],
+                                   ["--subsample", "-2"]])
+def test_vf_bad_counts_are_usage_errors(tmp_path, capsys, flags):
+    assert main(["vf", "--out", str(tmp_path / "o")] + flags) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: usage:" in err
+
+
+def test_mc_reports_skipped_applications(tmp_path, capsys):
+    cfg = tmp_path / "apps.yaml"
+    cfg.write_text(
+        "applications:\n"
+        "  - {name: Energy arbitrage, power_capacity_mw: 100,\n"
+        "     discharge_duration_h: 4, annual_cycles: 300,\n"
+        "     suitable_schemes: [v2g, smart_charging]}\n"
+        "  - {name: Nothing fits, power_capacity_mw: 1,\n"
+        "     discharge_duration_h: 1, annual_cycles: 10, suitable_schemes: []}\n",
+        encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["mc", "--out", str(out), "--samples", "5", "--config", str(cfg)]) == 0
+    assert "'Nothing fits'" in capsys.readouterr().err
+    skipped = json.loads((out / "manifest.json").read_text())["mc"]["skipped_applications"]
+    assert [s["application"] for s in skipped] == ["Nothing fits"]
+    assert {r["application"] for r in read_csv(out / "cheapest_probability.csv")} == \
+        {"Energy arbitrage"}

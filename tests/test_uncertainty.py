@@ -88,10 +88,36 @@ def test_run_monte_carlo_degenerate_matches_deterministic():
 
 
 def test_run_monte_carlo_deterministic_across_workers():
-    (serial, _), (two, _) = _small_run(20, None), _small_run(20, 2)
-    for d1, d2 in zip(serial, two):
-        assert np.array_equal(d1.samples, d2.samples, equal_nan=True)
-        assert np.array_equal(d1.feasible, d2.feasible)
+    # 23 samples split unevenly over 2 x 4 and 3 x 4 sample ranges
+    for samples in (23, 1):
+        serial, _ = _small_run(samples, None)
+        for workers in (2, 3):
+            pooled, _ = _small_run(samples, workers)
+            for d1, d2 in zip(serial, pooled):
+                assert np.array_equal(d1.samples, d2.samples, equal_nan=True)
+                assert np.array_equal(d1.feasible, d2.feasible)
+                for name, values in d1.components.items():
+                    assert np.array_equal(values, d2.components[name], equal_nan=True)
+
+
+def test_run_monte_carlo_never_calls_the_scalar_path(monkeypatch):
+    import lcodr.costing
+
+    def forbidden(*args):
+        raise AssertionError("scalar path called")
+
+    monkeypatch.setattr(lcodr.costing, "evaluate_pairing", forbidden)
+    monkeypatch.setattr(lcodr.costing, "size_pairing", forbidden)
+    dists, _ = _small_run(5)
+    assert any(d.feasible.any() for d in dists)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40])
+def test_stream_draws_equal_tuple_seeded_generator(seed):
+    from lcodr.uncertainty import _stream
+    key = (seed, 1499, 38, 2)
+    assert np.array_equal(_stream(*key).normal(size=8),
+                          np.random.default_rng(key).normal(size=8))
 
 
 def test_mc_summary_statistics_on_feasible_subset():
@@ -157,6 +183,31 @@ def test_cheapest_probability_monotone_dominance():
     before = cheapest_probability([_dist("a", a), _dist("b", b)], cfg)["a"]
     after = cheapest_probability([_dist("a", a - 0.5), _dist("b", b)], cfg)["a"]
     assert after >= before
+
+
+def _cheapest_by_loop(values):
+    """Per-sample reference: the first minimum of each column with a finite
+    entry wins."""
+    wins = np.zeros(values.shape[0])
+    counted = 0
+    for col in values.T:
+        if np.isfinite(col).any():
+            wins[int(np.argmin(col))] += 1
+            counted += 1
+    return [float(w / counted) for w in wins]
+
+
+def test_cheapest_probability_equals_per_sample_loop():
+    cfg = McConfig(samples=400, seed=0)
+    rng = np.random.default_rng(21)
+    values = rng.integers(1, 6, size=(3, 400)).astype(float)   # many ties
+    values[rng.random((3, 400)) < 0.3] = np.nan                  # infeasible
+    values[:, :7] = np.nan                                       # nobody feasible
+    dists = [_dist(t, v) for t, v in zip("abc", values)]
+    probs = cheapest_probability(dists, cfg, lcos_entries=[("s", 3.0)])
+    reference = np.vstack([np.where(np.isnan(values), np.inf, values),
+                           np.full(400, 3.0)])
+    assert list(probs.values()) == _cheapest_by_loop(reference)
 
 
 def test_lcos_point_vs_perturbed():
