@@ -35,6 +35,7 @@ from .data import (
     load_lcos_reference,
     load_profile_pool_csv,
     load_timeseries_csv,
+    profile_value_factors,
 )
 from .model import (
     Assumptions,
@@ -53,8 +54,7 @@ from .uncertainty import (
     cheapest_probability,
     run_monte_carlo,
 )
-from .valuefactor import ValueFactorError, v2g_value_factors, value_factor, align
-from .data import _pool_total
+from .valuefactor import ValueFactorError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -214,14 +214,8 @@ def _load_profile_data(args):
 def _computed_value_factors(args):
     from .model import ValueFactorTable
     price, ev_pool, hp_pool, v2g_power, v2g_energy, hashes = _load_profile_data(args)
-    vf_power, vf_energy = v2g_value_factors(price, v2g_power, v2g_energy)
-    price_sc, sc_total, _ = align(price, _pool_total(ev_pool))
-    vf_sc = value_factor(price_sc, sc_total.series)
-    price_hp, hp_total, _ = align(price, _pool_total(hp_pool))
-    vf_hp = value_factor(price_hp, hp_total.series)
-    table = ValueFactorTable(v2g_power=vf_power, v2g_energy=vf_energy,
-                             smart_charging=vf_sc, heat_pump=vf_hp)
-    return table, hashes
+    factors = profile_value_factors(price, ev_pool, hp_pool, v2g_power, v2g_energy)
+    return ValueFactorTable(**factors), hashes
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +283,13 @@ def cmd_run(args) -> int:
 def cmd_vf(args) -> int:
     params, _, _ = _load(args)
     price, ev_pool, hp_pool, v2g_power, v2g_energy, hashes = _load_profile_data(args)
-    vf_power, vf_energy = v2g_value_factors(price, v2g_power, v2g_energy)
-    price_sc, sc_total, _ = align(price, _pool_total(ev_pool))
-    vf_sc = value_factor(price_sc, sc_total.series)
-    price_hp, hp_total, _ = align(price, _pool_total(hp_pool))
-    vf_hp = value_factor(price_hp, hp_total.series)
+    factors = profile_value_factors(price, ev_pool, hp_pool, v2g_power, v2g_energy)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     run_id = _hash_dict({"command": "vf", "data": hashes, "seed": args.seed,
                          "subsample": args.subsample, "iterations": args.iterations})
-    rows = [
-        ["v2g_power", vf_power],
-        ["v2g_energy", vf_energy],
-        ["smart_charging", vf_sc],
-        ["heat_pump", vf_hp],
-    ]
-    _write_csv(out / "value_factors.csv", ["scheme", "value_factor"], rows, run_id)
+    _write_csv(out / "value_factors.csv", ["scheme", "value_factor"], factors.items(), run_id)
     written = [out / "value_factors.csv"]
 
     if args.subsample:
@@ -441,7 +425,7 @@ def _int_at_least(minimum: int):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="YAML config merged over defaults")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--applications", default=None,
                    help="semicolon-separated application names to keep")
     p.add_argument("--schemes", default=None,

@@ -20,21 +20,18 @@ Timestamps are ISO 8601; naive timestamps are taken as UTC.
 from __future__ import annotations
 
 import csv
+import io
+import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .model import LcodrError, SchemeKind, TimeSeries, ValueFactorTable
-from .valuefactor import (
-    AvailabilityProfile,
-    ProfileKind,
-    v2g_value_factors,
-    value_factor,
-    align,
-)
+from .model import LcodrError, TimeSeries, ValueFactorTable
+from .valuefactor import (AvailabilityProfile, ProfileKind, ValueFactorError, align,
+                          v2g_value_factors, value_factor)
 
 
 class DataError(LcodrError):
@@ -69,88 +66,114 @@ class NonNumericValue(DataError):
 # CSV loaders
 # ---------------------------------------------------------------------------
 
-def _parse_timestamp(text: str, path: str, row: int) -> datetime:
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _parse_timestamp(text: str, column: str, path: str, row: int) -> int:
+    """Microseconds since the epoch of an ISO 8601 timestamp."""
     try:
         ts = datetime.fromisoformat(text.strip())
     except ValueError:
         raise NonNumericValue(f"unparseable timestamp {text!r}", path, row) from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts
+    return (ts - _EPOCH) // _MICROSECOND
 
 
 def _parse_number(text: str, column: str, path: str, row: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise NonNumericValue(f"non-numeric {column} {text!r}", path, row) from None
+    if not math.isfinite(value):
+        raise NonNumericValue(f"non-finite {column} {text!r}", path, row)
+    return value
 
 
-def _read_rows(path: str, required: Tuple[str, ...]):
+def _read_columns(path: str, columns, text: Optional[str] = None) -> list:
+    """Read a CSV (the file at path, or text) once into one list of strings
+    per (name, parser) column; return each parsed into an array (parser None:
+    the strings). Rows are numbered as csv.DictReader yields them: header row
+    1, blank lines skipped. A repeated header name means its last occurrence.
+    The first bad row is reported, within a row the leftmost column."""
+    names = [name for name, _ in columns]
+    texts: List[List[str]] = [[] for _ in columns]
+    errors = []
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with (open(path, encoding="utf-8", newline="") if text is None
+              else io.StringIO(text)) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for name in names:
+                if name not in header:
+                    raise MissingColumn(f"missing column {name!r} (found {header})", path, 1)
+            index = [len(header) - 1 - header[::-1].index(name) for name in names]
+            width = max(index)
+            appends = [(column.append, i) for column, i in zip(texts, index)]
+            for record in reader:
+                if len(record) > width:
+                    for append, i in appends:
+                        append(record[i])
+                elif record:   # a short row ends the read; blank lines are skipped
+                    missing = next(n for n, i in zip(names, index) if i >= len(record))
+                    errors.append(DataError(f"missing field {missing!r}", path,
+                                            len(texts[0]) + 2))
+                    break
     except FileNotFoundError:
         raise DataError("file not found", path) from None
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in required:
-            if column not in header:
-                raise MissingColumn(f"missing column {column!r} "
-                                    f"(found {header})", path, row=1)
-        rows = [(i, row) for i, row in enumerate(reader, start=2)]
-    if not rows:
+    except (OSError, UnicodeDecodeError) as exc:   # decoding runs ahead of the rows
+        raise DataError(f"unreadable file ({exc})", path) from None
+    except csv.Error as exc:
+        raise DataError(f"unreadable CSV ({exc})", path, len(texts[0]) + 2) from None
+    if not texts[0] and not errors:
         raise DataError("file has a header but no data rows", path)
-    return rows
+    arrays = []
+    for (name, parse), column in zip(columns, texts):
+        try:
+            arrays.append(column if parse is None else np.array(
+                [parse(t, name, path, r) for r, t in enumerate(column, start=2)]))
+        except DataError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda e: e.row)
+    return arrays
 
 
-def _check_grid(timestamps: List[datetime], row_numbers: List[int], path: str) -> float:
-    """Validate strictly increasing, evenly spaced timestamps; returns the
-    spacing in seconds."""
-    deltas = [(timestamps[i] - timestamps[i - 1]).total_seconds()
-              for i in range(1, len(timestamps))]
-    for i, d in enumerate(deltas):
-        if d <= 0:
-            raise NonMonotonicTimestamps(
-                f"timestamp does not increase (delta {d:.0f} s)",
-                path, row_numbers[i + 1])
-    interval = deltas[0]
-    for i, d in enumerate(deltas):
-        if abs(d - interval) > 1e-6:
-            raise IrregularSpacing(
-                f"spacing {d:.0f} s differs from first spacing {interval:.0f} s",
-                path, row_numbers[i + 1])
-    return interval
+def _grid(us: np.ndarray, rows: np.ndarray, path: str, what: str = "a series"):
+    """(start, spacing in seconds) of strictly increasing, evenly spaced
+    timestamps given in microseconds since the epoch."""
+    if len(us) < 2:
+        raise DataError(f"{what} needs at least 2 data rows", path, int(rows[0]))
+    d = np.diff(us) / 1e6
+    bad = np.flatnonzero(d <= 0)
+    if bad.size:
+        raise NonMonotonicTimestamps(f"timestamp does not increase (delta {d[bad[0]]:.0f} s)",
+                                     path, int(rows[bad[0] + 1]))
+    bad = np.flatnonzero(np.abs(d - d[0]) > 1e-6)
+    if bad.size:
+        raise IrregularSpacing(f"spacing {d[bad[0]]:.0f} s differs from first spacing "
+                               f"{d[0]:.0f} s", path, int(rows[bad[0] + 1]))
+    return _EPOCH + timedelta(microseconds=int(us[0])), float(d[0])
+
+
+def _read_series(path: str, value_columns: Tuple[str, ...], unit: str) -> List[TimeSeries]:
+    """One TimeSeries per value column of a `timestamp,<value columns>` CSV."""
+    us, *values = _read_columns(path, [("timestamp", _parse_timestamp)]
+                                + [(name, _parse_number) for name in value_columns])
+    start, interval = _grid(us, np.arange(2, len(us) + 2), path)
+    return [TimeSeries(start, interval, v, unit) for v in values]
 
 
 def load_timeseries_csv(path: str, unit: str = "") -> TimeSeries:
-    """Load a `timestamp,value` CSV into a validated TimeSeries.
-
-    Errors pinpoint the first offending row (1-based, header is row 1).
-    """
-    rows = _read_rows(path, ("timestamp", "value"))
-    row_numbers, timestamps, values = [], [], []
-    for i, row in rows:
-        row_numbers.append(i)
-        timestamps.append(_parse_timestamp(row["timestamp"], path, i))
-        values.append(_parse_number(row["value"], "value", path, i))
-    interval = _check_grid(timestamps, row_numbers, path)
-    return TimeSeries(timestamps[0], interval, np.array(values), unit)
+    """Load a `timestamp,value` CSV into a validated TimeSeries."""
+    return _read_series(path, ("value",), unit)[0]
 
 
 def load_boundary_csv(path: str, unit: str = "kWh") -> AvailabilityProfile:
     """Load a `timestamp,lower,upper` CSV into an energy-boundary profile."""
-    rows = _read_rows(path, ("timestamp", "lower", "upper"))
-    row_numbers, timestamps, lower, upper = [], [], [], []
-    for i, row in rows:
-        row_numbers.append(i)
-        timestamps.append(_parse_timestamp(row["timestamp"], path, i))
-        lower.append(_parse_number(row["lower"], "lower", path, i))
-        upper.append(_parse_number(row["upper"], "upper", path, i))
-    interval = _check_grid(timestamps, row_numbers, path)
-    lo = TimeSeries(timestamps[0], interval, np.array(lower), unit)
-    up = TimeSeries(timestamps[0], interval, np.array(upper), unit)
-    return AvailabilityProfile(ProfileKind.V2G_ENERGY_BOUNDARIES, lo, upper=up)
+    lower, upper = _read_series(path, ("lower", "upper"), unit)
+    return AvailabilityProfile(ProfileKind.V2G_ENERGY_BOUNDARIES, lower, upper=upper)
 
 
 def load_profile_pool_csv(path: str, kind: ProfileKind = ProfileKind.UNIDIRECTIONAL_LOAD,
@@ -158,22 +181,16 @@ def load_profile_pool_csv(path: str, kind: ProfileKind = ProfileKind.UNIDIRECTIO
     """Load a long-format `asset_id,timestamp,value` CSV into one profile
     per asset. Assets appear in first-occurrence order; each asset's block
     must form a valid grid on its own."""
-    rows = _read_rows(path, ("asset_id", "timestamp", "value"))
-    per_asset: Dict[str, list] = {}
-    for i, row in rows:
-        per_asset.setdefault(row["asset_id"], []).append(
-            (i, _parse_timestamp(row["timestamp"], path, i),
-             _parse_number(row["value"], "value", path, i)))
+    assets, us, values = _read_columns(path, [("asset_id", None),
+                                              ("timestamp", _parse_timestamp),
+                                              ("value", _parse_number)])
+    codes: Dict[str, int] = {}
+    asset_index = np.array([codes.setdefault(a, len(codes)) for a in assets])
+    order = np.argsort(asset_index, kind="stable")   # each asset's rows, in file order
     profiles = []
-    for asset_id, entries in per_asset.items():
-        row_numbers = [e[0] for e in entries]
-        timestamps = [e[1] for e in entries]
-        values = [e[2] for e in entries]
-        if len(entries) < 2:
-            raise DataError(f"asset {asset_id!r} has fewer than 2 rows",
-                            path, row_numbers[0])
-        interval = _check_grid(timestamps, row_numbers, path)
-        series = TimeSeries(timestamps[0], interval, np.array(values), unit)
+    for asset_id, positions in zip(codes, np.split(order, np.cumsum(np.bincount(asset_index)))):
+        start, interval = _grid(us[positions], positions + 2, path, f"asset {asset_id!r}")
+        series = TimeSeries(start, interval, values[positions], unit)
         profiles.append(AvailabilityProfile(kind, series, asset_id=asset_id))
     return profiles
 
@@ -193,34 +210,14 @@ def load_lcos_reference(path: Optional[str] = None) -> List[LcosEntry]:
     The bundled values approximate published lifetime-cost projections for
     mature storage technologies and are user-replaceable.
     """
+    text = None
     if path is None:
         text = resources.files("lcodr").joinpath("lcos_reference.csv") \
             .read_text(encoding="utf-8")
-        lines = text.splitlines()
-        source = "<bundled lcos_reference.csv>"
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            raise DataError("file not found", path) from None
-        source = path
-    reader = csv.DictReader(lines)
-    header = reader.fieldnames or []
-    for column in ("application", "technology", "lcos_usd_per_mwh"):
-        if column not in header:
-            raise MissingColumn(f"missing column {column!r} (found {header})",
-                                source, row=1)
-    entries = []
-    for i, row in enumerate(reader, start=2):
-        entries.append(LcosEntry(
-            application=row["application"].strip(),
-            technology=row["technology"].strip(),
-            lcos_usd_per_mwh=_parse_number(row["lcos_usd_per_mwh"],
-                                           "lcos_usd_per_mwh", source, i)))
-    if not entries:
-        raise DataError("file has a header but no data rows", source)
-    return entries
+        path = "<bundled lcos_reference.csv>"
+    apps, techs, costs = _read_columns(path, [("application", None), ("technology", None),
+                                              ("lcos_usd_per_mwh", _parse_number)], text)
+    return [LcosEntry(a.strip(), t.strip(), c) for a, t, c in zip(apps, techs, costs.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +364,12 @@ class DataBundle:
 
 def default_bundle(seed: int = 2024, days: int = 365) -> DataBundle:
     """The deterministic bundled dataset. Same seed, same bundle."""
+    v2g_power, v2g_energy = synthetic_v2g_profiles(days=days, seed=seed)
     return DataBundle(
         price=synthetic_price(days=days, seed=seed),
         ev_charging_pool=synthetic_ev_charging_pool(days=days, seed=seed),
         heating_pool=synthetic_heating_pool(days=days, seed=seed),
-        v2g_power=synthetic_v2g_profiles(days=days, seed=seed)[0],
-        v2g_energy=synthetic_v2g_profiles(days=days, seed=seed)[1],
+        v2g_power=v2g_power, v2g_energy=v2g_energy,
         lcos_reference=load_lcos_reference(),
         provenance={
             "price": "synthetic: two-peak daily shape, seasonal modulation, "
@@ -387,32 +384,33 @@ def default_bundle(seed: int = 2024, days: int = 365) -> DataBundle:
 
 
 def _pool_total(pool: List[AvailabilityProfile]) -> AvailabilityProfile:
-    total = pool[0].series.values.copy()
+    """Sum of the pool's profiles; every asset must share the first's grid."""
+    first = pool[0].series
+    total = first.values.copy()
     for prof in pool[1:]:
-        total += prof.series.values
-    return AvailabilityProfile(pool[0].kind,
-                               pool[0].series.with_values(total),
-                               asset_id="pool-total")
+        s = prof.series
+        if (s.start, s.interval_seconds, len(s)) != (first.start, first.interval_seconds,
+                                                     len(first)):
+            raise ValueFactorError(f"asset {prof.asset_id!r} is not on the first asset's grid")
+        total += s.values
+    return AvailabilityProfile(pool[0].kind, first.with_values(total), asset_id="pool-total")
+
+
+def profile_value_factors(price: TimeSeries, ev_pool: List[AvailabilityProfile],
+                          hp_pool: List[AvailabilityProfile], v2g_power: AvailabilityProfile,
+                          v2g_energy: AvailabilityProfile) -> Dict[str, float]:
+    """Value factor per ValueFactorTable field. The two heat-pump schemes share
+    one factor: their uncontrolled demand profile is the same."""
+    vf_power, vf_energy = v2g_value_factors(price, v2g_power, v2g_energy)
+    factors = {"v2g_power": vf_power, "v2g_energy": vf_energy}
+    for scheme, pool in (("smart_charging", ev_pool), ("heat_pump", hp_pool)):
+        price_pool, total, _ = align(price, _pool_total(pool))
+        factors[scheme] = value_factor(price_pool, total.series)
+    return factors
 
 
 def bundle_value_factors(bundle: DataBundle):
-    """Value factors computed from a data bundle.
-
-    Returns (ValueFactorTable, details dict). The two heat-pump schemes
-    share a single factor: their uncontrolled demand profile is the same.
-    """
-    vf_v2g_power, vf_v2g_energy = v2g_value_factors(
-        bundle.price, bundle.v2g_power, bundle.v2g_energy)
-    price_sc, sc_total, _ = align(bundle.price, _pool_total(bundle.ev_charging_pool))
-    vf_sc = value_factor(price_sc, sc_total.series)
-    price_hp, hp_total, _ = align(bundle.price, _pool_total(bundle.heating_pool))
-    vf_hp = value_factor(price_hp, hp_total.series)
-    table = ValueFactorTable(v2g_power=vf_v2g_power, v2g_energy=vf_v2g_energy,
-                             smart_charging=vf_sc, heat_pump=vf_hp)
-    details = {
-        "v2g_power": vf_v2g_power,
-        "v2g_energy": vf_v2g_energy,
-        "smart_charging": vf_sc,
-        "heat_pump": vf_hp,
-    }
-    return table, details
+    """Value factors of a data bundle: (ValueFactorTable, dict of its fields)."""
+    details = profile_value_factors(bundle.price, bundle.ev_charging_pool, bundle.heating_pool,
+                                    bundle.v2g_power, bundle.v2g_energy)
+    return ValueFactorTable(**details), details

@@ -232,6 +232,8 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
     Deterministic for a fixed seed; each iteration derives its own generator
     from (seed, iteration), so iterations are order-independent.
     """
+    if subset_size < 1:
+        raise ValueFactorError(f"subset size must be >= 1, got {subset_size}")
     if len(profiles) < subset_size:
         raise TooFewAssets(
             f"need at least {subset_size} asset profiles, got {len(profiles)}")
@@ -248,6 +250,8 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
     for i in range(iterations):
         rng = np.random.default_rng((seed, i))
         idx = rng.choice(len(profiles), size=subset_size, replace=False)
-        total = pool[idx].sum(axis=0)
+        total = pool[idx[0]].copy()   # same additions, in the same order,
+        for j in idx[1:]:              # as pool[idx].sum(axis=0), without the gather
+            total += pool[j]
         samples[i] = value_factor(price0, price0.with_values(total))
     return VfDistribution.from_samples(samples)

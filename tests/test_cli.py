@@ -157,3 +157,14 @@ def test_mc_reports_skipped_applications(tmp_path, capsys):
     assert [s["application"] for s in skipped] == ["Nothing fits"]
     assert {r["application"] for r in read_csv(out / "cheapest_probability.csv")} == \
         {"Energy arbitrage"}
+
+
+@pytest.mark.parametrize("argv", [["mc", "--samples", "1", "--seed", "-1"],
+                                  ["vf", "--subsample", "5", "--iterations", "3",
+                                   "--seed", "-1"]])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == \
+        ["error: usage: argument --seed: must be >= 0, got -1"]

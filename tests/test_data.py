@@ -1,6 +1,10 @@
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
 
+from lcodr import data
+from lcodr.cli import main
 from lcodr.data import (
     DataError,
     IrregularSpacing,
@@ -13,11 +17,13 @@ from lcodr.data import (
     load_lcos_reference,
     load_profile_pool_csv,
     load_timeseries_csv,
+    profile_value_factors,
     synthetic_ev_charging_pool,
     synthetic_heating_pool,
     synthetic_price,
     synthetic_v2g_profiles,
 )
+from lcodr.valuefactor import ValueFactorError
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -163,3 +169,223 @@ def test_bundled_value_factors_are_the_config_goldens():
     assert table.heat_pump == pytest.approx(configured.heat_pump, rel=1e-12)
     assert table.v2g_power == pytest.approx(configured.v2g_power, rel=1e-12)
     assert table.v2g_energy == pytest.approx(configured.v2g_energy, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Round trips and row-pinpointed errors of the column-wise loaders
+# ---------------------------------------------------------------------------
+
+def _stamps(series):
+    step = timedelta(seconds=series.interval_seconds)
+    return [(series.start + k * step).isoformat() for k in range(len(series))]
+
+
+def test_loaders_round_trip_synthetic_data(tmp_path):
+    price = synthetic_price(days=3, seed=4)
+    power, energy = synthetic_v2g_profiles(days=3, seed=4)
+    pool = synthetic_heating_pool(n_assets=3, days=3, seed=4)[::-1]   # not sorted by id
+    stamps = _stamps(price)
+    path = write(tmp_path, "timestamp,value\n" + "".join(
+        f"{t},{v!r}\n" for t, v in zip(stamps, price.values.tolist())))
+    loaded = load_timeseries_csv(path, unit="$/MWh")
+    assert np.array_equal(loaded.values, price.values)
+    assert (loaded.start, loaded.interval_seconds) == (price.start, price.interval_seconds)
+    path = write(tmp_path, "timestamp,lower,upper\n" + "".join(
+        f"{t},{lo!r},{up!r}\n" for t, lo, up in zip(
+            stamps, energy.series.values.tolist(), energy.upper.values.tolist())))
+    band = load_boundary_csv(path)
+    assert np.array_equal(band.series.values, energy.series.values)
+    assert np.array_equal(band.upper.values, energy.upper.values)
+    assert band.series.start == energy.series.start
+    path = write(tmp_path, "asset_id,timestamp,value\n" + "".join(
+        f"{p.asset_id},{t},{v!r}\n" for p in pool
+        for t, v in zip(stamps, p.series.values.tolist())))
+    loaded_pool = load_profile_pool_csv(path)
+    assert [p.asset_id for p in loaded_pool] == [p.asset_id for p in pool]
+    for got, want in zip(loaded_pool, pool):
+        assert np.array_equal(got.series.values, want.series.values)
+        assert got.series.start == want.series.start
+        assert got.series.interval_seconds == want.series.interval_seconds
+
+
+def test_offset_timestamps_give_the_utc_start(tmp_path):
+    path = write(tmp_path, "timestamp,value\n"
+                           "2023-01-01T01:00:00+01:00,1\n"
+                           "2023-01-01T02:00:00+01:00,2\n")
+    ts = load_timeseries_csv(path)
+    assert ts.start == datetime(2023, 1, 1, tzinfo=timezone.utc)
+    assert ts.start.tzinfo is timezone.utc
+
+
+def test_one_data_row_names_the_row(tmp_path):
+    path = write(tmp_path, "timestamp,value\n2023-01-01T00:00:00,1\n")
+    with pytest.raises(DataError) as err:
+        load_timeseries_csv(path)
+    assert err.value.row == 2
+
+
+def test_header_only_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="no data rows"):
+        load_timeseries_csv(write(tmp_path, "timestamp,value\n"))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_value_names_the_row(tmp_path, bad):
+    path = write(tmp_path, "timestamp,value\n"
+                           "2023-01-01T00:00:00,1\n"
+                           f"2023-01-01T01:00:00,{bad}\n"
+                           "2023-01-01T02:00:00,3\n")
+    with pytest.raises(NonNumericValue) as err:
+        load_timeseries_csv(path)
+    assert err.value.row == 3
+
+
+def test_short_row_names_the_row_and_field(tmp_path):
+    path = write(tmp_path, "timestamp,lower,upper\n"
+                           "2023-01-01T00:00:00,0,1\n"
+                           "2023-01-01T01:00:00,0\n"
+                           "2023-01-01T02:00:00,0,1\n")
+    with pytest.raises(DataError, match="missing field 'upper'") as err:
+        load_boundary_csv(path)
+    assert err.value.row == 3
+
+
+def test_first_bad_row_wins_across_columns(tmp_path):
+    path = write(tmp_path, "timestamp,value\n"
+                           "2023-01-01T00:00:00,1\n"
+                           "2023-01-01T01:00:00,oops\n"
+                           "2023-01-01T02:00:00,3\n"
+                           "not-a-time,4\n"
+                           "2023-01-01T04:00:00\n")
+    with pytest.raises(NonNumericValue, match="non-numeric value") as err:
+        load_timeseries_csv(path)
+    assert err.value.row == 3
+
+
+def test_timestamp_error_wins_within_a_row(tmp_path):
+    path = write(tmp_path, "timestamp,value\n"
+                           "2023-01-01T00:00:00,1\n"
+                           "later,oops\n")
+    with pytest.raises(NonNumericValue, match="timestamp") as err:
+        load_timeseries_csv(path)
+    assert err.value.row == 3
+
+
+def test_blank_lines_are_not_counted(tmp_path):
+    path = write(tmp_path, "timestamp,value\n"
+                           "2023-01-01T00:00:00,1\n"
+                           "\n"
+                           "2023-01-01T01:00:00,2\n"
+                           "2023-01-01T02:00:00,nan\n")
+    with pytest.raises(NonNumericValue) as err:
+        load_timeseries_csv(path)
+    assert err.value.row == 4   # as csv.DictReader numbers records
+
+
+def test_repeated_column_uses_its_last_occurrence(tmp_path):
+    path = write(tmp_path, "value,timestamp,value\n"
+                           "9,2023-01-01T00:00:00,1\n"
+                           "9,2023-01-01T01:00:00,2\n")
+    assert list(load_timeseries_csv(path).values) == [1.0, 2.0]
+
+
+POOL_HEADER = ("asset_id,timestamp,value\n"
+               "a,2023-01-01T00:00:00,1\n"
+               "a,2023-01-01T01:00:00,2\n"
+               "a,2023-01-01T02:00:00,2\n")
+
+
+def test_pool_error_inside_second_asset_block(tmp_path):
+    path = write(tmp_path, POOL_HEADER +
+                 "b,2023-01-01T00:00:00,3\n"
+                 "b,2023-01-01T01:00:00,4\n"
+                 "b,2023-01-01T01:00:00,5\n")
+    with pytest.raises(NonMonotonicTimestamps) as err:
+        load_profile_pool_csv(path)
+    assert err.value.row == 7
+
+
+def test_pool_value_error_beats_grid_error_of_earlier_asset(tmp_path):
+    path = write(tmp_path, "asset_id,timestamp,value\n"
+                           "a,2023-01-01T00:00:00,1\n"
+                           "a,2023-01-01T00:00:00,2\n"
+                           "b,2023-01-01T00:00:00,3\n"
+                           "b,2023-01-01T01:00:00,inf\n")
+    with pytest.raises(NonNumericValue) as err:
+        load_profile_pool_csv(path)
+    assert err.value.row == 5
+
+
+def test_pool_asset_with_one_row_names_it(tmp_path):
+    path = write(tmp_path, POOL_HEADER + "b,2023-01-01T00:00:00,3\n")
+    with pytest.raises(DataError, match="'b'") as err:
+        load_profile_pool_csv(path)
+    assert err.value.row == 5
+
+
+def test_pool_short_row_in_second_asset(tmp_path):
+    path = write(tmp_path, POOL_HEADER + "b,2023-01-01T00:00:00,3\nb\n")
+    with pytest.raises(DataError, match="missing field 'timestamp'") as err:
+        load_profile_pool_csv(path)
+    assert err.value.row == 6
+
+
+def test_pool_interleaved_assets_keep_first_occurrence_order(tmp_path):
+    path = write(tmp_path, "asset_id,timestamp,value\n"
+                           "z,2023-01-01T00:00:00,1\n"
+                           "a,2023-01-01T00:00:00,3\n"
+                           "z,2023-01-01T01:00:00,2\n"
+                           "a,2023-01-01T01:00:00,4\n")
+    pool = load_profile_pool_csv(path)
+    assert [p.asset_id for p in pool] == ["z", "a"]
+    assert list(pool[1].series.values) == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("block", [
+    "b,2023-01-01T00:00:00,3\nb,2023-01-01T01:00:00,4\n",                  # shorter
+    "b,2023-01-01T01:00:00,3\nb,2023-01-01T02:00:00,4\nb,2023-01-01T03:00:00,5\n",
+    "b,2023-01-01T00:00:00,3\nb,2023-01-01T02:00:00,4\nb,2023-01-01T04:00:00,5\n",
+])
+def test_pool_assets_on_different_grids_are_rejected(tmp_path, block):
+    pool = load_profile_pool_csv(write(tmp_path, POOL_HEADER + block))
+    price, power, energy = synthetic_price(days=1), *synthetic_v2g_profiles(days=1)
+    with pytest.raises(ValueFactorError, match="'b'"):
+        profile_value_factors(price, pool, pool, power, energy)
+
+
+def test_lcos_reference_non_finite_is_a_data_error(tmp_path):
+    path = write(tmp_path, "application,technology,lcos_usd_per_mwh\n"
+                           "Energy arbitrage,Li-ion,100\n"
+                           "Energy arbitrage,Flow,nan\n")
+    with pytest.raises(NonNumericValue) as err:
+        load_lcos_reference(path)
+    assert err.value.row == 3
+
+
+def test_default_bundle_builds_v2g_profiles_once(monkeypatch):
+    calls = []
+    original = data.synthetic_v2g_profiles
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return original(**kwargs)
+
+    monkeypatch.setattr(data, "synthetic_v2g_profiles", counting)
+    bundle = default_bundle(seed=5, days=4)
+    assert calls == [{"days": 4, "seed": 5}]
+    power, energy = original(days=4, seed=5)
+    assert np.array_equal(bundle.v2g_power.series.values, power.series.values)
+    assert np.array_equal(bundle.v2g_energy.upper.values, energy.upper.values)
+
+
+@pytest.mark.parametrize("name,text", [
+    ("one.csv", "timestamp,value\n2023-01-01T00:00:00,1\n"),
+    ("short.csv", "timestamp,value\n2023-01-01T00:00:00,1\n2023-01-01T01:00:00\n"),
+    ("nan.csv", "timestamp,value\n2023-01-01T00:00:00,1\n2023-01-01T01:00:00,nan\n"),
+])
+@pytest.mark.parametrize("command", [["vf"], ["run", "--compute-vf"]])
+def test_malformed_price_file_exits_3_with_its_row(tmp_path, capsys, name, text, command):
+    path = write(tmp_path, text, name)
+    assert main(command + ["--out", str(tmp_path / "o"), "--price", path]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: data: {path}:")

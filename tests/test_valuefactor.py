@@ -10,6 +10,7 @@ from lcodr.valuefactor import (
     NoOverlap,
     ProfileKind,
     TooFewAssets,
+    ValueFactorError,
     ZeroAvailabilityMean,
     ZeroPriceSum,
     align_series,
@@ -142,3 +143,18 @@ def test_subsample_mc_needs_enough_assets():
     pool = _pool(4)
     with pytest.raises(TooFewAssets):
         vf_subsample_mc(pool, series(np.linspace(10, 90, 48)), subset_size=5)
+    with pytest.raises(ValueFactorError, match="subset size"):
+        vf_subsample_mc(pool, series(np.linspace(10, 90, 48)), subset_size=0)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_subsample_mc_equals_gathered_sum(seed):
+    pool = _pool(30, length=96, seed=seed)
+    price = series(np.random.default_rng(seed).uniform(5, 95, 96))
+    dist = vf_subsample_mc(pool, price, subset_size=12, iterations=60, seed=seed)
+    stack = np.stack([p.series.values for p in pool])
+    reference = []
+    for i in range(60):
+        idx = np.random.default_rng((seed, i)).choice(30, size=12, replace=False)
+        reference.append(value_factor(price, price.with_values(stack[idx].sum(axis=0))))
+    assert dist.samples.tolist() == reference
