@@ -1,0 +1,71 @@
+"""Golden outputs: fixed-seed commands must keep producing the same bytes.
+
+Each command's CSV files are pinned by sha256, so their `# run_id=` lines
+are pinned too. The manifest is pinned without its `generated_at` stamp,
+as the sha256 of its sorted-key JSON. A refactor that is meant to change no
+output must leave every digest here as it is; a declared re-baseline
+updates them and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lcodr.cli import main
+
+GOLDEN = {
+    "run": (["run"], {
+        "lcodr_deterministic.csv":
+            "10027835b27b50b53ccce93dfd78418cc678ea93417c9cd1d5fadcfcdea10d1c",
+        "manifest.json":
+            "f416bba9c7679334e7bede97f72653895a4b0ac3eb7a69008254657ea1a08a27",
+    }),
+    "run_compute_vf": (["run", "--compute-vf"], {
+        "lcodr_deterministic.csv":
+            "f3b775555c3bb8af6823a8d33b718732a0e6934670cd542c07d287c9daa77417",
+        "manifest.json":
+            "a2e6d95d36f53acf8ec22bd363a23dd479f622afbf414d78496c4ed0a132124f",
+    }),
+    "vf_subsample": (["vf", "--subsample", "50", "--iterations", "300", "--seed", "11"], {
+        "value_factors.csv":
+            "09b6e5a0313064ca4696bf7efe857af8e61edf24116d0034f7a4e4018b188eef",
+        "vf_distribution.csv":
+            "26423102131a32bb086be46f86326cd9d85166623523eb5f1cb68b6b7c682bea",
+        "vf_distribution_summary.csv":
+            "c777def9fea9009d21f40d8f37590f250cc1fe040711a6c46b641c290cd2ac7e",
+        "manifest.json":
+            "a087e1e80a87981698458d644501fc02c835b7244b193aa2d85c751a6af0f0b1",
+    }),
+    "mc_same_scheme": (["mc", "--samples", "40", "--compute-vf", "--lcos-sampling",
+                        "same_scheme", "--emit-samples", "--seed", "5"], {
+        "lcodr_mc.csv":
+            "eac82560ee0845c708a727a87728bdbc45a2fc9cadd65ac799894cf309f57325",
+        "cheapest_probability.csv":
+            "d6605bac4861c5b94f8cd19ca8803ea7a3ce40598efcce5cbf187cc3de51c40b",
+        "cost_composition.csv":
+            "5d6115df24ff084014c5f734b490981cefd764472eda9d3812c5d63676da0a69",
+        "lcodr_samples.csv":
+            "66f83826d40213c5b9062764d0b24b7a13ae70e29d97573271e4e8578b031d51",
+        "manifest.json":
+            "3f5ea6373b565aaa88cebbf5b0dcc43f84c1cca67bf271e2f259696ea8338170",
+    }),
+}
+
+
+def _digest(path) -> str:
+    if path.name == "manifest.json":
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest["generated_at"]
+        blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    else:
+        blob = path.read_bytes()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_outputs_are_byte_identical_to_golden(tmp_path, name):
+    argv, expected = GOLDEN[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    written = {p.name: _digest(p) for p in tmp_path.iterdir()}
+    assert written == expected

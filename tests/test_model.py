@@ -1,6 +1,8 @@
 import math
+from importlib import resources
 
 import pytest
+import yaml
 
 from lcodr.model import (
     ApplicationSpec,
@@ -19,8 +21,10 @@ from lcodr.model import (
     default_parameters,
     load_config_dict,
     parameter_set_to_dict,
+    ParameterSet,
     parameter_values,
 )
+from lcodr.uncertainty import LCOS_ID_OFFSET, VF_ID_OFFSET
 
 from datetime import datetime, timezone
 
@@ -111,11 +115,54 @@ def test_parameter_registry_covers_all_groups():
     assert parameter_values(rebuilt) == flat
 
 
+#: (key, group, perturb, lower, upper) of every registered parameter.
+REGISTRY = [
+    ("charger_power", "ev", True, 1e-09, None),
+    ("charger_efficiency", "ev", True, 1e-09, 1.0),
+    ("battery_capacity", "ev", True, 1e-09, None),
+    ("guaranteed_min_charge", "ev", True, 0.0, 0.999999999),
+    ("daily_drive_energy", "ev", True, 0.0, None),
+    ("home_charge_fraction", "ev", True, 0.0, 1.0),
+    ("base_plugin_time", "ev", True, 0.0, 24.0),
+    ("v2g_reward_base", "ev", True, 0.0, None),
+    ("v2g_reward_per_hour", "ev", True, 0.0, None),
+    ("smart_reward_base", "ev", True, 0.0, None),
+    ("smart_reward_per_hour", "ev", True, 0.0, None),
+    ("hp_average_power", "heat", True, 1e-09, None),
+    ("hp_active_power", "heat", True, 1e-09, None),
+    ("seasonal_performance", "heat", True, 1.000000001, None),
+    ("building_heat_capacity", "heat", True, 1e-09, None),
+    ("building_temp_divergence", "heat", True, 0.0, None),
+    ("max_activations_per_month", "heat", True, 1e-09, None),
+    ("hp_reward_monthly", "heat", True, 0.0, None),
+    ("tank_area_reward_monthly", "heat", True, 0.0, None),
+    ("water_density", "heat", True, 1e-09, None),
+    ("water_heat_capacity", "heat", True, 1e-09, None),
+    ("tank_temp_range", "heat", True, 1e-09, None),
+    ("wall_thickness", "heat", True, 1e-09, None),
+    ("ceiling_height", "heat", True, 1e-09, None),
+    ("discount_rate", "econ", True, 0.0, 0.999999999),
+    ("lifetime_years", "econ", False, None, None),
+    ("electricity_price", "econ", True, 1e-09, None),
+    ("v2g_charger_capex", "econ", True, 0.0, None),
+    ("smart_charger_capex", "econ", True, 0.0, None),
+    ("thermostat_capex", "econ", True, 0.0, None),
+    ("tank_capex_per_m3", "econ", True, 0.0, None),
+    ("om_fraction", "econ", False, None, None),
+    ("v2g_eol_per_charger", "econ", False, None, None),
+    ("tank_eol_per_m2", "econ", False, None, None),
+    ("reward_floor", "econ", False, None, None),
+]
+
+
 def test_registry_order_is_stable():
-    # Substream ids in the Monte-Carlo machinery are registry positions, so
-    # the head of the registry must never change.
-    keys = [spec.key for spec in PARAMETERS[:3]]
-    assert keys == ["charger_power", "charger_efficiency", "battery_capacity"]
+    # Substream ids in the Monte-Carlo machinery are registry positions and
+    # the bounds are the clamp values of perturbed draws, so neither may
+    # change without a declared re-baseline.
+    got = [(s.key, s.group, s.perturb, s.lower, s.upper) for s in PARAMETERS]
+    assert got == REGISTRY
+    assert VF_ID_OFFSET == 35
+    assert LCOS_ID_OFFSET == 39
 
 
 def test_config_roundtrip_is_bit_exact():
@@ -155,3 +202,87 @@ def test_assumptions_validation():
         Assumptions(cycle_constraint_direction="sideways")
     with pytest.raises(ValidationError):
         Assumptions(reward_base_hours=30.0)
+
+
+#: Single-field domains of the scalar parameters: (class, field, op, bound).
+#: 'gt'/'lt' are open bounds, 'ge'/'le' closed ones.
+DOMAINS = [
+    (EvParameters, "charger_power", "gt", 0.0),
+    (EvParameters, "charger_efficiency", "gt", 0.0),
+    (EvParameters, "charger_efficiency", "le", 1.0),
+    (EvParameters, "battery_capacity", "gt", 0.0),
+    (EvParameters, "guaranteed_min_charge", "ge", 0.0),
+    (EvParameters, "guaranteed_min_charge", "lt", 1.0),
+    (EvParameters, "daily_drive_energy", "ge", 0.0),
+    (EvParameters, "home_charge_fraction", "ge", 0.0),
+    (EvParameters, "home_charge_fraction", "le", 1.0),
+    (EvParameters, "base_plugin_time", "ge", 0.0),
+    (EvParameters, "base_plugin_time", "le", 24.0),
+    (EvParameters, "v2g_reward_base", "ge", 0.0),
+    (EvParameters, "v2g_reward_per_hour", "ge", 0.0),
+    (EvParameters, "smart_reward_base", "ge", 0.0),
+    (EvParameters, "smart_reward_per_hour", "ge", 0.0),
+    (HeatParameters, "hp_average_power", "gt", 0.0),
+    (HeatParameters, "hp_active_power", "gt", 0.0),
+    (HeatParameters, "seasonal_performance", "gt", 1.0),
+    (HeatParameters, "building_heat_capacity", "gt", 0.0),
+    (HeatParameters, "building_temp_divergence", "ge", 0.0),
+    (HeatParameters, "max_activations_per_month", "gt", 0.0),
+    (HeatParameters, "hp_reward_monthly", "ge", 0.0),
+    (HeatParameters, "tank_area_reward_monthly", "ge", 0.0),
+    (HeatParameters, "water_density", "gt", 0.0),
+    (HeatParameters, "water_heat_capacity", "gt", 0.0),
+    (HeatParameters, "tank_temp_range", "gt", 0.0),
+    (HeatParameters, "wall_thickness", "gt", 0.0),
+    (HeatParameters, "ceiling_height", "gt", 0.0),
+    (EconomicParameters, "discount_rate", "ge", 0.0),
+    (EconomicParameters, "discount_rate", "lt", 1.0),
+    (EconomicParameters, "electricity_price", "gt", 0.0),
+    (EconomicParameters, "v2g_charger_capex", "ge", 0.0),
+    (EconomicParameters, "smart_charger_capex", "ge", 0.0),
+    (EconomicParameters, "thermostat_capex", "ge", 0.0),
+    (EconomicParameters, "tank_capex_per_m3", "ge", 0.0),
+    (EconomicParameters, "om_fraction", "ge", 0.0),
+    (EconomicParameters, "v2g_eol_per_charger", "ge", 0.0),
+    (EconomicParameters, "tank_eol_per_m2", "ge", 0.0),
+    (EconomicParameters, "reward_floor", "ge", 0.0),
+]
+
+#: Values just inside a domain that a cross-field check still rejects, with
+#: the field that check reports: a vanishing charger power makes the daily
+#: charging time exceed 24 h, and the active heat-pump power and the
+#: ceiling height must also clear another field.
+CROSS_FIELD = {
+    ("charger_power", "gt"): "daily_drive_energy",
+    ("charger_efficiency", "gt"): "daily_drive_energy",
+    ("hp_active_power", "gt"): "hp_active_power",
+    ("ceiling_height", "gt"): "ceiling_height",
+}
+
+
+def _field_path(cls, name, value):
+    try:
+        cls(**{name: value})
+    except ValidationError as exc:
+        return exc.field_path
+    return None
+
+
+@pytest.mark.parametrize("cls,name,op,bound", DOMAINS,
+                         ids=[f"{name}-{op}" for _, name, op, _ in DOMAINS])
+def test_single_field_domain_boundaries(cls, name, op, bound):
+    outward = -math.inf if op in ("gt", "ge") else math.inf
+    inside = math.nextafter(bound, -outward)
+    closed = op in ("ge", "le")
+    assert _field_path(cls, name, inside) == CROSS_FIELD.get((name, op))
+    assert _field_path(cls, name, bound) == (None if closed else name)
+    assert _field_path(cls, name, math.nextafter(bound, outward)) == name
+    assert _field_path(cls, name, math.nan) == name
+
+
+def test_default_parameters_are_the_dataclass_defaults():
+    # The bundled YAML adds nothing to the dataclass defaults but the
+    # golden value factors.
+    text = resources.files("lcodr").joinpath("defaults.yaml").read_text(encoding="utf-8")
+    goldens = yaml.safe_load(text)["value_factors"]
+    assert default_parameters() == ParameterSet(value_factors=ValueFactorTable(**goldens))
