@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional
@@ -44,6 +45,7 @@ from .model import (
     SchemaVersionError,
     SchemeKind,
     ValidationError,
+    ValueFactorTable,
     load_config,
     parameter_set_to_dict,
 )
@@ -54,7 +56,7 @@ from .uncertainty import (
     cheapest_probability,
     run_monte_carlo,
 )
-from .valuefactor import ValueFactorError
+from .valuefactor import AvailabilityProfile, ProfileKind, ValueFactorError, vf_subsample_mc
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -112,10 +114,7 @@ def _write_manifest(out: Path, run_id: str, args, params, data_hashes: dict,
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "data_files": data_hashes,
         "assumption_flags": {
-            "rpt_floor_at_base": assumptions.rpt_floor_at_base,
-            "v2g_rebound_roundtrip": assumptions.v2g_rebound_roundtrip,
-            "cycle_constraint_direction": assumptions.cycle_constraint_direction,
-            "reward_base_hours": assumptions.reward_base_hours,
+            **asdict(assumptions),
             "reward_base_hours_differs_from_base_plugin_time": (
                 assumptions.reward_base_hours is not None
                 and assumptions.reward_base_hours != params.ev.base_plugin_time),
@@ -133,18 +132,10 @@ def _write_manifest(out: Path, run_id: str, args, params, data_hashes: dict,
 # ---------------------------------------------------------------------------
 
 def _apply_assumption_flags(params, args):
-    """Rebuild the parameter set with assumption overrides from flags."""
-    a = params.assumptions
-    changed = Assumptions(
-        rpt_floor_at_base=not args.no_rpt_floor if args.no_rpt_floor else a.rpt_floor_at_base,
-        v2g_rebound_roundtrip=(not args.simple_rebound) if args.simple_rebound
-        else a.v2g_rebound_roundtrip,
-        cycle_constraint_direction=args.cycle_direction or a.cycle_constraint_direction,
-        reward_base_hours=args.reward_base_hours if args.reward_base_hours is not None
-        else a.reward_base_hours,
-    )
-    from dataclasses import replace
-    return replace(params, assumptions=changed)
+    """Override the configured assumptions with the flags that were given."""
+    given = {f.name: getattr(args, f.name) for f in fields(Assumptions)
+             if getattr(args, f.name) is not None}
+    return replace(params, assumptions=replace(params.assumptions, **given))
 
 
 def _load(args):
@@ -163,59 +154,54 @@ def _load(args):
     return params, apps, schemes
 
 
+#: Profile inputs: (flag dest, loader of a file, DataBundle attribute used
+#: when the flag is not given). The loaders look their functions up at call
+#: time, so a wrapper installed on the module names sees every load.
+_PROFILE_INPUTS = (
+    ("price", lambda path: load_timeseries_csv(path, unit="$/MWh"), "price"),
+    ("ev_pool", lambda path: load_profile_pool_csv(path), "ev_charging_pool"),
+    ("hp_pool", lambda path: load_profile_pool_csv(path), "heating_pool"),
+    ("v2g_power", lambda path: AvailabilityProfile(
+        ProfileKind.V2G_POWER_BOUNDARY, load_timeseries_csv(path, unit="kW")), "v2g_power"),
+    ("v2g_boundaries", lambda path: load_boundary_csv(path), "v2g_energy"),
+)
+
+
 def _load_profile_data(args):
     """Price and availability profiles, from files when given, otherwise the
-    bundled synthetic dataset. Returns (price, ev_pool, hp_pool, v2g_power,
-    v2g_energy, data_hashes)."""
-    hashes = {}
+    bundled synthetic dataset. Returns ({flag: profile}, {flag: data hash}),
+    both in _PROFILE_INPUTS order."""
+    profiles, hashes = {}, {}
     bundle = None
-
-    def bundled():
-        nonlocal bundle
-        if bundle is None:
-            bundle = default_bundle()
-        return bundle
-
-    if args.price:
-        price = load_timeseries_csv(args.price, unit="$/MWh")
-        hashes["price"] = _hash_file(args.price)
-    else:
-        price = bundled().price
-        hashes["price"] = "synthetic"
-    if args.ev_pool:
-        ev_pool = load_profile_pool_csv(args.ev_pool)
-        hashes["ev_pool"] = _hash_file(args.ev_pool)
-    else:
-        ev_pool = bundled().ev_charging_pool
-        hashes["ev_pool"] = "synthetic"
-    if args.hp_pool:
-        hp_pool = load_profile_pool_csv(args.hp_pool)
-        hashes["hp_pool"] = _hash_file(args.hp_pool)
-    else:
-        hp_pool = bundled().heating_pool
-        hashes["hp_pool"] = "synthetic"
-    if args.v2g_power:
-        from .valuefactor import AvailabilityProfile, ProfileKind
-        series = load_timeseries_csv(args.v2g_power, unit="kW")
-        v2g_power = AvailabilityProfile(ProfileKind.V2G_POWER_BOUNDARY, series)
-        hashes["v2g_power"] = _hash_file(args.v2g_power)
-    else:
-        v2g_power = bundled().v2g_power
-        hashes["v2g_power"] = "synthetic"
-    if args.v2g_boundaries:
-        v2g_energy = load_boundary_csv(args.v2g_boundaries)
-        hashes["v2g_boundaries"] = _hash_file(args.v2g_boundaries)
-    else:
-        v2g_energy = bundled().v2g_energy
-        hashes["v2g_boundaries"] = "synthetic"
-    return price, ev_pool, hp_pool, v2g_power, v2g_energy, hashes
+    for flag, load, attribute in _PROFILE_INPUTS:
+        path = getattr(args, flag)
+        if path:
+            profiles[flag] = load(path)
+            hashes[flag] = _hash_file(path)
+        else:
+            if bundle is None:
+                bundle = default_bundle()
+            profiles[flag] = getattr(bundle, attribute)
+            hashes[flag] = "synthetic"
+    return profiles, hashes
 
 
-def _computed_value_factors(args):
-    from .model import ValueFactorTable
-    price, ev_pool, hp_pool, v2g_power, v2g_energy, hashes = _load_profile_data(args)
-    factors = profile_value_factors(price, ev_pool, hp_pool, v2g_power, v2g_energy)
-    return ValueFactorTable(**factors), hashes
+def _with_computed_value_factors(params, args):
+    """With --compute-vf, params with value factors computed from the profile
+    data, and the data hashes; otherwise params unchanged and no hashes."""
+    if not args.compute_vf:
+        return params, {}
+    profiles, hashes = _load_profile_data(args)
+    table = ValueFactorTable(**profile_value_factors(*profiles.values()))
+    return replace(params, value_factors=table), hashes
+
+
+def _output(args, **key):
+    """Create the output directory. Returns it and the run id: a hash of the
+    command name and key, the effective inputs of the run."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out, _hash_dict({"command": args.command, **key})
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +241,10 @@ def _run_row(ev) -> list:
 
 def cmd_run(args) -> int:
     params, apps, schemes = _load(args)
-    data_hashes = {}
-    if args.compute_vf:
-        from dataclasses import replace
-        table, data_hashes = _computed_value_factors(args)
-        params = replace(params, value_factors=table)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    run_id = _hash_dict({"command": "run",
-                         "config": parameter_set_to_dict(params),
-                         "apps": [app.name for app in apps],
-                         "schemes": [s.value for s in schemes]})
+    params, data_hashes = _with_computed_value_factors(params, args)
+    out, run_id = _output(args, config=parameter_set_to_dict(params),
+                          apps=[app.name for app in apps],
+                          schemes=[s.value for s in schemes])
     rows = []
     for scheme in schemes:
         for app in apps:
@@ -282,20 +261,18 @@ def cmd_run(args) -> int:
 
 def cmd_vf(args) -> int:
     params, _, _ = _load(args)
-    price, ev_pool, hp_pool, v2g_power, v2g_energy, hashes = _load_profile_data(args)
-    factors = profile_value_factors(price, ev_pool, hp_pool, v2g_power, v2g_energy)
+    profiles, hashes = _load_profile_data(args)
+    factors = profile_value_factors(*profiles.values())
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    run_id = _hash_dict({"command": "vf", "data": hashes, "seed": args.seed,
-                         "subsample": args.subsample, "iterations": args.iterations})
+    out, run_id = _output(args, data=hashes, seed=args.seed,
+                          subsample=args.subsample, iterations=args.iterations)
     _write_csv(out / "value_factors.csv", ["scheme", "value_factor"], factors.items(), run_id)
     written = [out / "value_factors.csv"]
 
     if args.subsample:
-        from .valuefactor import vf_subsample_mc
-        dist = vf_subsample_mc(ev_pool, price, subset_size=args.subsample,
-                               iterations=args.iterations, seed=args.seed)
+        dist = vf_subsample_mc(profiles["ev_pool"], profiles["price"],
+                               subset_size=args.subsample, iterations=args.iterations,
+                               seed=args.seed)
         sample_rows = [[i, float(v)] for i, v in enumerate(dist.samples)]
         _write_csv(out / "vf_distribution.csv",
                    ["iteration", "value_factor"], sample_rows, run_id)
@@ -316,11 +293,7 @@ def cmd_vf(args) -> int:
 
 def cmd_mc(args) -> int:
     params, apps, schemes = _load(args)
-    data_hashes = {}
-    if args.compute_vf:
-        from dataclasses import replace
-        table, data_hashes = _computed_value_factors(args)
-        params = replace(params, value_factors=table)
+    params, data_hashes = _with_computed_value_factors(params, args)
     lcos = load_lcos_reference(args.lcos)
     data_hashes["lcos"] = _hash_file(args.lcos) if args.lcos else "bundled"
     cfg = McConfig(samples=args.samples, sigma_inputs=args.sigma,
@@ -328,15 +301,12 @@ def cmd_mc(args) -> int:
                    lcos_sampling=LcosSampling(args.lcos_sampling))
     dists = run_monte_carlo(schemes, apps, params, cfg, workers=args.workers)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    run_id = _hash_dict({"command": "mc",
-                         "config": parameter_set_to_dict(params),
-                         "apps": [app.name for app in apps],
-                         "schemes": [s.value for s in schemes],
-                         "mc": [cfg.samples, cfg.sigma_inputs, cfg.sigma_vf,
-                                cfg.truncation_z, cfg.seed, cfg.lcos_sampling.value],
-                         "data": data_hashes})
+    out, run_id = _output(args, config=parameter_set_to_dict(params),
+                          apps=[app.name for app in apps],
+                          schemes=[s.value for s in schemes],
+                          mc=[cfg.samples, cfg.sigma_inputs, cfg.sigma_vf,
+                              cfg.truncation_z, cfg.seed, cfg.lcos_sampling.value],
+                          data=data_hashes)
 
     summary_rows = [[d.technology, d.application, d.feasible_fraction,
                      d.mean, d.median, d.p5, d.p95] for d in dists]
@@ -430,16 +400,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="semicolon-separated application names to keep")
     p.add_argument("--schemes", default=None,
                    help="comma-separated scheme names to keep")
-    p.add_argument("--no-rpt-floor", action="store_true",
+    # Assumption flags parse into Assumptions field names; None means not given.
+    p.add_argument("--no-rpt-floor", dest="rpt_floor_at_base", action="store_const",
+                   const=False, default=None,
                    help="do not floor the contracted plug-in time at the "
                         "observed base plug-in time")
-    p.add_argument("--simple-rebound", action="store_true",
+    p.add_argument("--simple-rebound", dest="v2g_rebound_roundtrip", action="store_const",
+                   const=False, default=None,
                    help="price V2G rebound at factor 1 instead of 1/eta^2")
-    p.add_argument("--cycle-direction", choices=["scale_up", "as_printed"],
-                   default=None, help="heat-pump cycle-constraint direction")
-    p.add_argument("--reward-base-hours", type=float, default=None,
-                   help="plug-in hours at which the base reward applies "
-                        "(default: the base plug-in time)")
+    p.add_argument("--cycle-direction", dest="cycle_constraint_direction",
+                   choices=["scale_up", "as_printed"], default=None,
+                   help="heat-pump cycle-constraint direction")
+    p.add_argument("--reward-base-hours", dest="reward_base_hours", type=float,
+                   default=None, help="plug-in hours at which the base reward applies "
+                                      "(default: the base plug-in time)")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -480,14 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_mc)
     _add_data_flags(p_mc)
     p_mc.add_argument("--compute-vf", action="store_true")
-    p_mc.add_argument("--samples", type=int, default=1000)
+    p_mc.add_argument("--samples", type=_int_at_least(1), default=1000)
     p_mc.add_argument("--sigma", type=float, default=0.33)
     p_mc.add_argument("--sigma-vf", type=float, default=0.10)
     p_mc.add_argument("--lcos", default=None, help="storage-cost reference CSV")
     p_mc.add_argument("--lcos-sampling", choices=["point", "same_scheme"],
                       default="point")
     p_mc.add_argument("--emit-samples", action="store_true")
-    p_mc.add_argument("--workers", type=int, default=None)
+    p_mc.add_argument("--workers", type=_int_at_least(1), default=None)
     p_mc.set_defaults(func=cmd_mc)
     return parser
 

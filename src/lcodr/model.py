@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+import operator
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from importlib import resources
 from typing import Optional
@@ -87,60 +88,74 @@ class BindingConstraint(enum.Enum):
 # ---------------------------------------------------------------------------
 # Parameter groups
 # ---------------------------------------------------------------------------
+#
+# Each scalar parameter is declared once, with _param: its default, its
+# single-field domain and whether Monte-Carlo perturbs it. The registry
+# (PARAMETERS) and each group's single-field checks are derived from these
+# declarations; only cross-field checks are written out in __post_init__.
+#
+# Default values are transcribed from published estimates for a
+# Great-Britain case study (charger hardware, driving statistics, heat-pump
+# monitoring, willingness-to-accept surveys, equipment costs). The discount
+# rate is a modeling default, not a published figure.
 
 def _check(cond: bool, message: str, field_path: str) -> None:
     if not cond:
         raise ValidationError(message, field_path)
 
 
+def _param(default, *, gt=None, ge=None, lt=None, le=None, perturb: bool = True):
+    """A scalar parameter field. gt/lt are open bounds of its domain, ge/le
+    closed ones; perturb says whether Monte-Carlo draws it."""
+    return field(default=default,
+                 metadata={"gt": gt, "ge": ge, "lt": lt, "le": le, "perturb": perturb})
+
+
+_BOUND_TESTS = (("gt", operator.gt, ">"), ("ge", operator.ge, ">="),
+                ("lt", operator.lt, "<"), ("le", operator.le, "<="))
+
+
+def _domain_checks(cls) -> tuple:
+    """(field, test, bound, message) per single-field bound, in declaration order."""
+    return tuple((f.name, test, f.metadata[kind], f"must be {symbol} {f.metadata[kind]}")
+                 for f in fields(cls)
+                 for kind, test, symbol in _BOUND_TESTS
+                 if f.metadata[kind] is not None)
+
+
+def _check_domains(obj) -> None:
+    # NaN fails every test, so it is rejected wherever a bound is declared.
+    for name, test, bound, message in _DOMAIN_CHECKS[type(obj)]:
+        if not test(getattr(obj, name), bound):
+            raise ValidationError(message, name)
+
+
 @dataclass(frozen=True)
 class EvParameters:
     """EV-scheme inputs: charger hardware, driving pattern and reward rates.
 
-    Attributes:
-        charger_power: Rated charger power in kW.
-        charger_efficiency: One-way (dis-)charging efficiency, in (0, 1].
-        battery_capacity: EV battery energy capacity in kWh.
-        guaranteed_min_charge: Battery fraction the aggregator must never
-            discharge below, in [0, 1).
-        daily_drive_energy: Average daily driving energy in kWh/day.
-        home_charge_fraction: Share of driving energy charged at the home
-            charger, in [0, 1].
-        base_plugin_time: Observed average daily plug-in hours; also the
-            required plug-in time at which the base reward applies.
-        v2g_reward_base / v2g_reward_per_hour: Monthly willingness-to-accept
-            for a V2G contract, base and per extra plug-in hour ($/month).
-        smart_reward_base / smart_reward_per_hour: Same for smart charging.
+    base_plugin_time is the observed average daily plug-in time and also the
+    required plug-in time at which the base reward applies. The reward rates
+    are monthly willingness-to-accept for a V2G or smart-charging contract:
+    a base rate and a rate per plug-in hour beyond the base time.
     """
 
-    charger_power: float = 7.4
-    charger_efficiency: float = 0.92
-    battery_capacity: float = 60.0
-    guaranteed_min_charge: float = 0.30
-    daily_drive_energy: float = 5.56
-    home_charge_fraction: float = 0.90
-    base_plugin_time: float = 11.5
-    v2g_reward_base: float = 59.1
-    v2g_reward_per_hour: float = 29.0
-    smart_reward_base: float = 40.81
-    smart_reward_per_hour: float = 11.8
+    charger_power: float = _param(7.4, gt=0.0)                 # kW, rated
+    charger_efficiency: float = _param(0.92, gt=0.0, le=1.0)   # one-way (dis-)charging
+    battery_capacity: float = _param(60.0, gt=0.0)             # kWh
+    # Battery fraction the aggregator must never discharge below.
+    guaranteed_min_charge: float = _param(0.30, ge=0.0, lt=1.0)
+    daily_drive_energy: float = _param(5.56, ge=0.0)           # kWh/day
+    # Share of driving energy charged at the home charger.
+    home_charge_fraction: float = _param(0.90, ge=0.0, le=1.0)
+    base_plugin_time: float = _param(11.5, ge=0.0, le=24.0)    # h/day
+    v2g_reward_base: float = _param(59.1, ge=0.0)              # $/month/charger
+    v2g_reward_per_hour: float = _param(29.0, ge=0.0)          # $/month per extra hour
+    smart_reward_base: float = _param(40.81, ge=0.0)           # $/month/charger
+    smart_reward_per_hour: float = _param(11.8, ge=0.0)        # $/month per extra hour
 
     def __post_init__(self):
-        _check(self.charger_power > 0, "charger power must be > 0", "charger_power")
-        _check(0 < self.charger_efficiency <= 1,
-               "efficiency must be in (0, 1]", "charger_efficiency")
-        _check(self.battery_capacity > 0, "battery capacity must be > 0", "battery_capacity")
-        _check(0 <= self.guaranteed_min_charge < 1,
-               "guaranteed minimum charge must be in [0, 1)", "guaranteed_min_charge")
-        _check(self.daily_drive_energy >= 0, "daily drive energy must be >= 0",
-               "daily_drive_energy")
-        _check(0 <= self.home_charge_fraction <= 1,
-               "home charge fraction must be in [0, 1]", "home_charge_fraction")
-        _check(0 <= self.base_plugin_time <= 24,
-               "base plug-in time must be in [0, 24] h", "base_plugin_time")
-        for name in ("v2g_reward_base", "v2g_reward_per_hour",
-                     "smart_reward_base", "smart_reward_per_hour"):
-            _check(getattr(self, name) >= 0, "reward rates must be >= 0", name)
+        _check_domains(self)
         _check(self.daily_charge_time < 24,
                "daily home charging alone would exceed 24 h", "daily_drive_energy")
 
@@ -176,40 +191,24 @@ class HeatParameters:
     temperatures are not modeled, only the usable range tank_temp_range.
     """
 
-    hp_average_power: float = 0.46       # kW, average over all hours
-    hp_active_power: float = 1.68        # kW, average while the unit runs
-    seasonal_performance: float = 2.71   # heat out per electricity in
-    building_heat_capacity: float = 34780.0   # kJ/K
-    building_temp_divergence: float = 1.67    # K, tolerated set-point deviation
-    max_activations_per_month: float = 3.33
-    hp_reward_monthly: float = 10.7           # $/month/thermostat
-    tank_area_reward_monthly: float = 17.7    # $/month/m^2 of floor space
-    water_density: float = 1000.0             # kg/m^3
-    water_heat_capacity: float = 4.18         # kJ/(kg.K)
-    tank_temp_range: float = 35.0             # K
-    wall_thickness: float = 0.05              # m, tank insulation
-    ceiling_height: float = 2.3               # m
+    hp_average_power: float = _param(0.46, gt=0.0)        # kW, average over all hours
+    hp_active_power: float = _param(1.68, gt=0.0)         # kW, average while the unit runs
+    seasonal_performance: float = _param(2.71, gt=1.0)    # heat out per electricity in
+    building_heat_capacity: float = _param(34780.0, gt=0.0)   # kJ/K
+    building_temp_divergence: float = _param(1.67, ge=0.0)    # K, tolerated set-point deviation
+    max_activations_per_month: float = _param(3.33, gt=0.0)
+    hp_reward_monthly: float = _param(10.7, ge=0.0)           # $/month/thermostat
+    tank_area_reward_monthly: float = _param(17.7, ge=0.0)    # $/month/m^2 of floor space
+    water_density: float = _param(1000.0, gt=0.0)             # kg/m^3
+    water_heat_capacity: float = _param(4.18, gt=0.0)         # kJ/(kg.K)
+    tank_temp_range: float = _param(35.0, gt=0.0)             # K
+    wall_thickness: float = _param(0.05, gt=0.0)              # m, tank insulation
+    ceiling_height: float = _param(2.3, gt=0.0)               # m
 
     def __post_init__(self):
-        _check(self.hp_average_power > 0, "average power must be > 0", "hp_average_power")
+        _check_domains(self)
         _check(self.hp_active_power >= self.hp_average_power,
                "active power must be >= average power", "hp_active_power")
-        _check(self.seasonal_performance > 1,
-               "seasonal performance factor must be > 1", "seasonal_performance")
-        _check(self.building_heat_capacity > 0, "heat capacity must be > 0",
-               "building_heat_capacity")
-        _check(self.building_temp_divergence >= 0, "temperature divergence must be >= 0",
-               "building_temp_divergence")
-        _check(self.max_activations_per_month > 0, "activation limit must be > 0",
-               "max_activations_per_month")
-        _check(self.hp_reward_monthly >= 0, "reward must be >= 0", "hp_reward_monthly")
-        _check(self.tank_area_reward_monthly >= 0, "reward must be >= 0",
-               "tank_area_reward_monthly")
-        _check(self.water_density > 0, "density must be > 0", "water_density")
-        _check(self.water_heat_capacity > 0, "heat capacity must be > 0",
-               "water_heat_capacity")
-        _check(self.tank_temp_range > 0, "temperature range must be > 0", "tank_temp_range")
-        _check(self.wall_thickness > 0, "wall thickness must be > 0", "wall_thickness")
         _check(self.ceiling_height > 2 * self.wall_thickness,
                "ceiling height must exceed twice the wall thickness", "ceiling_height")
 
@@ -223,30 +222,28 @@ class EconomicParameters:
     configurable via ``discount_rate``.
     """
 
-    discount_rate: float = 0.08
-    lifetime_years: int = 15
-    electricity_price: float = 0.05      # $/kWh
-    v2g_charger_capex: float = 3000.0    # $/charger
-    smart_charger_capex: float = 107.0   # $/charger
-    thermostat_capex: float = 85.0       # $/thermostat
-    tank_capex_per_m3: float = 2042.0    # $/m^3
-    om_fraction: float = 0.05            # of capex, per year
-    v2g_eol_per_charger: float = 50.0    # $ at end of life
-    tank_eol_per_m2: float = 10.0        # $/m^2 at end of life
-    reward_floor: float = 5.0            # $/month minimum reward
+    discount_rate: float = _param(0.08, ge=0.0, lt=1.0)       # per year
+    lifetime_years: int = _param(15, perturb=False)
+    electricity_price: float = _param(0.05, gt=0.0)           # $/kWh
+    v2g_charger_capex: float = _param(3000.0, ge=0.0)         # $/charger
+    smart_charger_capex: float = _param(107.0, ge=0.0)        # $/charger
+    thermostat_capex: float = _param(85.0, ge=0.0)            # $/thermostat
+    tank_capex_per_m3: float = _param(2042.0, ge=0.0)         # $/m^3
+    om_fraction: float = _param(0.05, ge=0.0, perturb=False)  # of capex, per year
+    v2g_eol_per_charger: float = _param(50.0, ge=0.0, perturb=False)  # $ at end of life
+    tank_eol_per_m2: float = _param(10.0, ge=0.0, perturb=False)  # $/m^2 at end of life
+    reward_floor: float = _param(5.0, ge=0.0, perturb=False)  # $/month minimum reward
 
     def __post_init__(self):
-        _check(0 <= self.discount_rate < 1, "discount rate must be in [0, 1)",
-               "discount_rate")
+        _check_domains(self)
         _check(isinstance(self.lifetime_years, int) and self.lifetime_years >= 1,
                "lifetime must be an integer >= 1", "lifetime_years")
-        _check(self.electricity_price > 0, "electricity price must be > 0",
-               "electricity_price")
-        for name in ("v2g_charger_capex", "smart_charger_capex", "thermostat_capex",
-                     "tank_capex_per_m3", "v2g_eol_per_charger", "tank_eol_per_m2"):
-            _check(getattr(self, name) >= 0, "cost must be >= 0", name)
-        _check(self.om_fraction >= 0, "O&M fraction must be >= 0", "om_fraction")
-        _check(self.reward_floor >= 0, "reward floor must be >= 0", "reward_floor")
+
+
+#: The three scalar parameter groups, by their ParameterSet field name.
+_GROUPS = (("ev", EvParameters), ("heat", HeatParameters), ("econ", EconomicParameters))
+
+_DOMAIN_CHECKS = {cls: _domain_checks(cls) for _, cls in _GROUPS}
 
 
 @dataclass(frozen=True)
@@ -261,7 +258,7 @@ class ValueFactorTable:
     heat_pump: float = 1.0
 
     def __post_init__(self):
-        for name in ("v2g_power", "v2g_energy", "smart_charging", "heat_pump"):
+        for name in VALUE_FACTOR_KEYS:
             _check(getattr(self, name) > 0, "value factor must be > 0", name)
 
     def for_scheme(self, scheme: SchemeKind,
@@ -477,51 +474,28 @@ class ParamSpec:
 
 _EPS = 1e-9
 
-#: Ordered registry of every scalar parameter. The position in this list is
-#: the parameter's stable id for seeded Monte-Carlo substreams; append only.
-PARAMETERS: tuple = (
-    ParamSpec("charger_power", "ev", lower=_EPS),
-    ParamSpec("charger_efficiency", "ev", lower=_EPS, upper=1.0),
-    ParamSpec("battery_capacity", "ev", lower=_EPS),
-    ParamSpec("guaranteed_min_charge", "ev", lower=0.0, upper=1.0 - _EPS),
-    ParamSpec("daily_drive_energy", "ev", lower=0.0),
-    ParamSpec("home_charge_fraction", "ev", lower=0.0, upper=1.0),
-    ParamSpec("base_plugin_time", "ev", lower=0.0, upper=24.0),
-    ParamSpec("v2g_reward_base", "ev", lower=0.0),
-    ParamSpec("v2g_reward_per_hour", "ev", lower=0.0),
-    ParamSpec("smart_reward_base", "ev", lower=0.0),
-    ParamSpec("smart_reward_per_hour", "ev", lower=0.0),
-    ParamSpec("hp_average_power", "heat", lower=_EPS),
-    ParamSpec("hp_active_power", "heat", lower=_EPS),
-    ParamSpec("seasonal_performance", "heat", lower=1.0 + _EPS),
-    ParamSpec("building_heat_capacity", "heat", lower=_EPS),
-    ParamSpec("building_temp_divergence", "heat", lower=0.0),
-    ParamSpec("max_activations_per_month", "heat", lower=_EPS),
-    ParamSpec("hp_reward_monthly", "heat", lower=0.0),
-    ParamSpec("tank_area_reward_monthly", "heat", lower=0.0),
-    ParamSpec("water_density", "heat", lower=_EPS),
-    ParamSpec("water_heat_capacity", "heat", lower=_EPS),
-    ParamSpec("tank_temp_range", "heat", lower=_EPS),
-    ParamSpec("wall_thickness", "heat", lower=_EPS),
-    ParamSpec("ceiling_height", "heat", lower=_EPS),
-    ParamSpec("discount_rate", "econ", lower=0.0, upper=1.0 - _EPS),
-    ParamSpec("lifetime_years", "econ", perturb=False),
-    ParamSpec("electricity_price", "econ", lower=_EPS),
-    ParamSpec("v2g_charger_capex", "econ", lower=0.0),
-    ParamSpec("smart_charger_capex", "econ", lower=0.0),
-    ParamSpec("thermostat_capex", "econ", lower=0.0),
-    ParamSpec("tank_capex_per_m3", "econ", lower=0.0),
-    ParamSpec("om_fraction", "econ", perturb=False),
-    ParamSpec("v2g_eol_per_charger", "econ", perturb=False),
-    ParamSpec("tank_eol_per_m2", "econ", perturb=False),
-    ParamSpec("reward_floor", "econ", perturb=False),
-)
+
+def _clamp_bounds(f) -> tuple:
+    """(lower, upper) that a perturbed draw of field f is clamped to: a closed
+    bound as it is, an open one moved _EPS inside; None for fields that
+    Monte-Carlo leaves alone."""
+    m = f.metadata
+    if not m["perturb"]:
+        return None, None
+    lower = m["ge"] if m["gt"] is None else m["gt"] + _EPS
+    upper = m["le"] if m["lt"] is None else m["lt"] - _EPS
+    return lower, upper
+
+
+#: Ordered registry of every scalar parameter, in declaration order. The
+#: position in this tuple is the parameter's stable id for seeded
+#: Monte-Carlo substreams, so the fields above are never reordered.
+PARAMETERS: tuple = tuple(ParamSpec(f.name, group, f.metadata["perturb"], *_clamp_bounds(f))
+                          for group, cls in _GROUPS for f in fields(cls))
 
 PARAMETER_INDEX = {spec.key: i for i, spec in enumerate(PARAMETERS)}
 
-VALUE_FACTOR_KEYS = ("v2g_power", "v2g_energy", "smart_charging", "heat_pump")
-
-_GROUP_TYPES = {"ev": EvParameters, "heat": HeatParameters, "econ": EconomicParameters}
+VALUE_FACTOR_KEYS = tuple(f.name for f in fields(ValueFactorTable))
 
 
 def parameter_values(params: ParameterSet) -> dict:
@@ -539,7 +513,7 @@ def build_parameter_set(values: dict, value_factors: Optional[dict] = None,
     Missing keys take the dataclass defaults; validation errors propagate
     with the offending field path.
     """
-    groups = {"ev": {}, "heat": {}, "econ": {}}
+    groups = {group: {} for group, _ in _GROUPS}
     for key, value in values.items():
         if key not in PARAMETER_INDEX:
             raise ValidationError(f"unknown parameter {key!r}", key)
@@ -554,9 +528,7 @@ def build_parameter_set(values: dict, value_factors: Optional[dict] = None,
     vf = ValueFactorTable(**{k: float(v) for k, v in (value_factors or {}).items()
                              if _known_vf_key(k)})
     return ParameterSet(
-        ev=EvParameters(**groups["ev"]),
-        heat=HeatParameters(**groups["heat"]),
-        econ=EconomicParameters(**groups["econ"]),
+        **{group: cls(**groups[group]) for group, cls in _GROUPS},
         value_factors=vf,
         assumptions=assumptions if assumptions is not None else Assumptions(),
     )
@@ -577,12 +549,9 @@ def _bundled_defaults() -> dict:
     return yaml.safe_load(text)
 
 
-_ALLOWED_TOP_KEYS = {"schema_version", "parameters", "value_factors", "assumptions",
-                     "applications"}
 _ALLOWED_APP_KEYS = {"name", "power_capacity_mw", "discharge_duration_h",
                      "annual_cycles", "suitable_schemes"}
-_ALLOWED_ASSUMPTION_KEYS = {"rpt_floor_at_base", "v2g_rebound_roundtrip",
-                            "cycle_constraint_direction", "reward_base_hours"}
+_ALLOWED_ASSUMPTION_KEYS = {f.name for f in fields(Assumptions)}
 
 
 def _applications_from_config(entries: list) -> list:
@@ -612,14 +581,16 @@ def _applications_from_config(entries: list) -> list:
 def load_config_dict(overrides: Optional[dict]):
     """Merge an override mapping onto the bundled defaults.
 
-    Returns (ParameterSet, list of ApplicationSpec). Parameter overrides may
-    appear either under a ``parameters`` section or directly at the top
-    level. Unknown keys anywhere are an error.
+    The defaults are the dataclass field defaults plus the bundled value
+    factors and applications. Returns (ParameterSet, list of
+    ApplicationSpec). Parameter overrides may appear either under a
+    ``parameters`` section or directly at the top level. Unknown keys
+    anywhere are an error.
     """
     base = _bundled_defaults()
-    merged_params = dict(base["parameters"])
-    merged_vf = dict(base.get("value_factors", {}))
-    merged_assumptions = dict(base.get("assumptions", {}))
+    merged_params = {}
+    merged_vf = dict(base["value_factors"])
+    merged_assumptions = {}
     app_entries = base["applications"]
 
     overrides = overrides or {}
@@ -688,17 +659,11 @@ def parameter_set_to_dict(params: ParameterSet) -> dict:
     Round-trips bit-exactly: load_config_dict(parameter_set_to_dict(p))
     reproduces every numeric field.
     """
-    vf = params.value_factors
     return {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "parameters": parameter_values(params),
-        "value_factors": {k: getattr(vf, k) for k in VALUE_FACTOR_KEYS},
-        "assumptions": {
-            "rpt_floor_at_base": params.assumptions.rpt_floor_at_base,
-            "v2g_rebound_roundtrip": params.assumptions.v2g_rebound_roundtrip,
-            "cycle_constraint_direction": params.assumptions.cycle_constraint_direction,
-            "reward_base_hours": params.assumptions.reward_base_hours,
-        },
+        "value_factors": asdict(params.value_factors),
+        "assumptions": asdict(params.assumptions),
     }
 
 

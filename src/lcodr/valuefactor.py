@@ -129,8 +129,8 @@ def align_series(a: TimeSeries, b: TimeSeries):
         from datetime import timedelta
         bump = coarse - (shift % coarse)
         start = start + timedelta(seconds=bump)
-        if start >= end:
-            raise NoOverlap("series do not overlap on a common grid")
+    if (end - start).total_seconds() // coarse < 2:
+        raise NoOverlap("series share fewer than 2 points on their common grid")
 
     def crop(series: TimeSeries):
         head = int(round((start - series.start).total_seconds()

@@ -71,6 +71,22 @@ def test_reward_base_hours_flag_sets_metadata(tmp_path):
     assert flags["reward_base_hours_differs_from_base_plugin_time"] is True
 
 
+def test_assumption_flags_override_only_the_fields_they_name(tmp_path):
+    cfg = tmp_path / "assumptions.yaml"
+    cfg.write_text("assumptions: {cycle_constraint_direction: as_printed,\n"
+                   "              reward_base_hours: 9}\n", encoding="utf-8")
+    names = ("rpt_floor_at_base", "v2g_rebound_roundtrip",
+             "cycle_constraint_direction", "reward_base_hours")
+    for flags, expected in (
+            (["--no-rpt-floor", "--simple-rebound"], (False, False, "as_printed", 9)),
+            (["--cycle-direction", "scale_up", "--reward-base-hours", "10"],
+             (True, True, "scale_up", 10.0))):
+        out = tmp_path / flags[0]
+        assert main(["run", "--out", str(out), "--config", str(cfg)] + flags) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert tuple(manifest["assumption_flags"][n] for n in names) == expected
+
+
 def test_vf_constant_price_gives_unit_factors(tmp_path):
     price = tmp_path / "price.csv"
     lines = ["timestamp,value"]
@@ -130,14 +146,19 @@ def test_mc_outputs_and_composition_shares(tmp_path):
     assert len(samples) == 48 * 25
 
 
-@pytest.mark.parametrize("flags", [["--subsample", "5", "--iterations", "-1"],
-                                   ["--subsample", "5", "--iterations", "0"],
-                                   ["--subsample", "-2"]])
-def test_vf_bad_counts_are_usage_errors(tmp_path, capsys, flags):
-    assert main(["vf", "--out", str(tmp_path / "o")] + flags) == 1
+@pytest.mark.parametrize("argv", [["vf", "--subsample", "5", "--iterations", "-1"],
+                                  ["vf", "--subsample", "5", "--iterations", "0"],
+                                  ["vf", "--subsample", "-2"],
+                                  ["mc", "--samples", "0"],
+                                  ["mc", "--samples", "-3"],
+                                  ["mc", "--samples", "1", "--workers", "0"],
+                                  ["mc", "--samples", "1", "--workers", "-1"]])
+def test_bad_counts_are_usage_errors(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "error: usage:" in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: usage:")
 
 
 def test_mc_reports_skipped_applications(tmp_path, capsys):

@@ -93,6 +93,8 @@ def test_align_rejects_disjoint_ranges():
     late = series([1.0, 2.0], start=START + timedelta(days=30))
     with pytest.raises(NoOverlap):
         align_series(series([1.0, 2.0]), late)
+    with pytest.raises(NoOverlap):   # one point on the common 2 h grid
+        align_series(series([1.0, 2.0], interval=7200.0), series([1.0, 2.0, 3.0]))
 
 
 def test_energy_boundary_profile_band():
