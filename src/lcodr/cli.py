@@ -411,9 +411,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cycle-direction", dest="cycle_constraint_direction",
                    choices=["scale_up", "as_printed"], default=None,
                    help="heat-pump cycle-constraint direction")
-    p.add_argument("--reward-base-hours", dest="reward_base_hours", type=float,
-                   default=None, help="plug-in hours at which the base reward applies "
-                                      "(default: the base plug-in time)")
+    p.add_argument("--reward-base-hours", type=float, default=None,
+                   help="plug-in hours at which the base reward applies "
+                        "(default: the base plug-in time)")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:

@@ -500,10 +500,7 @@ VALUE_FACTOR_KEYS = tuple(f.name for f in fields(ValueFactorTable))
 
 def parameter_values(params: ParameterSet) -> dict:
     """Flat {key: value} view of every registered scalar parameter."""
-    out = {}
-    for spec in PARAMETERS:
-        out[spec.key] = getattr(getattr(params, spec.group), spec.key)
-    return out
+    return {spec.key: getattr(getattr(params, spec.group), spec.key) for spec in PARAMETERS}
 
 
 def build_parameter_set(values: dict, value_factors: Optional[dict] = None,
@@ -513,7 +510,7 @@ def build_parameter_set(values: dict, value_factors: Optional[dict] = None,
     Missing keys take the dataclass defaults; validation errors propagate
     with the offending field path.
     """
-    groups = {group: {} for group, _ in _GROUPS}
+    groups = {"ev": {}, "heat": {}, "econ": {}}
     for key, value in values.items():
         if key not in PARAMETER_INDEX:
             raise ValidationError(f"unknown parameter {key!r}", key)
@@ -528,7 +525,9 @@ def build_parameter_set(values: dict, value_factors: Optional[dict] = None,
     vf = ValueFactorTable(**{k: float(v) for k, v in (value_factors or {}).items()
                              if _known_vf_key(k)})
     return ParameterSet(
-        **{group: cls(**groups[group]) for group, cls in _GROUPS},
+        ev=EvParameters(**groups["ev"]),
+        heat=HeatParameters(**groups["heat"]),
+        econ=EconomicParameters(**groups["econ"]),
         value_factors=vf,
         assumptions=assumptions if assumptions is not None else Assumptions(),
     )
