@@ -53,6 +53,7 @@ from .uncertainty import (
     COST_COMPONENTS,
     LcosSampling,
     McConfig,
+    RNG_SCHEME,
     cheapest_probability,
     run_monte_carlo,
 )
@@ -87,12 +88,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: List[str], rows, run_id: str) -> None:
-    """Write rows (any iterable, consumed once) one line at a time."""
+def _write_lines(path: Path, header: List[str], chunks, run_id: str) -> None:
+    """Write the run-id line, the header and then each chunk of formatted
+    lines (any iterable of strings, consumed once)."""
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"# run_id={run_id}\n{','.join(header)}\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+        fh.writelines(chunks)
+
+
+def _write_csv(path: Path, header: List[str], rows, run_id: str) -> None:
+    """Write rows (any iterable, consumed once) one line at a time."""
+    _write_lines(path, header, (",".join(_fmt(cell) for cell in row) + "\n"
+                                for row in rows), run_id)
+
+
+def _sample_lines(dists, samples: int):
+    """lcodr_samples.csv's lines, one string per distribution of `samples`
+    samples. Each column is formatted once over `.tolist()`, as _fmt formats
+    its cells."""
+    indices = [str(i) for i in range(samples)]
+    for d in dists:
+        flags = ["true" if ok else "false" for ok in d.feasible.tolist()]
+        values = ["" if v != v else repr(v) for v in d.samples.tolist()]
+        prefix = f"{d.technology},{d.application},"
+        yield "".join(f"{prefix}{i},{ok},{v}\n" for i, ok, v in zip(indices, flags, values))
 
 
 def _hash_dict(payload: dict) -> str:
@@ -305,7 +324,8 @@ def cmd_mc(args) -> int:
                           apps=[app.name for app in apps],
                           schemes=[s.value for s in schemes],
                           mc=[cfg.samples, cfg.sigma_inputs, cfg.sigma_vf,
-                              cfg.truncation_z, cfg.seed, cfg.lcos_sampling.value],
+                              cfg.truncation_z, cfg.seed, cfg.lcos_sampling.value,
+                              RNG_SCHEME],
                           data=data_hashes)
 
     summary_rows = [[d.technology, d.application, d.feasible_fraction,
@@ -358,13 +378,9 @@ def cmd_mc(args) -> int:
     written = [out / "lcodr_mc.csv", out / "cheapest_probability.csv",
                out / "cost_composition.csv"]
     if args.emit_samples:
-        sample_rows = ([d.technology, d.application, i, ok, value]
-                       for d in dists
-                       for i, (ok, value) in enumerate(zip(d.feasible.tolist(),
-                                                           d.samples.tolist())))
-        _write_csv(out / "lcodr_samples.csv",
-                   ["technology", "application", "sample_index", "feasible",
-                    "lcodr_vf_usd_per_mwh"], sample_rows, run_id)
+        _write_lines(out / "lcodr_samples.csv",
+                     ["technology", "application", "sample_index", "feasible",
+                      "lcodr_vf_usd_per_mwh"], _sample_lines(dists, cfg.samples), run_id)
         written.append(out / "lcodr_samples.csv")
 
     _write_manifest(out, run_id, args, params, data_hashes,
@@ -373,6 +389,7 @@ def cmd_mc(args) -> int:
                                   "sigma_vf": cfg.sigma_vf,
                                   "truncation_z": cfg.truncation_z,
                                   "lcos_sampling": cfg.lcos_sampling.value,
+                                  "rng_scheme": RNG_SCHEME,
                                   "skipped_applications": skipped}})
     print(f"wrote {', '.join(str(p) for p in written)}")
     return EXIT_OK

@@ -123,10 +123,35 @@ def _domain_checks(cls) -> tuple:
                  if f.metadata[kind] is not None)
 
 
-def _check_domains(obj) -> None:
+def _daily_charge_time(c) -> float:
+    """Hours per day the charger is busy replacing driving energy, from a
+    {field: value} mapping of EV parameters."""
+    return (c["daily_drive_energy"] * c["home_charge_fraction"]
+            / (c["charger_power"] * c["charger_efficiency"]))
+
+
+#: Cross-field rules: (group class name, field named in the error, message,
+#: test over a {field: value} mapping that holds for a valid set). The tests
+#: take scalars in __post_init__ and numpy columns in `valid_rows`.
+CROSS_FIELD_RULES = (
+    ("EvParameters", "daily_drive_energy", "daily home charging alone would exceed 24 h",
+     lambda c: _daily_charge_time(c) < 24),
+    ("HeatParameters", "hp_active_power", "active power must be >= average power",
+     lambda c: c["hp_active_power"] >= c["hp_average_power"]),
+    ("HeatParameters", "ceiling_height", "ceiling height must exceed twice the wall thickness",
+     lambda c: c["ceiling_height"] > 2 * c["wall_thickness"]),
+)
+
+
+def _check_fields(obj) -> None:
+    """The single-field domains of obj's fields, then its cross-field rules."""
     # NaN fails every test, so it is rejected wherever a bound is declared.
     for name, test, bound, message in _DOMAIN_CHECKS[type(obj)]:
         if not test(getattr(obj, name), bound):
+            raise ValidationError(message, name)
+    values = vars(obj)
+    for group, name, message, holds in CROSS_FIELD_RULES:
+        if group == type(obj).__name__ and not holds(values):
             raise ValidationError(message, name)
 
 
@@ -155,9 +180,7 @@ class EvParameters:
     smart_reward_per_hour: float = _param(11.8, ge=0.0)        # $/month per extra hour
 
     def __post_init__(self):
-        _check_domains(self)
-        _check(self.daily_charge_time < 24,
-               "daily home charging alone would exceed 24 h", "daily_drive_energy")
+        _check_fields(self)
 
     @property
     def effective_charger_power(self) -> float:
@@ -167,8 +190,7 @@ class EvParameters:
     @property
     def daily_charge_time(self) -> float:
         """Hours per day the charger is busy replacing driving energy."""
-        return (self.daily_drive_energy * self.home_charge_fraction
-                / self.effective_charger_power)
+        return _daily_charge_time(vars(self))
 
     @property
     def min_battery_energy(self) -> float:
@@ -206,11 +228,7 @@ class HeatParameters:
     ceiling_height: float = _param(2.3, gt=0.0)               # m
 
     def __post_init__(self):
-        _check_domains(self)
-        _check(self.hp_active_power >= self.hp_average_power,
-               "active power must be >= average power", "hp_active_power")
-        _check(self.ceiling_height > 2 * self.wall_thickness,
-               "ceiling height must exceed twice the wall thickness", "ceiling_height")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -235,15 +253,13 @@ class EconomicParameters:
     reward_floor: float = _param(5.0, ge=0.0, perturb=False)  # $/month minimum reward
 
     def __post_init__(self):
-        _check_domains(self)
+        _check_fields(self)
         _check(isinstance(self.lifetime_years, int) and self.lifetime_years >= 1,
                "lifetime must be an integer >= 1", "lifetime_years")
 
 
 #: The three scalar parameter groups, by their ParameterSet field name.
 _GROUPS = (("ev", EvParameters), ("heat", HeatParameters), ("econ", EconomicParameters))
-
-_DOMAIN_CHECKS = {cls: _domain_checks(cls) for _, cls in _GROUPS}
 
 
 @dataclass(frozen=True)
@@ -252,14 +268,13 @@ class ValueFactorTable:
     the two heat-pump schemes share a single value because their
     uncontrolled demand profile is the same."""
 
-    v2g_power: float = 1.0
-    v2g_energy: float = 1.0
-    smart_charging: float = 1.0
-    heat_pump: float = 1.0
+    v2g_power: float = _param(1.0, gt=0.0)
+    v2g_energy: float = _param(1.0, gt=0.0)
+    smart_charging: float = _param(1.0, gt=0.0)
+    heat_pump: float = _param(1.0, gt=0.0)
 
     def __post_init__(self):
-        for name in VALUE_FACTOR_KEYS:
-            _check(getattr(self, name) > 0, "value factor must be > 0", name)
+        _check_fields(self)
 
     def for_scheme(self, scheme: SchemeKind,
                    binding: BindingConstraint = BindingConstraint.NOT_APPLICABLE) -> float:
@@ -270,6 +285,10 @@ class ValueFactorTable:
         if scheme is SchemeKind.SMART_CHARGING:
             return self.smart_charging
         return self.heat_pump
+
+
+_DOMAIN_CHECKS = {cls: _domain_checks(cls)
+                  for cls in (EvParameters, HeatParameters, EconomicParameters, ValueFactorTable)}
 
 
 @dataclass(frozen=True)
@@ -296,9 +315,10 @@ class Assumptions:
     def __post_init__(self):
         _check(self.cycle_constraint_direction in ("scale_up", "as_printed"),
                "must be 'scale_up' or 'as_printed'", "cycle_constraint_direction")
-        if self.reward_base_hours is not None:
-            _check(0 <= self.reward_base_hours <= 24,
-                   "must be in [0, 24] h", "reward_base_hours")
+        hours = self.reward_base_hours
+        if hours is not None:
+            _check(isinstance(hours, (int, float)) and 0 <= hours <= 24,
+                   "must be a number in [0, 24] h", "reward_base_hours")
 
 
 @dataclass(frozen=True)
@@ -466,7 +486,7 @@ class ParamSpec:
     and the domain it must be clamped to after perturbation."""
 
     key: str
-    group: str                 # 'ev' | 'heat' | 'econ'
+    group: str                 # 'ev' | 'heat' | 'econ' | 'value_factors'
     perturb: bool = True
     lower: Optional[float] = None
     upper: Optional[float] = None
@@ -495,7 +515,12 @@ PARAMETERS: tuple = tuple(ParamSpec(f.name, group, f.metadata["perturb"], *_clam
 
 PARAMETER_INDEX = {spec.key: i for i, spec in enumerate(PARAMETERS)}
 
-VALUE_FACTOR_KEYS = tuple(f.name for f in fields(ValueFactorTable))
+#: The value factors in the same form, perturbed with their own sigma; in
+#: Monte-Carlo their substream ids follow those of PARAMETERS.
+VALUE_FACTOR_SPECS: tuple = tuple(ParamSpec(f.name, "value_factors", True, *_clamp_bounds(f))
+                                  for f in fields(ValueFactorTable))
+
+VALUE_FACTOR_KEYS = tuple(spec.key for spec in VALUE_FACTOR_SPECS)
 
 
 def parameter_values(params: ParameterSet) -> dict:
@@ -515,15 +540,14 @@ def build_parameter_set(values: dict, value_factors: Optional[dict] = None,
         if key not in PARAMETER_INDEX:
             raise ValidationError(f"unknown parameter {key!r}", key)
         spec = PARAMETERS[PARAMETER_INDEX[key]]
+        value = _number(value, key)
         if key == "lifetime_years":
-            if not float(value).is_integer():
+            if not value.is_integer():
                 raise ValidationError("lifetime must be an integer number of years", key)
             value = int(value)
-        else:
-            value = float(value)
         groups[spec.group][key] = value
-    vf = ValueFactorTable(**{k: float(v) for k, v in (value_factors or {}).items()
-                             if _known_vf_key(k)})
+    vf = ValueFactorTable(**{k: _number(v, f"value_factors.{k}")
+                             for k, v in (value_factors or {}).items() if _known_vf_key(k)})
     return ParameterSet(
         ev=EvParameters(**groups["ev"]),
         heat=HeatParameters(**groups["heat"]),
@@ -531,6 +555,28 @@ def build_parameter_set(values: dict, value_factors: Optional[dict] = None,
         value_factors=vf,
         assumptions=assumptions if assumptions is not None else Assumptions(),
     )
+
+
+def _number(value, field_path: str) -> float:
+    """value as a float; a ValidationError naming field_path if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"must be a number, got {value!r}", field_path) from None
+
+
+def valid_rows(columns) -> np.ndarray:
+    """Which rows of a {key: column} mapping over every PARAMETERS and
+    VALUE_FACTOR_KEYS key would build a valid ParameterSet: the single-field
+    domains and CROSS_FIELD_RULES that __post_init__ checks, as boolean
+    masks. The integer lifetime is not checked."""
+    ok = np.ones(len(columns[VALUE_FACTOR_KEYS[0]]), dtype=bool)
+    for checks in _DOMAIN_CHECKS.values():
+        for name, test, bound, _ in checks:
+            ok &= test(columns[name], bound)
+    for _, _, _, holds in CROSS_FIELD_RULES:
+        ok &= holds(columns)
+    return ok
 
 
 def _known_vf_key(key: str) -> bool:

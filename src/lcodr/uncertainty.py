@@ -4,11 +4,23 @@ Every scalar input is independently perturbed with a truncated normal
 distribution; all technologies are evaluated on the same perturbed draw
 (common random numbers), so per-sample cost comparisons are paired.
 
-Randomness is counter-based: each (seed, sample index, parameter id[,
-attempt]) tuple seeds its own generator, so results are bit-identical for a
-fixed seed no matter how samples are scheduled across workers.
+Randomness is counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11). Each perturbed input, value factor and LCOS
+reference entry has a substream id, and each (seed, substream, attempt)
+keys one Philox4x64 generator. Sample i takes PROPOSALS uniform words of
+that stream, starting at word i * PROPOSALS: a range of samples is drawn
+at once by starting the generator's counter at the range's first sample.
+Each pair of words gives two Box-Muller normals, and the first of the
+PROPOSALS normals inside +/- truncation_z is the sample's draw. So the
+draws are bit-identical for a fixed seed however the samples are split
+into ranges or scheduled across workers. A sample with no accepted
+proposal (about 7e-12 of cells at z = 1.285) draws on from its own
+generator, keyed by the sample index, until one is accepted.
 
-Evaluation is batched: a job perturbs a contiguous range of sample indices
+A drawn row that breaks a parameter invariant is redrawn whole on the next
+attempt's substreams; only the failing rows are redrawn.
+
+Evaluation is batched: a job draws a contiguous range of sample indices
 into a samples x parameters matrix and runs `costing.evaluate_batch` on it
 once per pairing, with numpy over the sample axis. The scalar
 `costing.evaluate_pairing` is the oracle: the batch kernel returns exactly
@@ -38,16 +50,26 @@ from .model import (
     ParameterSet,
     SchemeKind,
     VALUE_FACTOR_KEYS,
+    VALUE_FACTOR_SPECS,
     ValidationError,
-    ValueFactorTable,
-    parameter_values,
     build_parameter_set,
+    valid_rows,
 )
 
 #: Substream ids: scalar parameters take their registry position, value
 #: factors and LCOS reference entries follow in fixed blocks. Append-only.
 VF_ID_OFFSET = len(PARAMETERS)
 LCOS_ID_OFFSET = VF_ID_OFFSET + len(VALUE_FACTOR_KEYS)
+
+#: Normal proposals, and uniform words, per (sample, substream, attempt).
+#: A multiple of 4, so every sample starts on a Philox counter block.
+PROPOSALS = 16
+
+#: Recorded in the manifest and the run id: a change to the draws changes it.
+RNG_SCHEME = "philox4x64-boxmuller-v1"
+
+#: Attempts at a row that meets every parameter invariant.
+MAX_ATTEMPTS = 100
 
 
 class UncertaintyError(LcodrError):
@@ -86,22 +108,13 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValidationError("sample count must be >= 1", "samples")
-        if self.sigma_inputs < 0 or self.sigma_vf < 0:
-            raise ValidationError("sigmas must be >= 0", "sigma_inputs")
-        if self.truncation_z <= 0:
-            raise ValidationError("truncation must be > 0 sigma", "truncation_z")
-
-
-def _stream(*key: int) -> np.random.Generator:
-    """The generator of one substream key.
-
-    A uint32 array hands SeedSequence the same entropy words as the tuple
-    of the same ints, so both give the same draws, but it is quicker to
-    build. A key with a word outside [0, 2**32) keeps the tuple form.
-    """
-    if all(0 <= k < 2**32 for k in key):
-        return np.random.default_rng(np.array(key, dtype=np.uint32))
-    return np.random.default_rng(key)
+        for name in ("sigma_inputs", "sigma_vf"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValidationError(f"must be a finite number >= 0, got {value!r}", name)
+        if not (np.isfinite(self.truncation_z) and self.truncation_z > 0):
+            raise ValidationError(
+                f"must be a finite number > 0 sigma, got {self.truncation_z!r}", "truncation_z")
 
 
 def sample_truncated_normal(mean: float, sigma: float, z: float,
@@ -120,60 +133,118 @@ def sample_truncated_normal(mean: float, sigma: float, z: float,
             return x
 
 
-def _perturb_value(value: float, sigma_rel: float, z: float,
-                   rng: np.random.Generator,
-                   lower: Optional[float] = None,
-                   upper: Optional[float] = None) -> float:
-    drawn = sample_truncated_normal(value, sigma_rel * abs(value), z, rng)
-    if lower is not None:
-        drawn = max(lower, drawn)
-    if upper is not None:
-        drawn = min(upper, drawn)
-    return drawn
+def _generator(seed: int, *key: int, counter: int = 0) -> np.random.Generator:
+    """The Philox generator of one (seed, *key) stream, at counter block
+    `counter`; it yields the stream from word 4 * counter on."""
+    words = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=words, counter=counter))
+
+
+def _first_accepted(uniforms: np.ndarray, z: float) -> np.ndarray:
+    """Per row of PROPOSALS uniforms, the first of its Box-Muller normals in
+    [-z, z], NaN where there is none.
+
+    Words 2k and 2k+1 give proposals 2k (r cos a) and 2k+1 (r sin a), with
+    r = sqrt(-2 ln(1 - u_2k)) and a = 2 pi u_2k+1. A pair is only worked out
+    for the rows still without a draw.
+    """
+    draws = np.full(len(uniforms), np.nan)
+    pending = np.arange(len(uniforms))
+    for k in range(0, PROPOSALS, 2):
+        u = uniforms[pending]
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, k]))
+        angle = 2.0 * np.pi * u[:, k + 1]
+        cos, sin = radius * np.cos(angle), radius * np.sin(angle)
+        cos_ok = np.abs(cos) <= z
+        ok = cos_ok | (np.abs(sin) <= z)
+        draws[pending[ok]] = np.where(cos_ok, cos, sin)[ok]
+        pending = pending[~ok]
+        if not len(pending):
+            break
+    return draws
+
+
+def truncated_normals(seed: int, stream: int, attempt: int, start: int, stop: int,
+                      z: float) -> np.ndarray:
+    """Standard normal draws truncated at +/- z for the samples [start, stop)
+    of one substream and attempt; equal for any split of a range."""
+    gen = _generator(seed, stream, attempt, counter=start * PROPOSALS // 4)
+    draws = _first_accepted(gen.random((stop - start, PROPOSALS)), z)
+    for row in np.flatnonzero(np.isnan(draws)):
+        # no proposal accepted: go on with the sample's own generator, in
+        # blocks of PROPOSALS words (sample indices shifted so that none is 0)
+        fallback = _generator(seed, stream, attempt, start + row + 1)
+        while np.isnan(draws[row]):
+            draws[row] = _first_accepted(fallback.random((1, PROPOSALS)), z)[0]
+    return draws
+
+
+def _drawn_columns(cfg: McConfig) -> list:
+    """(column, spec, relative sigma) of every column Monte-Carlo perturbs,
+    in BATCH_COLUMNS order; a column's index is also its substream id."""
+    specs = ([(spec, cfg.sigma_inputs) for spec in PARAMETERS]
+             + [(spec, cfg.sigma_vf) for spec in VALUE_FACTOR_SPECS])
+    return [(column, spec, sigma) for column, (spec, sigma) in enumerate(specs)
+            if spec.perturb and sigma != 0.0]
+
+
+def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> np.ndarray:
+    """The perturbed inputs of the samples [start, stop): one row per sample,
+    one column per BATCH_COLUMNS entry.
+
+    Each perturbed scalar input and value factor is drawn on its own
+    substream and clamped to its registered domain. A row that breaks an
+    invariant (`model.valid_rows`) is redrawn whole on the next attempt's
+    substreams; after MAX_ATTEMPTS the base configuration is declared
+    unsatisfiable. Row i depends only on (base, cfg, start + i).
+    """
+    base_row = np.array(batch_row(base), dtype=float)
+    columns = np.repeat(base_row[:, None], stop - start, axis=1)
+    pending = np.arange(stop - start)
+    for attempt in range(MAX_ATTEMPTS):
+        if not len(pending):
+            return columns.T
+        # the failing rows are redrawn from the span of samples that holds them
+        lo, hi = pending[0], pending[-1] + 1
+        for column, spec, sigma in _drawn_columns(cfg):
+            value = base_row[column]
+            drawn = value + sigma * abs(value) * truncated_normals(
+                cfg.seed, column, attempt, start + lo, start + hi, cfg.truncation_z)
+            if spec.lower is not None:
+                drawn = np.maximum(spec.lower, drawn)
+            if spec.upper is not None:
+                drawn = np.minimum(spec.upper, drawn)
+            columns[column, pending] = drawn[pending - lo]
+        pending = pending[~valid_rows(dict(zip(BATCH_COLUMNS, columns[:, pending])))]
+    if not len(pending):
+        return columns.T
+    error = None
+    try:
+        _parameter_set(columns[:, pending[0]], base)
+    except ValidationError as exc:
+        error = exc
+    raise PerturbationUnsatisfiable(
+        f"no valid perturbation found in {MAX_ATTEMPTS} attempts "
+        f"(sample {start + pending[0]}): {error}")
+
+
+def _parameter_set(row, base: ParameterSet) -> ParameterSet:
+    """The ParameterSet of one matrix row."""
+    values = dict(zip(BATCH_COLUMNS, row.tolist()))
+    return build_parameter_set({spec.key: values[spec.key] for spec in PARAMETERS},
+                               {key: values[key] for key in VALUE_FACTOR_KEYS},
+                               base.assumptions)
 
 
 def perturb_parameters(base: ParameterSet, cfg: McConfig,
                        sample_index: int) -> ParameterSet:
-    """The perturbed parameter set for one sample index.
-
-    Each scalar input (and each value factor) is perturbed independently on
-    its own substream, clamped to its registered domain, and the whole set
-    is re-validated on construction. A cross-field invariant violation
-    triggers a full redraw on fresh substreams; after 100 failed attempts
-    the base configuration is declared unsatisfiable.
+    """The perturbed parameter set for one sample index: row sample_index of
+    any `perturb_matrix` range that holds it, as a validated ParameterSet.
 
     Deterministic: repeated calls with equal (base, cfg, sample_index)
     return an identical set.
     """
-    base_values = parameter_values(base)
-    base_vf = {key: getattr(base.value_factors, key) for key in VALUE_FACTOR_KEYS}
-    last_error = None
-    for attempt in range(100):
-        values = {}
-        for param_id, spec in enumerate(PARAMETERS):
-            value = base_values[spec.key]
-            if not spec.perturb or cfg.sigma_inputs == 0.0:
-                values[spec.key] = value
-                continue
-            rng = _stream(cfg.seed, sample_index, param_id, attempt)
-            values[spec.key] = _perturb_value(value, cfg.sigma_inputs,
-                                              cfg.truncation_z, rng,
-                                              spec.lower, spec.upper)
-        vf = {}
-        for k, key in enumerate(VALUE_FACTOR_KEYS):
-            if cfg.sigma_vf == 0.0:
-                vf[key] = base_vf[key]
-                continue
-            rng = _stream(cfg.seed, sample_index, VF_ID_OFFSET + k, attempt)
-            vf[key] = _perturb_value(base_vf[key], cfg.sigma_vf,
-                                     cfg.truncation_z, rng, lower=1e-9)
-        try:
-            return build_parameter_set(values, vf, base.assumptions)
-        except ValidationError as exc:
-            last_error = exc
-    raise PerturbationUnsatisfiable(
-        f"no valid perturbation found in 100 attempts "
-        f"(sample {sample_index}): {last_error}")
+    return _parameter_set(perturb_matrix(base, cfg, sample_index, sample_index + 1)[0], base)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +282,8 @@ class McDistribution:
             arr.flags.writeable = False
         ok = samples[feasible]
         if len(ok):
-            stats = dict(mean=float(ok.mean()),
-                         median=float(np.percentile(ok, 50)),
-                         p5=float(np.percentile(ok, 5)),
-                         p95=float(np.percentile(ok, 95)))
+            median, p5, p95 = np.percentile(ok, [50, 5, 95]).tolist()
+            stats = dict(mean=float(ok.mean()), median=median, p5=p5, p95=p95)
         else:
             nan = float("nan")
             stats = dict(mean=nan, median=nan, p5=nan, p95=nan)
@@ -228,10 +297,7 @@ def _evaluate_range(args) -> list:
     so worker processes can unpickle it; returns one BatchEvaluation per
     pairing, in pairing order."""
     base, cfg, start, stop, pairings = args
-    matrix = np.empty((stop - start, len(BATCH_COLUMNS)))
-    for row, i in enumerate(range(start, stop)):
-        matrix[row] = batch_row(perturb_parameters(base, cfg, i))
-    columns = batch_columns(matrix)
+    columns = batch_columns(perturb_matrix(base, cfg, start, stop))
     return [evaluate_batch(scheme, app, columns, base.assumptions)
             for scheme, app in pairings]
 
@@ -284,18 +350,17 @@ def lcos_sample_matrix(lcos_entries: Sequence[Tuple[str, float]],
     """Per-sample cost values for the storage reference technologies.
 
     Point sampling repeats the published value; same-scheme sampling applies
-    the input perturbation treatment. Entry order determines substream ids,
-    so keep the reference list order stable between runs.
+    the input perturbation treatment, floored at 0. Entry order determines
+    substream ids, so keep the reference list order stable between runs.
     """
     matrix = np.empty((len(lcos_entries), cfg.samples))
     for e, (_, value) in enumerate(lcos_entries):
         if cfg.lcos_sampling is LcosSampling.POINT or cfg.sigma_inputs == 0.0:
             matrix[e, :] = value
             continue
-        for i in range(cfg.samples):
-            rng = _stream(cfg.seed, i, LCOS_ID_OFFSET + e)
-            matrix[e, i] = _perturb_value(value, cfg.sigma_inputs,
-                                          cfg.truncation_z, rng, lower=0.0)
+        drawn = value + cfg.sigma_inputs * abs(value) * truncated_normals(
+            cfg.seed, LCOS_ID_OFFSET + e, 0, 0, cfg.samples, cfg.truncation_z)
+        matrix[e, :] = np.maximum(0.0, drawn)
     return matrix
 
 

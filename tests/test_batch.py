@@ -28,7 +28,7 @@ from lcodr.model import (
     default_parameters,
     parameter_values,
 )
-from lcodr.uncertainty import McConfig, perturb_parameters
+from lcodr.uncertainty import McConfig, perturb_parameters, run_monte_carlo
 
 APPS = default_applications()
 BASE = default_parameters()
@@ -148,3 +148,24 @@ def test_batch_equals_oracle_at_named_bounds(key, value):
     values = dict(parameter_values(BASE), **{key: value})
     params = build_parameter_set(values, None, BASE.assumptions)
     assert_matches_oracle([params, BASE], BASE.assumptions)
+
+
+def test_monte_carlo_rows_equal_the_oracle():
+    """Every sample row of a Monte-Carlo run: the kernel's values equal
+    evaluate_pairing's on that row's perturbed parameter set."""
+    cfg = McConfig(samples=60, seed=23)
+    dists = run_monte_carlo(list(SchemeKind), APPS, BASE, cfg)
+    pairings = [(scheme, app) for scheme in SchemeKind for app in APPS]
+    infeasible = 0
+    for i in range(cfg.samples):
+        params = perturb_parameters(BASE, cfg, i)
+        for (scheme, app), d in zip(pairings, dists):
+            ev = evaluate_pairing(scheme, app, params)
+            assert bool(d.feasible[i]) == ev.feasible, (scheme, app.name, i)
+            got = (d.samples[i],) + tuple(d.components[c][i] for c in COST_COMPONENTS)
+            if ev.feasible:
+                assert got == oracle_values(ev), (scheme, app.name, i)
+            else:
+                infeasible += 1
+                assert all(math.isnan(v) for v in got), (scheme, app.name, i)
+    assert infeasible > 0

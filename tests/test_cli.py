@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +190,77 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")] == \
         ["error: usage: argument --seed: must be >= 0, got -1"]
+
+
+@pytest.mark.parametrize("flags,field", [(["--sigma", "nan"], "sigma_inputs"),
+                                         (["--sigma", "inf"], "sigma_inputs"),
+                                         (["--sigma-vf", "-0.5"], "sigma_vf"),
+                                         (["--sigma-vf", "nan"], "sigma_vf")])
+def test_non_finite_mc_settings_are_config_errors(tmp_path, flags, field):
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from lcodr.cli import main; sys.exit(main())",
+         "mc", "--samples", "2", "--out", str(tmp_path / "o"), *flags],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: config: {field}:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text,key", [
+    ("charger_power: abc\n", "charger_power"),
+    ("value_factors: {v2g_power: [1]}\n", "value_factors.v2g_power"),
+    ("assumptions: {reward_base_hours: abc}\n", "reward_base_hours"),
+])
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: config: {key}:")
+
+
+def test_mc_manifest_records_the_rng_scheme(tmp_path):
+    from lcodr.uncertainty import RNG_SCHEME
+    out = tmp_path / "out"
+    assert main(["mc", "--out", str(out), "--samples", "3"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["mc"]["rng_scheme"] == RNG_SCHEME
+    assert RNG_SCHEME == "philox4x64-boxmuller-v1"
+
+
+MC_FILES = ("lcodr_mc.csv", "cheapest_probability.csv", "cost_composition.csv",
+            "lcodr_samples.csv")
+
+
+def test_mc_csvs_are_byte_identical_for_any_worker_count(tmp_path):
+    payloads = []
+    for workers in (None, 2, 3):
+        out = tmp_path / f"w{workers}"
+        argv = ["mc", "--out", str(out), "--samples", "37", "--seed", "8",
+                "--emit-samples", "--lcos-sampling", "same_scheme"]
+        assert main(argv + (["--workers", str(workers)] if workers else [])) == 0
+        payloads.append([(out / name).read_bytes() for name in MC_FILES])
+    assert payloads[0] == payloads[1] == payloads[2]
+
+
+def test_sample_lines_format_cells_as_fmt_does():
+    import numpy as np
+    from lcodr.cli import _fmt, _sample_lines
+    from lcodr.uncertainty import McDistribution
+    values = np.array([1.0, float("nan"), 1e-300, 12345.678901234567, -0.0, 1e22])
+    feasible = ~np.isnan(values)
+    dists = [McDistribution.build("v2g", "Energy arbitrage", values, feasible, {}),
+             McDistribution.build("smart_charging", "Bill management", values[::-1],
+                                  feasible[::-1], {})]
+    expected = "".join(
+        ",".join(_fmt(cell) for cell in [d.technology, d.application, i, ok, v]) + "\n"
+        for d in dists
+        for i, (ok, v) in enumerate(zip(d.feasible.tolist(), d.samples.tolist())))
+    assert "".join(_sample_lines(dists, len(values))) == expected

@@ -40,15 +40,15 @@ GOLDEN = {
     "mc_same_scheme": (["mc", "--samples", "40", "--compute-vf", "--lcos-sampling",
                         "same_scheme", "--emit-samples", "--seed", "5"], {
         "lcodr_mc.csv":
-            "eac82560ee0845c708a727a87728bdbc45a2fc9cadd65ac799894cf309f57325",
+            "22e522060cce17eeeb9710eb712c2450e23eabe166218c9137fb65c7eadd0c08",
         "cheapest_probability.csv":
-            "d6605bac4861c5b94f8cd19ca8803ea7a3ce40598efcce5cbf187cc3de51c40b",
+            "f3dc561b7e317bad7157f8c9e2415252ae40d39226126704ab5cbffee6782111",
         "cost_composition.csv":
-            "5d6115df24ff084014c5f734b490981cefd764472eda9d3812c5d63676da0a69",
+            "54ff5b3630f74036ceb554945d14b757294365d794183395cb0041cef54a913b",
         "lcodr_samples.csv":
-            "66f83826d40213c5b9062764d0b24b7a13ae70e29d97573271e4e8578b031d51",
+            "093acab16cd40427e27a2dadac7b58e6e49811803dd3b5adbf42b3a0b2c12a09",
         "manifest.json":
-            "3f5ea6373b565aaa88cebbf5b0dcc43f84c1cca67bf271e2f259696ea8338170",
+            "621d8d8bf53ef2b73036ba030544f71c03a19db0754d2bd69d84e894d5c61614",
     }),
 }
 

@@ -5,6 +5,8 @@ import pytest
 import yaml
 
 from lcodr.model import (
+    CROSS_FIELD_RULES,
+    VALUE_FACTOR_SPECS,
     ApplicationSpec,
     Assumptions,
     EvParameters,
@@ -23,6 +25,7 @@ from lcodr.model import (
     parameter_set_to_dict,
     ParameterSet,
     parameter_values,
+    valid_rows,
 )
 from lcodr.uncertainty import LCOS_ID_OFFSET, VF_ID_OFFSET
 
@@ -286,3 +289,56 @@ def test_default_parameters_are_the_dataclass_defaults():
     text = resources.files("lcodr").joinpath("defaults.yaml").read_text(encoding="utf-8")
     goldens = yaml.safe_load(text)["value_factors"]
     assert default_parameters() == ParameterSet(value_factors=ValueFactorTable(**goldens))
+
+
+def _random_columns(rng, n):
+    """Columns around the defaults, clamped to the registry bounds except
+    for a few cells pushed out of their domain (NaN included), with the
+    fields of each cross-field rule drawn across its boundary."""
+    base = default_parameters()
+    columns = {}
+    for spec in PARAMETERS + VALUE_FACTOR_SPECS:
+        value = float(getattr(getattr(base, spec.group), spec.key))
+        if not spec.perturb:
+            columns[spec.key] = np.full(n, value)
+            continue
+        col = np.clip(value * rng.uniform(0.3, 1.7, n), spec.lower, spec.upper)
+        out = rng.random(n) < 0.01
+        col[out] = rng.choice([-1.0, math.nan, math.inf, 1e9], out.sum())
+        columns[spec.key] = col
+    columns["charger_power"] *= np.where(rng.random(n) < 0.2, 1e-3, 1.0)
+    columns["hp_active_power"] = columns["hp_average_power"] * rng.uniform(0.8, 1.2, n)
+    columns["ceiling_height"] = 2 * columns["wall_thickness"] * rng.uniform(0.9, 1.1, n)
+    return columns
+
+
+def test_valid_rows_agree_with_post_init():
+    rng = np.random.default_rng(31)
+    n = 600
+    columns = _random_columns(rng, n)
+    mask = valid_rows(columns)
+    vf_keys = [spec.key for spec in VALUE_FACTOR_SPECS]
+    for i in range(n):
+        try:
+            build_parameter_set({spec.key: columns[spec.key][i] for spec in PARAMETERS},
+                                {key: columns[key][i] for key in vf_keys})
+            ok = True
+        except ValidationError:
+            ok = False
+        assert ok == mask[i], i
+    assert 0.05 * n < mask.sum() < 0.95 * n
+    # each rule alone rejects some rows
+    with np.errstate(all="ignore"):
+        for _, name, _, holds in CROSS_FIELD_RULES:
+            assert not holds(columns).all(), name
+
+
+@pytest.mark.parametrize("text,field", [
+    ("charger_power: abc\n", "charger_power"),
+    ("value_factors: {v2g_power: [1]}\n", "value_factors.v2g_power"),
+    ("assumptions: {reward_base_hours: abc}\n", "reward_base_hours"),
+])
+def test_non_numeric_config_value_names_its_key(text, field):
+    with pytest.raises(ValidationError) as info:
+        load_config_dict(yaml.safe_load(text))
+    assert info.value.field_path == field

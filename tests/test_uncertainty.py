@@ -1,22 +1,36 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lcodr.costing import BATCH_COLUMNS, batch_row
 from lcodr.model import (
+    PARAMETER_INDEX,
     ParameterSet,
     SchemeKind,
+    build_parameter_set,
     default_applications,
     default_parameters,
     parameter_values,
 )
 from lcodr.uncertainty import (
+    PROPOSALS,
     LcosSampling,
     McConfig,
     McDistribution,
     NoFeasibleTechnology,
+    PerturbationUnsatisfiable,
+    _first_accepted,
+    _generator,
     cheapest_probability,
+    lcos_sample_matrix,
+    perturb_matrix,
     perturb_parameters,
     run_monte_carlo,
     sample_truncated_normal,
+    truncated_normals,
 )
 
 
@@ -110,14 +124,6 @@ def test_run_monte_carlo_never_calls_the_scalar_path(monkeypatch):
     monkeypatch.setattr(lcodr.costing, "size_pairing", forbidden)
     dists, _ = _small_run(5)
     assert any(d.feasible.any() for d in dists)
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40])
-def test_stream_draws_equal_tuple_seeded_generator(seed):
-    from lcodr.uncertainty import _stream
-    key = (seed, 1499, 38, 2)
-    assert np.array_equal(_stream(*key).normal(size=8),
-                          np.random.default_rng(key).normal(size=8))
 
 
 def test_mc_summary_statistics_on_feasible_subset():
@@ -219,3 +225,131 @@ def test_lcos_point_vs_perturbed():
     m2 = lcos_sample_matrix([("s", 100.0)], cfg2)
     assert not np.all(m2 == 100.0)
     assert np.all(np.abs(m2 - 100.0) <= 1.285 * 0.33 * 100.0 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Counter-based draws
+# ---------------------------------------------------------------------------
+
+#: A base on two invariant boundaries (active == average heat-pump power,
+#: ceiling just above twice the wall), so about three rows in four are
+#: redrawn at least once.
+EDGE = build_parameter_set({**parameter_values(default_parameters()),
+                            "hp_active_power": 0.46, "ceiling_height": 0.1000001},
+                           vars(default_parameters().value_factors))
+
+
+def _split(n, cuts):
+    bounds = sorted({0, n, *(c % (n + 1) for c in cuts)})
+    return list(zip(bounds, bounds[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 60), cuts=st.lists(st.integers(0, 60), max_size=5),
+       seed=st.sampled_from([0, 7, 2**32, 2**70]), edge=st.booleans())
+def test_draws_do_not_depend_on_the_split(n, cuts, seed, edge):
+    base = EDGE if edge else default_parameters()
+    cfg = McConfig(samples=n, seed=seed)
+    whole = perturb_matrix(base, cfg, 0, n)
+    joined = np.vstack([perturb_matrix(base, cfg, lo, hi) for lo, hi in _split(n, cuts)])
+    assert np.array_equal(whole, joined)
+    normals = truncated_normals(seed, 3, 1, 0, n, 1.285)
+    assert np.array_equal(normals, np.concatenate(
+        [truncated_normals(seed, 3, 1, lo, hi, 1.285) for lo, hi in _split(n, cuts)]))
+
+
+def test_edge_base_redraws_rows_and_keeps_them_valid():
+    cfg = McConfig(samples=200, seed=2)
+    matrix = perturb_matrix(EDGE, cfg, 0, 200)
+    columns = dict(zip(BATCH_COLUMNS, matrix.T))
+    assert (columns["hp_active_power"] >= columns["hp_average_power"]).all()
+    assert (columns["ceiling_height"] > 2 * columns["wall_thickness"]).all()
+    # the attempt-0 draw of a redrawn row is not its final value
+    stream = PARAMETER_INDEX["hp_active_power"]
+    first = 0.46 + 0.33 * 0.46 * truncated_normals(2, stream, 0, 0, 200, 1.285)
+    redrawn = first != columns["hp_active_power"]
+    assert 50 < redrawn.sum() < 200
+
+
+def test_matrix_rows_are_the_perturbed_parameter_sets():
+    for base in (default_parameters(), EDGE):
+        cfg = McConfig(samples=40, seed=11)
+        matrix = perturb_matrix(base, cfg, 0, 40)
+        for i in range(40):
+            assert batch_row(perturb_parameters(base, cfg, i)) == matrix[i].tolist()
+
+
+def test_unsatisfiable_after_the_attempt_budget(monkeypatch):
+    import lcodr.uncertainty
+    monkeypatch.setattr(lcodr.uncertainty, "valid_rows",
+                        lambda columns: np.zeros(len(columns["heat_pump"]), dtype=bool))
+    with pytest.raises(PerturbationUnsatisfiable, match="100 attempts .sample 3"):
+        perturb_matrix(default_parameters(), McConfig(samples=5), 3, 5)
+
+
+def test_no_accepted_proposal_falls_back_to_the_sample_stream():
+    # at z = 0.01 under 1 % of proposals are accepted: most samples have
+    # none in their block of PROPOSALS
+    z = 0.01
+    block = _first_accepted(_generator(4, 2, 0).random((50, PROPOSALS)), z)
+    assert np.isnan(block).sum() > 30
+    draws = truncated_normals(4, 2, 0, 0, 50, z)
+    assert np.isfinite(draws).all() and (np.abs(draws) <= z).all()
+    assert np.array_equal(draws[~np.isnan(block)], block[~np.isnan(block)])
+    assert np.array_equal(draws[20:], truncated_normals(4, 2, 0, 20, 50, z))
+
+
+def test_truncated_normals_match_the_scalar_sampler():
+    z = 1.285
+    draws = truncated_normals(9, 0, 0, 0, 100_000, z)
+    rng = np.random.default_rng(9)
+    scalar = np.array([sample_truncated_normal(0.0, 1.0, z, rng) for _ in range(100_000)])
+    assert np.abs(draws).max() <= z
+    # quantiles agree to a few standard errors; the variance is that of the
+    # standard normal truncated at +/- z
+    qs = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+    assert np.abs(np.quantile(draws, qs) - np.quantile(scalar, qs)).max() < 0.02
+    density = math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+    assert draws.var() == pytest.approx(1 - 2 * z * density / math.erf(z / math.sqrt(2)),
+                                        abs=0.005)
+
+
+def test_mc_builds_no_generator_per_sample(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    counts = []
+    for samples in (50, 400):
+        built.clear()
+        _small_run(samples)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 40
+
+
+def test_same_scheme_lcos_draws_are_non_negative_and_prefix_stable():
+    entries = [("a", 100.0), ("b", 0.0), ("c", 250.0)]
+    cfg = McConfig(samples=300, seed=6, sigma_inputs=1.5,
+                   lcos_sampling=LcosSampling.SAME_SCHEME)
+    m = lcos_sample_matrix(entries, cfg)
+    assert (m >= 0).all() and (m[0] == 0).any()
+    assert (m[1] == 0).all()
+    shorter = lcos_sample_matrix(entries, McConfig(samples=120, seed=6, sigma_inputs=1.5,
+                                                   lcos_sampling=LcosSampling.SAME_SCHEME))
+    assert np.array_equal(m[:, :120], shorter)
+
+
+@pytest.mark.parametrize("field,value", [("sigma_inputs", float("nan")),
+                                         ("sigma_vf", float("inf")),
+                                         ("sigma_vf", -0.5),
+                                         ("truncation_z", float("nan")),
+                                         ("truncation_z", float("inf"))])
+def test_mc_config_rejects_non_finite_settings(field, value):
+    from lcodr.model import ValidationError
+    with pytest.raises(ValidationError) as info:
+        McConfig(**{field: value})
+    assert info.value.field_path == field
