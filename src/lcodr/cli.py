@@ -57,7 +57,8 @@ from .uncertainty import (
     cheapest_probability,
     run_monte_carlo,
 )
-from .valuefactor import AvailabilityProfile, ProfileKind, ValueFactorError, vf_subsample_mc
+from .valuefactor import (AvailabilityProfile, ProfileKind, VF_RNG_SCHEME, ValueFactorError,
+                          vf_subsample_mc)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -283,8 +284,11 @@ def cmd_vf(args) -> int:
     profiles, hashes = _load_profile_data(args)
     factors = profile_value_factors(*profiles.values())
 
+    # the subset selection scheme keys subsample runs only, so that runs
+    # without --subsample keep their run id
+    scheme = {"vf_rng_scheme": VF_RNG_SCHEME} if args.subsample else {}
     out, run_id = _output(args, data=hashes, seed=args.seed,
-                          subsample=args.subsample, iterations=args.iterations)
+                          subsample=args.subsample, iterations=args.iterations, **scheme)
     _write_csv(out / "value_factors.csv", ["scheme", "value_factor"], factors.items(), run_id)
     written = [out / "value_factors.csv"]
 
@@ -301,7 +305,7 @@ def cmd_vf(args) -> int:
                    ["statistic", "value_factor"], summary, run_id)
         written += [out / "vf_distribution.csv", out / "vf_distribution_summary.csv"]
 
-    _write_manifest(out, run_id, args, params, hashes)
+    _write_manifest(out, run_id, args, params, hashes, extra=scheme)
     print(f"wrote {', '.join(str(p) for p in written)}")
     return EXIT_OK
 

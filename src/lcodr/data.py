@@ -70,15 +70,22 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def _parse_timestamp(text: str, column: str, path: str, row: int) -> int:
-    """Microseconds since the epoch of an ISO 8601 timestamp."""
-    try:
-        ts = datetime.fromisoformat(text.strip())
-    except ValueError:
-        raise NonNumericValue(f"unparseable timestamp {text!r}", path, row) from None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return (ts - _EPOCH) // _MICROSECOND
+def _parse_timestamps(column: List[str], name: str, path: str) -> np.ndarray:
+    """Microseconds since the epoch of each ISO 8601 timestamp of a column;
+    naive timestamps are UTC. Each distinct text is parsed once, in
+    first-occurrence order, so the first text that fails is on the first
+    bad row."""
+    parsed = {}
+    for text in dict.fromkeys(column):
+        try:
+            ts = datetime.fromisoformat(text.strip())
+        except ValueError:
+            raise NonNumericValue(f"unparseable timestamp {text!r}", path,
+                                  column.index(text) + 2) from None
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        parsed[text] = (ts - _EPOCH) // _MICROSECOND
+    return np.fromiter(map(parsed.__getitem__, column), np.int64, len(column))
 
 
 def _parse_number(text: str, column: str, path: str, row: int) -> float:
@@ -91,12 +98,25 @@ def _parse_number(text: str, column: str, path: str, row: int) -> float:
     return value
 
 
+def _parse_numbers(column: List[str], name: str, path: str) -> np.ndarray:
+    """The finite floats of a column. Only when one fails does the per-row
+    _parse_number run, to name the first bad row."""
+    try:
+        values = np.fromiter(map(float, column), np.float64, len(column))
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array([_parse_number(t, name, path, r) for r, t in enumerate(column, start=2)])
+
+
 def _read_columns(path: str, columns, text: Optional[str] = None) -> list:
     """Read a CSV (the file at path, or text) once into one list of strings
-    per (name, parser) column; return each parsed into an array (parser None:
-    the strings). Rows are numbered as csv.DictReader yields them: header row
-    1, blank lines skipped. A repeated header name means its last occurrence.
-    The first bad row is reported, within a row the leftmost column."""
+    per (name, column_parser) pair; return each column parsed whole into an
+    array by column_parser(strings, name, path) (None: the strings). Rows are
+    numbered as csv.DictReader yields them: header row 1, blank lines
+    skipped. A repeated header name means its last occurrence. The first bad
+    row is reported, within a row the leftmost column."""
     names = [name for name, _ in columns]
     texts: List[List[str]] = [[] for _ in columns]
     errors = []
@@ -131,8 +151,7 @@ def _read_columns(path: str, columns, text: Optional[str] = None) -> list:
     arrays = []
     for (name, parse), column in zip(columns, texts):
         try:
-            arrays.append(column if parse is None else np.array(
-                [parse(t, name, path, r) for r, t in enumerate(column, start=2)]))
+            arrays.append(column if parse is None else parse(column, name, path))
         except DataError as exc:
             errors.append(exc)
     if errors:
@@ -159,8 +178,8 @@ def _grid(us: np.ndarray, rows: np.ndarray, path: str, what: str = "a series"):
 
 def _read_series(path: str, value_columns: Tuple[str, ...], unit: str) -> List[TimeSeries]:
     """One TimeSeries per value column of a `timestamp,<value columns>` CSV."""
-    us, *values = _read_columns(path, [("timestamp", _parse_timestamp)]
-                                + [(name, _parse_number) for name in value_columns])
+    us, *values = _read_columns(path, [("timestamp", _parse_timestamps)]
+                                + [(name, _parse_numbers) for name in value_columns])
     start, interval = _grid(us, np.arange(2, len(us) + 2), path)
     return [TimeSeries(start, interval, v, unit) for v in values]
 
@@ -182,10 +201,10 @@ def load_profile_pool_csv(path: str, kind: ProfileKind = ProfileKind.UNIDIRECTIO
     per asset. Assets appear in first-occurrence order; each asset's block
     must form a valid grid on its own."""
     assets, us, values = _read_columns(path, [("asset_id", None),
-                                              ("timestamp", _parse_timestamp),
-                                              ("value", _parse_number)])
-    codes: Dict[str, int] = {}
-    asset_index = np.array([codes.setdefault(a, len(codes)) for a in assets])
+                                              ("timestamp", _parse_timestamps),
+                                              ("value", _parse_numbers)])
+    codes = {asset_id: code for code, asset_id in enumerate(dict.fromkeys(assets))}
+    asset_index = np.fromiter(map(codes.__getitem__, assets), np.intp, len(assets))
     order = np.argsort(asset_index, kind="stable")   # each asset's rows, in file order
     profiles = []
     for asset_id, positions in zip(codes, np.split(order, np.cumsum(np.bincount(asset_index)))):
@@ -216,7 +235,7 @@ def load_lcos_reference(path: Optional[str] = None) -> List[LcosEntry]:
             .read_text(encoding="utf-8")
         path = "<bundled lcos_reference.csv>"
     apps, techs, costs = _read_columns(path, [("application", None), ("technology", None),
-                                              ("lcos_usd_per_mwh", _parse_number)], text)
+                                              ("lcos_usd_per_mwh", _parse_numbers)], text)
     return [LcosEntry(a.strip(), t.strip(), c) for a, t, c in zip(apps, techs, costs.tolist())]
 
 

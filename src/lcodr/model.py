@@ -579,6 +579,13 @@ def valid_rows(columns) -> np.ndarray:
     return ok
 
 
+def philox_generator(seed: int, *key: int, counter: int = 0) -> np.random.Generator:
+    """The Philox4x64 generator of one (seed, *key) stream, at counter block
+    `counter`; it yields the stream from word 4 * counter on."""
+    words = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=words, counter=counter))
+
+
 def _known_vf_key(key: str) -> bool:
     if key not in VALUE_FACTOR_KEYS:
         raise ValidationError(f"unknown value factor key {key!r}", f"value_factors.{key}")
@@ -589,9 +596,15 @@ def _known_vf_key(key: str) -> bool:
 # Configuration files
 # ---------------------------------------------------------------------------
 
+#: The safe YAML loader, in C when PyYAML was built with libyaml. Only the
+#: bundled defaults use it: user config files go through yaml.safe_load,
+#: whose error texts are shown to users.
+_FAST_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _bundled_defaults() -> dict:
     text = resources.files("lcodr").joinpath("defaults.yaml").read_text(encoding="utf-8")
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=_FAST_SAFE_LOADER)
 
 
 _ALLOWED_APP_KEYS = {"name", "power_capacity_mw", "discharge_duration_h",

@@ -53,6 +53,7 @@ from .model import (
     VALUE_FACTOR_SPECS,
     ValidationError,
     build_parameter_set,
+    philox_generator,
     valid_rows,
 )
 
@@ -133,13 +134,6 @@ def sample_truncated_normal(mean: float, sigma: float, z: float,
             return x
 
 
-def _generator(seed: int, *key: int, counter: int = 0) -> np.random.Generator:
-    """The Philox generator of one (seed, *key) stream, at counter block
-    `counter`; it yields the stream from word 4 * counter on."""
-    words = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=words, counter=counter))
-
-
 def _first_accepted(uniforms: np.ndarray, z: float) -> np.ndarray:
     """Per row of PROPOSALS uniforms, the first of its Box-Muller normals in
     [-z, z], NaN where there is none.
@@ -168,12 +162,12 @@ def truncated_normals(seed: int, stream: int, attempt: int, start: int, stop: in
                       z: float) -> np.ndarray:
     """Standard normal draws truncated at +/- z for the samples [start, stop)
     of one substream and attempt; equal for any split of a range."""
-    gen = _generator(seed, stream, attempt, counter=start * PROPOSALS // 4)
+    gen = philox_generator(seed, stream, attempt, counter=start * PROPOSALS // 4)
     draws = _first_accepted(gen.random((stop - start, PROPOSALS)), z)
     for row in np.flatnonzero(np.isnan(draws)):
         # no proposal accepted: go on with the sample's own generator, in
         # blocks of PROPOSALS words (sample indices shifted so that none is 0)
-        fallback = _generator(seed, stream, attempt, start + row + 1)
+        fallback = philox_generator(seed, stream, attempt, start + row + 1)
         while np.isnan(draws[row]):
             draws[row] = _first_accepted(fallback.random((1, PROPOSALS)), z)[0]
     return draws

@@ -111,6 +111,27 @@ def test_vf_subsample_deterministic(tmp_path):
         (out2 / "vf_distribution.csv").read_bytes()
 
 
+def test_vf_subsample_iterations_are_a_prefix_of_longer_runs(tmp_path):
+    rows = {}
+    for n in (300, 2000):
+        out = tmp_path / str(n)
+        assert main(["vf", "--subsample", "50", "--iterations", str(n), "--seed", "3",
+                     "--out", str(out)]) == 0
+        rows[n] = read_csv(out / "vf_distribution.csv")
+    assert len(rows[2000]) == 2000 and rows[300] == rows[2000][:300]
+
+
+def test_vf_manifest_records_the_rng_scheme_of_subsample_runs_only(tmp_path):
+    from lcodr.valuefactor import VF_RNG_SCHEME
+    assert main(["vf", "--subsample", "5", "--iterations", "3",
+                 "--out", str(tmp_path / "sub")]) == 0
+    assert main(["vf", "--out", str(tmp_path / "full")]) == 0
+    manifests = [json.loads((tmp_path / d / "manifest.json").read_text())
+                 for d in ("sub", "full")]
+    assert manifests[0]["vf_rng_scheme"] == VF_RNG_SCHEME == "philox4x64-argpartition-v1"
+    assert "vf_rng_scheme" not in manifests[1]
+
+
 def test_mc_degenerate_matches_deterministic(tmp_path):
     out = tmp_path / "out"
     assert main(["mc", "--out", str(out), "--samples", "1", "--sigma", "0",

@@ -2,6 +2,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcodr import data
 from lcodr.cli import main
@@ -389,3 +391,81 @@ def test_malformed_price_file_exits_3_with_its_row(tmp_path, capsys, name, text,
     assert main(command + ["--out", str(tmp_path / "o"), "--price", path]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: data: {path}:")
+
+
+# ---------------------------------------------------------------------------
+# Column parsers against row-by-row parsing
+# ---------------------------------------------------------------------------
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def row_timestamps(column, path):
+    """The row-by-row timestamp parse the column parser replaces."""
+    parsed = []
+    for row, text in enumerate(column, start=2):
+        try:
+            ts = datetime.fromisoformat(text.strip())
+        except ValueError:
+            raise NonNumericValue(f"unparseable timestamp {text!r}", path, row) from None
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=timezone.utc)
+        parsed.append((ts - EPOCH) // timedelta(microseconds=1))
+    return np.array(parsed)
+
+
+def row_numbers(column, path):
+    return np.array([data._parse_number(t, "value", path, r)
+                     for r, t in enumerate(column, start=2)])
+
+
+def outcome(parse):
+    try:
+        return parse()
+    except DataError as exc:
+        return type(exc), exc.row, str(exc)
+
+
+def assert_same_outcome(column_result, row_result):
+    if isinstance(row_result, tuple):
+        assert column_result == row_result
+    else:
+        assert len(column_result) == len(row_result)
+        assert (column_result == row_result).all()
+
+
+OFFSETS = st.builds(lambda minutes: timezone(timedelta(minutes=minutes)),
+                    st.integers(-23 * 60 - 59, 23 * 60 + 59))
+STAMP_TEXTS = st.one_of(
+    st.datetimes(min_value=datetime(1900, 1, 1), max_value=datetime(2100, 1, 1),
+                 timezones=st.none() | OFFSETS).map(datetime.isoformat),
+    st.sampled_from(["2023-01-01T00:00:00", " 2023-01-01T01:00:00+00:00 ",
+                     "2023-01-01 02:00", "2023-01-01", "2023-01-01T03:00:00Z",
+                     "", "later", "2023-13-01T00:00:00", "2023-01-01T24:00:00",
+                     "2023-01-01T00:00:00+25:00"]),
+    st.text(alphabet="0123-T: +Z", max_size=12))
+NUMBER_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1", " -2.5 ", "1e3", "1_000", "", "abc", "nan", "-inf",
+                     "Infinity", "1e400", "1,5", "0x10"]),
+    st.text(alphabet="0123456789.e-+ naif", max_size=6))
+
+
+def columns_of(texts):
+    """Columns drawn from a few distinct texts, so most texts repeat."""
+    return st.lists(texts, min_size=1, max_size=6, unique=True).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns_of(STAMP_TEXTS))
+def test_timestamp_column_parse_equals_the_row_by_row_parse(column):
+    assert_same_outcome(outcome(lambda: data._parse_timestamps(column, "timestamp", "f.csv")),
+                        outcome(lambda: row_timestamps(column, "f.csv")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns_of(NUMBER_TEXTS))
+def test_number_column_parse_equals_the_row_by_row_parse(column):
+    assert_same_outcome(outcome(lambda: data._parse_numbers(column, "value", "f.csv")),
+                        outcome(lambda: row_numbers(column, "f.csv")))

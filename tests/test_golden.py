@@ -27,15 +27,21 @@ GOLDEN = {
         "manifest.json":
             "a2e6d95d36f53acf8ec22bd363a23dd479f622afbf414d78496c4ed0a132124f",
     }),
+    "vf": (["vf"], {
+        "value_factors.csv":
+            "a3a55c7c55c6701b84f14824ef54cb53bba453e76dc291d7f2bc3535019cf26c",
+        "manifest.json":
+            "ba2a15896e7f8e998599768f2d9f2c53944e947f7ec021984d6f886b900d6d87",
+    }),
     "vf_subsample": (["vf", "--subsample", "50", "--iterations", "300", "--seed", "11"], {
         "value_factors.csv":
-            "09b6e5a0313064ca4696bf7efe857af8e61edf24116d0034f7a4e4018b188eef",
+            "9bf76e3a1768053cadd8ce85cd478a6c12d4b17f0f2be8aa3c0c92e5fd9ae254",
         "vf_distribution.csv":
-            "26423102131a32bb086be46f86326cd9d85166623523eb5f1cb68b6b7c682bea",
+            "953d58f8cb7dc0873e87f4af7755e0a9850ba6e84e7d9ff178ed3bb4dd82773f",
         "vf_distribution_summary.csv":
-            "c777def9fea9009d21f40d8f37590f250cc1fe040711a6c46b641c290cd2ac7e",
+            "ea619d748f6c34ce0fdc7c622c48868e0554e9b39fe021c35a2be13638833c69",
         "manifest.json":
-            "a087e1e80a87981698458d644501fc02c835b7244b193aa2d85c751a6af0f0b1",
+            "36dcde021806e7c9bd282fd38cc85dc9249e92245aea57e6bc2cb6031ead45d7",
     }),
     "mc_same_scheme": (["mc", "--samples", "40", "--compute-vf", "--lcos-sampling",
                         "same_scheme", "--emit-samples", "--seed", "5"], {

@@ -342,3 +342,9 @@ def test_non_numeric_config_value_names_its_key(text, field):
     with pytest.raises(ValidationError) as info:
         load_config_dict(yaml.safe_load(text))
     assert info.value.field_path == field
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_c_and_python_safe_loaders_read_defaults_alike():
+    text = resources.files("lcodr").joinpath("defaults.yaml").read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)

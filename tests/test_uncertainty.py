@@ -14,6 +14,7 @@ from lcodr.model import (
     default_applications,
     default_parameters,
     parameter_values,
+    philox_generator,
 )
 from lcodr.uncertainty import (
     PROPOSALS,
@@ -23,7 +24,6 @@ from lcodr.uncertainty import (
     NoFeasibleTechnology,
     PerturbationUnsatisfiable,
     _first_accepted,
-    _generator,
     cheapest_probability,
     lcos_sample_matrix,
     perturb_matrix,
@@ -291,7 +291,7 @@ def test_no_accepted_proposal_falls_back_to_the_sample_stream():
     # at z = 0.01 under 1 % of proposals are accepted: most samples have
     # none in their block of PROPOSALS
     z = 0.01
-    block = _first_accepted(_generator(4, 2, 0).random((50, PROPOSALS)), z)
+    block = _first_accepted(philox_generator(4, 2, 0).random((50, PROPOSALS)), z)
     assert np.isnan(block).sum() > 30
     draws = truncated_normals(4, 2, 0, 0, 50, z)
     assert np.isfinite(draws).all() and (np.abs(draws) <= z).all()

@@ -3,7 +3,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from lcodr.model import TimeSeries
+from lcodr import valuefactor
+from lcodr.model import TimeSeries, philox_generator
 from lcodr.valuefactor import (
     AvailabilityProfile,
     IncompatibleIntervals,
@@ -14,6 +15,7 @@ from lcodr.valuefactor import (
     ZeroAvailabilityMean,
     ZeroPriceSum,
     align_series,
+    subsample_masks,
     v2g_value_factors,
     value_factor,
     vf_subsample_mc,
@@ -149,14 +151,72 @@ def test_subsample_mc_needs_enough_assets():
         vf_subsample_mc(pool, series(np.linspace(10, 90, 48)), subset_size=0)
 
 
-@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("seed", [0, 5, 13])
 def test_subsample_mc_equals_gathered_sum(seed):
-    pool = _pool(30, length=96, seed=seed)
+    # the linear path against value_factor of the summed profiles of the
+    # same subsets, including subsets of the whole pool
     price = series(np.random.default_rng(seed).uniform(5, 95, 96))
-    dist = vf_subsample_mc(pool, price, subset_size=12, iterations=60, seed=seed)
-    stack = np.stack([p.series.values for p in pool])
-    reference = []
-    for i in range(60):
-        idx = np.random.default_rng((seed, i)).choice(30, size=12, replace=False)
-        reference.append(value_factor(price, price.with_values(stack[idx].sum(axis=0))))
-    assert dist.samples.tolist() == reference
+    for n_assets, subset_size, iterations in ((30, 12, 60), (30, 30, 20), (7, 1, 40),
+                                              (45, 44, 1100)):
+        pool = _pool(n_assets, length=96, seed=seed)
+        dist = vf_subsample_mc(pool, price, subset_size=subset_size,
+                               iterations=iterations, seed=seed)
+        stack = np.stack([p.series.values for p in pool])
+        masks = subsample_masks(seed, n_assets, subset_size, 0, iterations)
+        reference = [value_factor(price, price.with_values(stack[m].sum(axis=0)))
+                     for m in masks]
+        np.testing.assert_allclose(dist.samples, reference, rtol=1e-12, atol=0)
+
+
+def test_subsets_are_the_smallest_uniforms_of_each_iteration():
+    n_assets, subset_size = 9, 4
+    uniforms = philox_generator(3).random(50 * n_assets).reshape(50, n_assets)
+    want = np.zeros((50, n_assets), dtype=bool)
+    np.put_along_axis(want, np.argsort(uniforms, axis=1)[:, :subset_size], True, axis=1)
+    assert np.array_equal(subsample_masks(3, n_assets, subset_size, 0, 50), want)
+
+
+def test_subsets_hold_subset_size_distinct_assets():
+    for n_assets, subset_size in ((20, 5), (13, 13), (6, 1)):
+        masks = subsample_masks(2, n_assets, subset_size, 0, 500)
+        assert (masks.sum(axis=1) == subset_size).all()
+
+
+def test_subset_ranges_are_slices_of_one_stream():
+    # starts whose first uniform is not on a Philox counter block included
+    whole = subsample_masks(8, 7, 3, 0, 40)
+    for start, stop in ((0, 1), (1, 40), (3, 9), (13, 14)):
+        assert np.array_equal(subsample_masks(8, 7, 3, start, stop), whole[start:stop])
+
+
+def test_selection_frequency_is_subset_size_over_n_assets():
+    n_assets, subset_size, iterations = 20, 5, 4000
+    counts = subsample_masks(17, n_assets, subset_size, 0, iterations).sum(axis=0)
+    share = subset_size / n_assets
+    sigma = np.sqrt(iterations * share * (1 - share))
+    assert (np.abs(counts - iterations * share) <= 4 * sigma).all()
+
+
+def test_subsample_mc_block_size_changes_nothing(monkeypatch):
+    pool = _pool(11, seed=4)
+    price = series(np.linspace(10, 90, 48))
+    whole = vf_subsample_mc(pool, price, subset_size=6, iterations=50, seed=9)
+    monkeypatch.setattr(valuefactor, "SUBSAMPLE_BLOCK", 7)
+    blocks = vf_subsample_mc(pool, price, subset_size=6, iterations=50, seed=9)
+    assert np.array_equal(whole.samples, blocks.samples)
+
+
+def test_subsample_mc_raises_value_factor_errors():
+    price = series(np.linspace(10, 90, 48))
+    pool = _pool(3)
+    pool[1] = AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD, series(np.zeros(48)))
+    with pytest.raises(ZeroAvailabilityMean, match="non-positive mean"):
+        vf_subsample_mc(pool, price, subset_size=1, iterations=200)
+    zero_sum = series(np.tile([-1.0, 1.0], 24))
+    with pytest.raises(ZeroPriceSum, match="sums to zero"):
+        vf_subsample_mc(_pool(3), zero_sum, subset_size=2, iterations=5)
+    # iteration 0 of seed s selects the zero asset: value_factor checks the
+    # availability mean before the price sum
+    s = next(s for s in range(100) if subsample_masks(s, 3, 1, 0, 1)[0, 1])
+    with pytest.raises(ZeroAvailabilityMean):
+        vf_subsample_mc(pool, zero_sum, subset_size=1, iterations=5, seed=s)
