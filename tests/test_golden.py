@@ -27,7 +27,21 @@ GOLDEN = {
         "manifest.json":
             "a2e6d95d36f53acf8ec22bd363a23dd479f622afbf414d78496c4ed0a132124f",
     }),
-    "vf": (["vf"], {
+    "run_every_assumption_flipped": (["run", "--no-rpt-floor", "--simple-rebound",
+                                      "--cycle-direction", "as_printed",
+                                      "--reward-base-hours", "9.5"], {
+        "lcodr_deterministic.csv":
+            "579b25d08f6fb8ef7145266eded2511e8b5db145beefd4c6aa989aebecfc5aef",
+        "manifest.json":
+            "2c2700965841b1d5e62fb5c92baf529e4cc16bc303aa52834b2bc109b465fcd2",
+    }),
+    "run_compute_vf_as_printed": (["run", "--compute-vf", "--cycle-direction", "as_printed"], {
+        "lcodr_deterministic.csv":
+            "253e248d307d1f0297cbe80cfe3f1e9d9ba205e80f0371dbc7471d68354e4780",
+        "manifest.json":
+            "7a06a18b5767168e40eebfd62c028a759ad664b5e8a3b9df5efc2a607b524794",
+    }),
+    "vf":(["vf"], {
         "value_factors.csv":
             "a3a55c7c55c6701b84f14824ef54cb53bba453e76dc291d7f2bc3535019cf26c",
         "manifest.json":
