@@ -30,10 +30,8 @@ from .sizing import size_pairing
 from .costing import (
     CashFlowSchedule,
     PairingEvaluation,
-    build_cash_flows,
     evaluate_pairing,
     lcodr_energy,
-    lcodr_power,
 )
 from .valuefactor import AvailabilityProfile, ProfileKind, value_factor, vf_subsample_mc
 from .uncertainty import (
@@ -53,9 +51,9 @@ __all__ = [
     "EvParameters", "HeatParameters", "LcodrError", "McConfig", "McDistribution",
     "PairingEvaluation", "ParameterSet", "ParseError", "ProfileKind", "SchemeKind",
     "SizingResult", "TimeSeries", "ValidationError", "ValueFactorTable",
-    "__version__", "build_cash_flows", "bundle_value_factors", "cheapest_probability",
+    "__version__", "bundle_value_factors", "cheapest_probability",
     "default_applications", "default_bundle", "default_parameters",
-    "evaluate_pairing", "lcodr_energy", "lcodr_power", "load_config",
+    "evaluate_pairing", "lcodr_energy", "load_config",
     "load_lcos_reference", "perturb_parameters", "run_monte_carlo", "size_pairing",
     "value_factor", "vf_subsample_mc",
 ]

@@ -170,7 +170,9 @@ def _load(args):
         apps = [app for app in apps if app.name in wanted]
     schemes = list(SchemeKind)
     if getattr(args, "schemes", None):
-        schemes = [SchemeKind.from_name(s.strip()) for s in args.schemes.split(",")]
+        # a repeated scheme is kept once, at its first position
+        schemes = list(dict.fromkeys(SchemeKind.from_name(s.strip())
+                                     for s in args.schemes.split(",")))
     return params, apps, schemes
 
 

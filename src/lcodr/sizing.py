@@ -1,22 +1,25 @@
-"""Fleet sizing for (scheme, application) pairings.
+"""Fleet sizing formulas for (scheme, application) pairings.
 
-Determines how many demand-response assets must be contracted to deliver a
-storage application's power, energy, duration and cycle requirements, plus
-the contract terms that follow (required plug-in time for EV schemes, tank
-geometry for thermal storage).
+How many demand-response assets a storage application needs, and the
+contract terms that follow: the required plug-in time of EV schemes and the
+tank geometry of thermal storage. The sizing itself is done, for one sample
+or many, by `costing.evaluate_batch`; the formulas it shares with the named
+functions below take floats and numpy columns alike, so each is written
+once. The named functions add only their domain errors.
 
-All functions are pure; `size_pairing` is the orchestrating entry point and
-never raises for domain outcomes — unsuitable or infeasible pairings come
-back as a SizingResult with feasible=False and a reason.
+`size_pairing` sizes one pairing on one ParameterSet. It never raises for
+domain outcomes: unsuitable or infeasible pairings come back as a
+SizingResult with feasible=False and a reason.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .model import (
     ApplicationSpec,
-    BindingConstraint,
     EvParameters,
     HeatParameters,
     LcodrError,
@@ -40,14 +43,6 @@ class RptOutOfRange(SizingError):
     pass
 
 
-class ZeroAvailability(SizingError):
-    pass
-
-
-class ZeroShiftablePower(SizingError):
-    pass
-
-
 class AreaTooSmall(SizingError):
     pass
 
@@ -62,35 +57,52 @@ class InfeasibleDuration(SizingError):
             f"required plug-in time {required_hours:.2f} h exceeds 24 h")
 
 
+def python_pow(x, y):
+    """x ** y through Python's float pow, element-wise over a column: numpy
+    squares `x ** 2` instead of calling libm, which can differ in the last
+    bit."""
+    if np.ndim(x) == 0:
+        return float(x) ** y
+    return np.array([v ** y for v in x.tolist()])
+
+
 # ---------------------------------------------------------------------------
-# V2G counts
+# Formulas shared with the batch kernel (floats or columns)
 # ---------------------------------------------------------------------------
 
-def v2g_chargers_for_power(power_capacity: float, ev: EvParameters) -> float:
-    """Available chargers needed to meet a power requirement (kW)."""
-    return power_capacity / ev.effective_charger_power
+def required_plugin_time(scheme: SchemeKind, discharge_duration: float, t_cha, recharge):
+    """Smallest daily plug-in time, h, whose discharge-duration limit covers
+    `discharge_duration`: the closed-form inversion of the duration limits.
+    t_cha is the daily charging time and recharge the time to refill the
+    dischargeable battery band (used by V2G only)."""
+    if scheme is SchemeKind.SMART_CHARGING:
+        return discharge_duration + t_cha
+    return 2.0 * (discharge_duration + recharge) + t_cha
 
 
-def v2g_chargers_for_energy(app: ApplicationSpec, ev: EvParameters) -> float:
-    """Available chargers needed to meet an application's energy requirement.
-
-    A single EV contributes its battery band between full charge and the
-    guaranteed minimum.
-    """
-    energy_required = app.power_capacity * app.discharge_duration
-    return energy_required / ev.dischargeable_energy
+def availability_factor(plugin_time, t_cha):
+    """Fraction of the day a contracted EV is plugged in and not charging."""
+    return (plugin_time - t_cha) / 24.0
 
 
-def v2g_required_available(app: ApplicationSpec, ev: EvParameters):
-    """Higher of the power- and energy-mandated charger counts.
+def tank_geometry(discharge_duration: float, heat):
+    """(area m^2, volume m^3, water mass kg) of the smallest tank covering a
+    discharge duration; `heat` maps HeatParameters field names to values."""
+    thermal_kwh = heat["hp_active_power"] * heat["seasonal_performance"] * discharge_duration
+    mass = thermal_kwh * KJ_PER_KWH / (heat["water_heat_capacity"] * heat["tank_temp_range"])
+    volume = mass / heat["water_density"]
+    height = heat["ceiling_height"] - 2.0 * heat["wall_thickness"]
+    radius = np.sqrt(volume / (math.pi * height))
+    side = 2.0 * (radius + heat["wall_thickness"])
+    return python_pow(side, 2), volume, mass
 
-    Returns (count, binding constraint); ties break to power.
-    """
-    n_power = v2g_chargers_for_power(app.power_capacity, ev)
-    n_energy = v2g_chargers_for_energy(app, ev)
-    if n_energy > n_power:
-        return n_energy, BindingConstraint.ENERGY
-    return n_power, BindingConstraint.POWER
+
+# ---------------------------------------------------------------------------
+# Named formulas on one parameter group
+# ---------------------------------------------------------------------------
+
+def _recharge_time(ev: EvParameters) -> float:
+    return ev.dischargeable_energy / ev.effective_charger_power
 
 
 def v2g_availability_factor(required_plugin_time: float, ev: EvParameters) -> float:
@@ -103,48 +115,7 @@ def v2g_availability_factor(required_plugin_time: float, ev: EvParameters) -> fl
         raise RptTooShort(
             f"required plug-in time {required_plugin_time} h is below the "
             f"daily charging time {t_cha:.3f} h")
-    return (required_plugin_time - t_cha) / 24.0
-
-
-def contracted_from_available(n_available: float, availability: float) -> float:
-    """Contracted count ensuring `n_available` assets on average."""
-    if availability <= 0:
-        raise ZeroAvailability("availability factor must be > 0")
-    return n_available / availability
-
-
-def unidirectional_assets(power_capacity: float, avg_shiftable_power: float) -> float:
-    """Assets needed when only average shiftable consumption can be moved.
-
-    The average power already embodies availability, so no further
-    availability division applies.
-    """
-    if avg_shiftable_power <= 0:
-        raise ZeroShiftablePower("average shiftable power must be > 0")
-    return power_capacity / avg_shiftable_power
-
-
-# ---------------------------------------------------------------------------
-# Discharge-duration limits
-# ---------------------------------------------------------------------------
-
-def v2g_max_discharge_duration(required_plugin_time: float, ev: EvParameters) -> float:
-    """Longest V2G discharge a plug-in window supports, hours.
-
-    Discharge is assumed to start halfway through the plug-in period; time
-    spent charging driving energy and recharging the discharged battery band
-    is unavailable. Clamped at 0 (no discharge possible).
-    """
-    plug_in_duration = required_plugin_time  # once-daily plug-in
-    half_window = (plug_in_duration - ev.daily_charge_time) / 2.0
-    recharge = ev.dischargeable_energy / ev.effective_charger_power
-    return max(0.0, half_window - recharge)
-
-
-def smart_charging_max_discharge_duration(required_plugin_time: float,
-                                          ev: EvParameters) -> float:
-    """Longest charging delay a plug-in window supports, hours."""
-    return max(0.0, required_plugin_time - ev.daily_charge_time)
+    return availability_factor(required_plugin_time, t_cha)
 
 
 def min_required_plugin_time(scheme: SchemeKind, discharge_duration: float,
@@ -154,53 +125,40 @@ def min_required_plugin_time(scheme: SchemeKind, discharge_duration: float,
 
     Raises InfeasibleDuration when more than 24 h would be required.
     """
-    t_cha = ev.daily_charge_time
-    if scheme is SchemeKind.SMART_CHARGING:
-        required = discharge_duration + t_cha
-    elif scheme is SchemeKind.V2G:
-        recharge = ev.dischargeable_energy / ev.effective_charger_power
-        required = 2.0 * (discharge_duration + recharge) + t_cha
-    else:
+    if scheme not in (SchemeKind.V2G, SchemeKind.SMART_CHARGING):
         raise SizingError(f"plug-in time applies only to EV schemes, not {scheme}")
+    required = required_plugin_time(scheme, discharge_duration, ev.daily_charge_time,
+                                    _recharge_time(ev))
     if required > 24.0:
         raise InfeasibleDuration(required)
     return required
 
 
-def hp_power_reduction(discharge_duration: float, heat: HeatParameters) -> float:
-    """Feasible heat-pump power reduction for a given activation length, kW.
+def v2g_max_discharge_duration(required_plugin_time: float, ev: EvParameters) -> float:
+    """Longest V2G discharge a plug-in window supports, hours.
 
-    Limited by the tolerated indoor temperature divergence (usable both
-    before and after the activation, hence the factor 2) and capped at the
-    pump's active power consumption.
+    Discharge is assumed to start halfway through the plug-in period; time
+    spent charging driving energy and recharging the discharged battery band
+    is unavailable. Clamped at 0 (no discharge possible).
     """
-    heat_band_kwh = heat.building_heat_capacity * heat.building_temp_divergence / KJ_PER_KWH
-    unclamped = 2.0 * heat_band_kwh / (heat.seasonal_performance * discharge_duration)
-    return min(heat.hp_active_power, unclamped)
+    half_window = (required_plugin_time - ev.daily_charge_time) / 2.0
+    return max(0.0, half_window - _recharge_time(ev))
+
+
+def smart_charging_max_discharge_duration(required_plugin_time: float,
+                                          ev: EvParameters) -> float:
+    """Longest charging delay a plug-in window supports, hours."""
+    return max(0.0, required_plugin_time - ev.daily_charge_time)
 
 
 def hp_max_discharge_duration(heat: HeatParameters) -> float:
-    """Activation length at which the full active power can be shed, hours."""
+    """Activation length at which the full active power can be shed, hours.
+
+    Limited by the tolerated indoor temperature divergence, usable both
+    before and after the activation (hence the factor 2).
+    """
     heat_band_kwh = heat.building_heat_capacity * heat.building_temp_divergence / KJ_PER_KWH
     return 2.0 * heat_band_kwh / (heat.hp_active_power * heat.seasonal_performance)
-
-
-def hp_cycle_adjusted_assets(n_unadjusted: float, annual_cycles: float,
-                             max_activations_per_month: float,
-                             direction: str = "scale_up") -> float:
-    """Grow the heat-pump fleet when an application cycles more often than a
-    single contract allows.
-
-    direction='scale_up' multiplies by annual cycles over the annual
-    activation allowance (never shrinking the fleet); 'as_printed' applies
-    the reciprocal factor instead, for comparison runs.
-    """
-    if max_activations_per_month <= 0:
-        raise SizingError("activation allowance must be > 0")
-    allowance = 12.0 * max_activations_per_month
-    if direction == "as_printed":
-        return n_unadjusted * allowance / annual_cycles
-    return n_unadjusted * max(1.0, annual_cycles / allowance)
 
 
 def tank_mass_from_area(area: float, heat: HeatParameters) -> float:
@@ -226,112 +184,18 @@ def min_tank_area(discharge_duration: float, heat: HeatParameters):
     Returns (area m^2, volume m^3, water mass kg). The forward duration
     formula reproduces `discharge_duration` from the returned area.
     """
-    thermal_kwh = heat.hp_active_power * heat.seasonal_performance * discharge_duration
-    mass = thermal_kwh * KJ_PER_KWH / (heat.water_heat_capacity * heat.tank_temp_range)
-    volume = mass / heat.water_density
-    height = heat.ceiling_height - 2.0 * heat.wall_thickness
-    radius = math.sqrt(volume / (math.pi * height))
-    side = 2.0 * (radius + heat.wall_thickness)
-    return side ** 2, volume, mass
-
-
-# ---------------------------------------------------------------------------
-# Orchestration
-# ---------------------------------------------------------------------------
-
-def _infeasible(scheme: SchemeKind, reason: str) -> SizingResult:
-    return SizingResult(scheme=scheme, feasible=False, reason=reason)
-
-
-def _contract_plugin_time(scheme: SchemeKind, app: ApplicationSpec,
-                          params: ParameterSet) -> float:
-    """Plug-in time written into the contract for an EV scheme.
-
-    The minimal feasible value, floored at the observed base plug-in time
-    when the corresponding assumption is on: contracts are not assumed to
-    demand less plug-in than consumers already provide.
-    """
-    required = min_required_plugin_time(scheme, app.discharge_duration, params.ev)
-    if params.assumptions.rpt_floor_at_base:
-        required = max(required, params.ev.base_plugin_time)
-    return required
+    return tuple(float(v) for v in tank_geometry(discharge_duration, vars(heat)))
 
 
 def size_pairing(scheme: SchemeKind, app: ApplicationSpec,
                  params: ParameterSet) -> SizingResult:
-    """Size one scheme for one application.
+    """Size one scheme for one application: the sizing of
+    `costing.evaluate_pairing`. An unsuitable pairing is reported as
+    infeasible with a reason starting 'unsuitable: '."""
+    from .costing import evaluate_pairing   # costing builds on this module
 
-    The suitability gate is applied first; an unsuitable pairing is reported
-    as infeasible with reason 'unsuitable'.
-    """
-    if scheme not in app.suitable_schemes:
-        return _infeasible(scheme, f"unsuitable: {scheme.value} cannot service "
-                                   f"{app.name!r}")
-    try:
-        if scheme is SchemeKind.V2G:
-            return _size_v2g(app, params)
-        if scheme is SchemeKind.SMART_CHARGING:
-            return _size_smart_charging(app, params)
-        if scheme is SchemeKind.SMART_HEAT_PUMP:
-            return _size_smart_heat_pump(app, params)
-        return _size_thermal_storage(app, params)
-    except InfeasibleDuration as exc:
-        return _infeasible(scheme, f"infeasible: required plug-in time "
-                                   f"{exc.required_hours:.2f} h exceeds 24 h")
-    except SizingError as exc:
-        return _infeasible(scheme, f"infeasible: {exc}")
-
-
-def _size_v2g(app: ApplicationSpec, params: ParameterSet) -> SizingResult:
-    ev = params.ev
-    plugin_time = _contract_plugin_time(SchemeKind.V2G, app, params)
-    n_available, binding = v2g_required_available(app, ev)
-    availability = v2g_availability_factor(plugin_time, ev)
-    n_contracted = contracted_from_available(n_available, availability)
-    return SizingResult(
-        scheme=SchemeKind.V2G, feasible=True,
-        contracted_assets=n_contracted, available_assets=n_available,
-        binding_constraint=binding, required_plugin_time=plugin_time,
-    )
-
-
-def _size_smart_charging(app: ApplicationSpec, params: ParameterSet) -> SizingResult:
-    ev = params.ev
-    plugin_time = _contract_plugin_time(SchemeKind.SMART_CHARGING, app, params)
-    # Average home-charging power spread over the day: the shiftable load.
-    avg_shiftable = ev.daily_drive_energy * ev.home_charge_fraction / 24.0
-    n_assets = unidirectional_assets(app.power_capacity, avg_shiftable)
-    return SizingResult(
-        scheme=SchemeKind.SMART_CHARGING, feasible=True,
-        contracted_assets=n_assets, available_assets=n_assets,
-        required_plugin_time=plugin_time,
-    )
-
-
-def _size_smart_heat_pump(app: ApplicationSpec, params: ParameterSet) -> SizingResult:
-    heat = params.heat
-    reduction = hp_power_reduction(app.discharge_duration, heat)
-    # A partial power reduction proportionally shrinks the shiftable share
-    # of the average consumption.
-    effective_shiftable = heat.hp_average_power * reduction / heat.hp_active_power
-    n_unadjusted = unidirectional_assets(app.power_capacity, effective_shiftable)
-    n_contracted = hp_cycle_adjusted_assets(
-        n_unadjusted, app.annual_cycles, heat.max_activations_per_month,
-        params.assumptions.cycle_constraint_direction)
-    return SizingResult(
-        scheme=SchemeKind.SMART_HEAT_PUMP, feasible=True,
-        contracted_assets=n_contracted,
-        available_assets=min(n_unadjusted, n_contracted),
-        power_reduction=reduction,
-    )
-
-
-def _size_thermal_storage(app: ApplicationSpec, params: ParameterSet) -> SizingResult:
-    heat = params.heat
-    n_assets = unidirectional_assets(app.power_capacity, heat.hp_average_power)
-    area, volume, mass = min_tank_area(app.discharge_duration, heat)
-    return SizingResult(
-        scheme=SchemeKind.HP_THERMAL_STORAGE, feasible=True,
-        contracted_assets=n_assets, available_assets=n_assets,
-        tank_area=area, tank_volume=volume, tank_mass=mass,
-    )
+    evaluation = evaluate_pairing(scheme, app, params)
+    if evaluation.sizing is None:
+        return SizingResult(scheme=scheme, feasible=False,
+                            reason=f"unsuitable: {evaluation.reason}")
+    return evaluation.sizing

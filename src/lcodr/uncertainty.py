@@ -21,10 +21,10 @@ A drawn row that breaks a parameter invariant is redrawn whole on the next
 attempt's substreams; only the failing rows are redrawn.
 
 Evaluation is batched: a job draws a contiguous range of sample indices
-into a samples x parameters matrix and runs `costing.evaluate_batch` on it
-once per pairing, with numpy over the sample axis. The scalar
-`costing.evaluate_pairing` is the oracle: the batch kernel returns exactly
-its values for every sample, so batching changes no output.
+into a samples x parameters matrix and runs `costing.evaluate_batch`, the
+pairing kernel that `lcodr run` also uses, on it once per pairing with
+numpy over the sample axis. A sample's values depend on its row only, so
+batching changes no output.
 """
 
 from __future__ import annotations
@@ -288,12 +288,17 @@ class McDistribution:
 
 def _evaluate_range(args) -> list:
     """Evaluate every pairing on the sample indices [start, stop). Top-level
-    so worker processes can unpickle it; returns one BatchEvaluation per
-    pairing, in pairing order."""
+    so worker processes can unpickle it; returns, per pairing in pairing
+    order, the (lcodr_vf, feasible, components) of its BatchEvaluation. The
+    sizing columns are dropped at once, so they are neither kept nor
+    pickled."""
     base, cfg, start, stop, pairings = args
     columns = batch_columns(perturb_matrix(base, cfg, start, stop))
-    return [evaluate_batch(scheme, app, columns, base.assumptions)
-            for scheme, app in pairings]
+    kept = []
+    for scheme, app in pairings:
+        batch = evaluate_batch(scheme, app, columns, base.assumptions)
+        kept.append((batch.lcodr_vf, batch.feasible, batch.components))
+    return kept
 
 
 def run_monte_carlo(schemes: Sequence[SchemeKind], apps: Sequence[ApplicationSpec],
@@ -326,12 +331,10 @@ def run_monte_carlo(schemes: Sequence[SchemeKind], apps: Sequence[ApplicationSpe
 
     distributions = []
     for j, (scheme, app) in enumerate(pairings):
-        parts = [result[j] for result in results]
-        components = {name: join([p.components[name] for p in parts])
-                      for name in COST_COMPONENTS}
+        lcodr_vf, feasible, components = zip(*(result[j] for result in results))
         distributions.append(McDistribution.build(
-            scheme.value, app.name, join([p.lcodr_vf for p in parts]),
-            join([p.feasible for p in parts]), components))
+            scheme.value, app.name, join(lcodr_vf), join(feasible),
+            {name: join([c[name] for c in components]) for name in COST_COMPONENTS}))
     return distributions
 
 

@@ -1,18 +1,31 @@
-"""The batch kernel against its oracle, the scalar evaluate_pairing.
+"""The pairing kernel against its frozen oracle, tests/oracle.py.
 
-Every comparison is exact (==): the batch path repeats the scalar path's
-operations in the same order, so it must reproduce each value bit for bit.
+Every comparison is exact (==): the kernel performs the oracle's operations
+in the same order, so it must reproduce each value bit for bit. Both the
+kernel's per-sample columns and its one-row wrappers (evaluate_pairing,
+size_pairing) are compared with the oracle, never with each other.
 """
 
+import ast
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from lcodr.costing import (
     COST_COMPONENTS,
+    FEASIBLE,
+    PLUGIN_OVER_24H,
+    REASONS,
+    SIZING_FIELDS,
+    UNSUITABLE,
+    ZERO_AVAILABILITY,
+    ZERO_SHIFTABLE,
     batch_columns,
     batch_row,
     evaluate_batch,
@@ -20,44 +33,87 @@ from lcodr.costing import (
 )
 from lcodr.model import (
     PARAMETERS,
+    ApplicationSpec,
     Assumptions,
+    BindingConstraint,
+    ParameterSet,
     SchemeKind,
+    SizingResult,
     ValidationError,
     build_parameter_set,
     default_applications,
     default_parameters,
     parameter_values,
 )
+from lcodr.sizing import size_pairing
 from lcodr.uncertainty import McConfig, perturb_parameters, run_monte_carlo
 
 APPS = default_applications()
 BASE = default_parameters()
 
 
-def oracle_values(ev):
-    b = ev.breakdown
-    return (b.lcodr_vf, b.investment, b.om_pv, b.rewards_pv, b.rebound_pv, b.eol_pv)
+def oracle_code(want) -> int:
+    """The reason code of an oracle evaluation, read from its status and
+    reason text."""
+    if want.status == "ok":
+        return FEASIBLE
+    if want.status == "unsuitable":
+        return UNSUITABLE
+    for code in (PLUGIN_OVER_24H, ZERO_AVAILABILITY, ZERO_SHIFTABLE):
+        if want.reason.startswith(REASONS[code].split("{")[0]):
+            return code
+    raise AssertionError(f"oracle reason {want.reason!r} has no code")
 
 
-def assert_matches_oracle(param_sets, assumptions):
-    """Compare evaluate_batch with evaluate_pairing on every pairing and
-    sample; returns the number of infeasible (sample, pairing) cases."""
+def assert_wrapper_matches(scheme, app, params, want):
+    got = evaluate_pairing(scheme, app, params)
+    assert (got.scheme, got.application) == (scheme, app)
+    assert (got.status, got.reason) == (want.status, want.reason), (scheme, app.name)
+    assert got.sizing == want.sizing, (scheme, app.name)
+    assert got.breakdown == want.breakdown, (scheme, app.name)
+
+
+def assert_kernel_row(batch, i, want):
+    """Sample i of a kernel evaluation against the oracle's evaluation."""
+    assert int(batch.reason[i]) == oracle_code(want)
+    assert bool(batch.feasible[i]) == want.feasible
+    levelised = (batch.lcodr_vf[i], *(batch.components[c][i] for c in COST_COMPONENTS),
+                 batch.energy_pv[i], batch.lcodr_energy[i], batch.lcodr_power[i],
+                 batch.value_factor[i])
+    if not want.feasible:
+        assert all(math.isnan(v) for v in levelised)
+        assert not batch.energy_bound[i]
+        hours = batch.sizing["required_plugin_time"][i]
+        assert math.isnan(hours) or batch.reason[i] == PLUGIN_OVER_24H
+        assert all(math.isnan(batch.sizing[name][i])
+                   for name in SIZING_FIELDS if name != "required_plugin_time")
+        return
+    s, b = want.sizing, want.breakdown
+    assert levelised == (b.lcodr_vf, b.investment, b.om_pv, b.rewards_pv, b.rebound_pv,
+                         b.eol_pv, b.energy_pv, b.lcodr_energy, b.lcodr_power,
+                         b.value_factor)
+    assert bool(batch.energy_bound[i]) == (s.binding_constraint is BindingConstraint.ENERGY)
+    for name in SIZING_FIELDS:
+        value, expected = batch.sizing[name][i], getattr(s, name)
+        assert math.isnan(value) if expected is None else value == expected, name
+
+
+def assert_matches_oracle(param_sets, assumptions) -> Counter:
+    """Compare evaluate_batch and evaluate_pairing with the oracle on every
+    pairing and sample; returns the kernel's count of each reason code."""
     columns = batch_columns(np.array([batch_row(p) for p in param_sets]))
-    infeasible = 0
+    codes, oracle_codes = Counter(), Counter()
     for scheme in SchemeKind:
         for app in APPS:
             batch = evaluate_batch(scheme, app, columns, assumptions)
+            codes.update(batch.reason.tolist())
             for i, params in enumerate(param_sets):
-                ev = evaluate_pairing(scheme, app, params)
-                assert bool(batch.feasible[i]) == ev.feasible, (scheme, app.name, i)
-                got = (batch.lcodr_vf[i],) + tuple(batch.components[c][i]
-                                                   for c in COST_COMPONENTS)
-                if ev.feasible:
-                    assert got == oracle_values(ev), (scheme, app.name, i)
-                else:
-                    infeasible += 1
-                    assert all(math.isnan(v) for v in got), (scheme, app.name, i)
-    return infeasible
+                want = oracle.evaluate_pairing(scheme, app, params)
+                oracle_codes[oracle_code(want)] += 1
+                assert_kernel_row(batch, i, want)
+                assert_wrapper_matches(scheme, app, params, want)
+    assert codes == oracle_codes
+    return codes
 
 
 def perturbed(base, seed, samples):
@@ -67,8 +123,9 @@ def perturbed(base, seed, samples):
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_batch_equals_oracle_on_perturbed_samples(seed):
-    infeasible = assert_matches_oracle(perturbed(BASE, seed, 300), BASE.assumptions)
-    assert infeasible > 0   # infeasible samples are part of the comparison
+    codes = assert_matches_oracle(perturbed(BASE, seed, 300), BASE.assumptions)
+    # infeasible samples are part of the comparison
+    assert codes[PLUGIN_OVER_24H] > 0 and codes[UNSUITABLE] > 0
 
 
 @pytest.mark.parametrize("assumptions", [
@@ -82,7 +139,8 @@ def test_batch_equals_oracle_under_each_assumption(assumptions):
                                {"v2g_power": 1.02, "v2g_energy": 0.97,
                                 "smart_charging": 1.1, "heat_pump": 1.05},
                                assumptions)
-    assert assert_matches_oracle(perturbed(base, 29, 120), assumptions) > 0
+    codes = assert_matches_oracle(perturbed(base, 29, 120), assumptions)
+    assert codes[FEASIBLE] < sum(codes.values())
 
 
 def test_unsuitable_pairing_is_infeasible_everywhere():
@@ -91,6 +149,7 @@ def test_unsuitable_pairing_is_infeasible_everywhere():
     batch = evaluate_batch(SchemeKind.SMART_CHARGING, app, columns, BASE.assumptions)
     assert not batch.feasible.any()
     assert np.isnan(batch.lcodr_vf).all()
+    assert (batch.reason == UNSUITABLE).all()
 
 
 def _value_strategy(spec):
@@ -151,8 +210,8 @@ def test_batch_equals_oracle_at_named_bounds(key, value):
 
 
 def test_monte_carlo_rows_equal_the_oracle():
-    """Every sample row of a Monte-Carlo run: the kernel's values equal
-    evaluate_pairing's on that row's perturbed parameter set."""
+    """Every sample row of a Monte-Carlo run: the kernel's values equal the
+    oracle's on that row's perturbed parameter set."""
     cfg = McConfig(samples=60, seed=23)
     dists = run_monte_carlo(list(SchemeKind), APPS, BASE, cfg)
     pairings = [(scheme, app) for scheme in SchemeKind for app in APPS]
@@ -160,12 +219,104 @@ def test_monte_carlo_rows_equal_the_oracle():
     for i in range(cfg.samples):
         params = perturb_parameters(BASE, cfg, i)
         for (scheme, app), d in zip(pairings, dists):
-            ev = evaluate_pairing(scheme, app, params)
-            assert bool(d.feasible[i]) == ev.feasible, (scheme, app.name, i)
+            want = oracle.evaluate_pairing(scheme, app, params)
+            assert bool(d.feasible[i]) == want.feasible, (scheme, app.name, i)
             got = (d.samples[i],) + tuple(d.components[c][i] for c in COST_COMPONENTS)
-            if ev.feasible:
-                assert got == oracle_values(ev), (scheme, app.name, i)
+            if want.feasible:
+                b = want.breakdown
+                assert got == (b.lcodr_vf, b.investment, b.om_pv, b.rewards_pv,
+                               b.rebound_pv, b.eol_pv), (scheme, app.name, i)
             else:
                 infeasible += 1
                 assert all(math.isnan(v) for v in got), (scheme, app.name, i)
     assert infeasible > 0
+
+
+# ---------------------------------------------------------------------------
+# Each reachable reason
+# ---------------------------------------------------------------------------
+
+def _params(**values):
+    return build_parameter_set(dict(parameter_values(BASE), **values), None,
+                               BASE.assumptions)
+
+
+LONG = ApplicationSpec("Long", 100_000.0, 30.0, 10.0, frozenset(SchemeKind))
+ARBITRAGE = next(a for a in APPS if a.name == "Energy arbitrage")
+DEFERRAL = next(a for a in APPS if a.name == "T&D investment deferral")
+BLACK_START = next(a for a in APPS if a.name == "Black start")
+
+
+@pytest.mark.parametrize("scheme,app,params,code", [
+    (SchemeKind.SMART_CHARGING, BLACK_START, BASE, UNSUITABLE),
+    (SchemeKind.V2G, DEFERRAL, BASE, PLUGIN_OVER_24H),
+    (SchemeKind.SMART_CHARGING, LONG, BASE, PLUGIN_OVER_24H),
+    (SchemeKind.SMART_CHARGING, ARBITRAGE, _params(home_charge_fraction=0.0), ZERO_SHIFTABLE),
+    (SchemeKind.SMART_HEAT_PUMP, ARBITRAGE, _params(building_temp_divergence=0.0),
+     ZERO_SHIFTABLE),
+    # both checks fail: the plug-in time is checked first, as in the oracle
+    (SchemeKind.SMART_CHARGING, LONG, _params(home_charge_fraction=0.0), PLUGIN_OVER_24H),
+], ids=["unsuitable", "v2g_over_24h", "smart_charging_over_24h",
+        "smart_charging_no_shiftable_power", "smart_heat_pump_no_shiftable_power",
+        "plugin_time_before_shiftable_power"])
+def test_each_reason_matches_the_oracle(scheme, app, params, code):
+    want = oracle.evaluate_pairing(scheme, app, params)
+    assert oracle_code(want) == code
+    columns = batch_columns(np.array([batch_row(params)]))
+    batch = evaluate_batch(scheme, app, columns, params.assumptions)
+    assert batch.reason.dtype == np.int8
+    assert_kernel_row(batch, 0, want)
+    assert_wrapper_matches(scheme, app, params, want)
+    assert size_pairing(scheme, app, params) == oracle.size_pairing(scheme, app, params)
+
+
+def test_reason_texts():
+    unsuitable = evaluate_pairing(SchemeKind.SMART_CHARGING, BLACK_START, BASE)
+    assert unsuitable.reason == "smart_charging cannot service 'Black start'"
+    assert size_pairing(SchemeKind.SMART_CHARGING, BLACK_START, BASE).reason == \
+        "unsuitable: smart_charging cannot service 'Black start'"
+    # 2 * (8 + 42 / 6.808) + 0.735 = 29.07 h of daily plug-in
+    over = evaluate_pairing(SchemeKind.V2G, DEFERRAL, BASE)
+    assert over.reason == "infeasible: required plug-in time 29.07 h exceeds 24 h"
+    assert over.sizing == SizingResult(SchemeKind.V2G, feasible=False, reason=over.reason)
+    no_power = evaluate_pairing(SchemeKind.SMART_HEAT_PUMP, ARBITRAGE,
+                                _params(building_temp_divergence=0.0))
+    assert no_power.reason == "infeasible: average shiftable power must be > 0"
+
+
+def test_size_pairing_is_the_evaluation_sizing():
+    params = ParameterSet()
+    for scheme in SchemeKind:
+        for app in APPS:
+            assert size_pairing(scheme, app, params) == \
+                oracle.size_pairing(scheme, app, params), (scheme, app.name)
+
+
+# ---------------------------------------------------------------------------
+# The oracle itself
+# ---------------------------------------------------------------------------
+
+def test_oracle_imports_nothing_from_lcodr_but_the_model():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in the oracle"
+            modules = [node.module]
+        elif isinstance(node, ast.Name):
+            assert node.id not in ("__import__", "importlib"), node.id
+            continue
+        else:
+            continue
+        for module in modules:
+            if module == "lcodr" or module.startswith("lcodr."):
+                assert module == "lcodr.model", f"the oracle imports {module}"
+
+
+def test_build_cash_flows_requires_feasible_sizing():
+    params = ParameterSet()
+    bad = SizingResult(scheme=SchemeKind.V2G, feasible=False, reason="infeasible: x")
+    app = ApplicationSpec("a", 1000.0, 1.0, 10.0, frozenset({SchemeKind.V2G}))
+    with pytest.raises(oracle.InfeasibleInput):
+        oracle.build_cash_flows(SchemeKind.V2G, app, bad, params)

@@ -39,6 +39,20 @@ def test_run_application_filter(tmp_path):
     assert {r["application"] for r in rows} == {"Energy arbitrage"}
 
 
+def test_repeated_scheme_is_kept_once(tmp_path):
+    argv = ["mc", "--samples", "50", "--applications", "Energy arbitrage"]
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    assert main(argv + ["--schemes", "hp_thermal_storage", "--out", str(once)]) == 0
+    assert main(argv + ["--schemes", "hp_thermal_storage,hp_thermal_storage",
+                        "--out", str(twice)]) == 0
+    for name in ("lcodr_mc.csv", "cheapest_probability.csv", "cost_composition.csv"):
+        assert (twice / name).read_bytes() == (once / name).read_bytes(), name
+    probabilities = read_csv(twice / "cheapest_probability.csv")
+    assert sum(float(r["probability"]) for r in probabilities) == pytest.approx(1.0)
+    assert main(["run", "--schemes", "v2g,v2g", "--out", str(tmp_path / "run")]) == 0
+    assert len(read_csv(tmp_path / "run" / "lcodr_deterministic.csv")) == 12
+
+
 def test_run_unknown_application_is_config_error(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o"),
                  "--applications", "Not A Service"]) == 2

@@ -5,16 +5,11 @@ import pytest
 from lcodr.costing import (
     CashFlowSchedule,
     InfeasibleInput,
-    NonPositiveValueFactor,
     ZeroEnergy,
-    apply_value_factor,
-    build_cash_flows,
     evaluate_pairing,
     lcodr_energy,
-    lcodr_power,
     monthly_reward_per_asset,
     present_value_annual,
-    rebound_factor,
 )
 from lcodr.model import (
     ApplicationSpec,
@@ -23,7 +18,11 @@ from lcodr.model import (
     ParameterSet,
     SchemeKind,
     SizingResult,
+    ValidationError,
+    ValueFactorTable,
 )
+
+ARBITRAGE = ApplicationSpec("Energy arbitrage", 100_000.0, 4.0, 300.0, frozenset(SchemeKind))
 
 
 def annuity(r, years):
@@ -97,14 +96,18 @@ def test_reward_floor_under_perturbation():
 
 
 def test_rebound_factor():
+    def factor(scheme, params):
+        # rebound PV over the PV of the shifted energy at 50 $/MWh
+        b = evaluate_pairing(scheme, ARBITRAGE, params).breakdown
+        return b.rebound_pv / (b.energy_pv * 50.0)
+
     params = ParameterSet()
     # V2G loses efficiency on discharge and recharge: 1/0.92^2 = 1.1815
-    assert rebound_factor(SchemeKind.V2G, params) == pytest.approx(1.18147, rel=1e-4)
-    assert rebound_factor(SchemeKind.SMART_CHARGING, params) == 1.0
-    assert rebound_factor(SchemeKind.HP_THERMAL_STORAGE, params) == 1.0
+    assert factor(SchemeKind.V2G, params) == pytest.approx(1.18147, rel=1e-4)
+    assert factor(SchemeKind.SMART_CHARGING, params) == pytest.approx(1.0, rel=1e-12)
+    assert factor(SchemeKind.HP_THERMAL_STORAGE, params) == pytest.approx(1.0, rel=1e-12)
     simple = ParameterSet(assumptions=Assumptions(v2g_rebound_roundtrip=False))
-    assert rebound_factor(SchemeKind.V2G, simple) == 1.0
-
+    assert factor(SchemeKind.V2G, simple) == pytest.approx(1.0, rel=1e-12)
 
 def test_rebound_only_lcodr_equals_energy_price():
     # with every other cost zero, the levelised cost is exactly the rebound
@@ -129,13 +132,10 @@ def test_eol_discounted_one_year_after_life():
 
 
 def test_lcodr_power_term():
-    cf = CashFlowSchedule(investment_t0=1000.0, annual_om=0.0, annual_rewards=0.0,
-                          annual_rebound=0.0, eol_cost=0.0, annual_energy=10.0,
-                          lifetime_years=15, discount_rate=0.08)
-    # 1000 / (100 kW * annuity) $/kW-year
-    assert lcodr_power(cf, 100.0) == pytest.approx(
-        1000.0 / (100.0 * annuity(0.08, 15)), rel=1e-12)
-
+    b = evaluate_pairing(SchemeKind.SMART_HEAT_PUMP, ARBITRAGE, ParameterSet()).breakdown
+    # total cost / (100,000 kW * annuity) $/kW-year
+    assert b.lcodr_power == pytest.approx(
+        b.total_cost_pv / (100_000.0 * annuity(0.08, 15)), rel=1e-12)
 
 def test_zero_energy_and_value_factor_guards():
     cf = CashFlowSchedule(investment_t0=1.0, annual_om=0.0, annual_rewards=0.0,
@@ -143,24 +143,20 @@ def test_zero_energy_and_value_factor_guards():
                           lifetime_years=5, discount_rate=0.05)
     with pytest.raises(ZeroEnergy):
         lcodr_energy(cf)
-    with pytest.raises(NonPositiveValueFactor):
-        apply_value_factor(100.0, 0.0)
-    assert apply_value_factor(100.0, 1.25) == 80.0
+    with pytest.raises(ValidationError):
+        ValueFactorTable(smart_charging=0.0)
+    params = ParameterSet(value_factors=ValueFactorTable(smart_charging=1.25))
+    b = evaluate_pairing(SchemeKind.SMART_CHARGING, ARBITRAGE, params).breakdown
+    assert b.value_factor == 1.25
+    assert b.lcodr_vf == b.lcodr_energy / 1.25
 
-
-def test_build_cash_flows_requires_feasible_sizing():
-    params = ParameterSet()
+def test_monthly_reward_requires_feasible_sizing():
     bad = SizingResult(scheme=SchemeKind.V2G, feasible=False, reason="infeasible: x")
-    app = ApplicationSpec("a", 1000.0, 1.0, 10.0, frozenset({SchemeKind.V2G}))
     with pytest.raises(InfeasibleInput):
-        build_cash_flows(SchemeKind.V2G, app, bad, params)
-
+        monthly_reward_per_asset(SchemeKind.V2G, bad, ParameterSet())
 
 def test_evaluate_pairing_v2g_arbitrage():
-    params = ParameterSet()
-    app = ApplicationSpec("Energy arbitrage", 100_000.0, 4.0, 300.0,
-                          frozenset(SchemeKind))
-    result = evaluate_pairing(SchemeKind.V2G, app, params)
+    result = evaluate_pairing(SchemeKind.V2G, ARBITRAGE, ParameterSet())
     assert result.feasible
     assert result.sizing.binding_constraint is BindingConstraint.POWER
     b = result.breakdown

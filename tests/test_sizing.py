@@ -12,24 +12,18 @@ from lcodr.model import (
     SchemeKind,
 )
 from lcodr.sizing import (
+    AreaTooSmall,
     InfeasibleDuration,
     RptTooShort,
-    ZeroShiftablePower,
-    hp_cycle_adjusted_assets,
     hp_max_discharge_duration,
-    hp_power_reduction,
     min_required_plugin_time,
     min_tank_area,
     size_pairing,
     smart_charging_max_discharge_duration,
     tank_mass_from_area,
     thermal_storage_max_discharge_duration,
-    unidirectional_assets,
     v2g_availability_factor,
-    v2g_chargers_for_energy,
-    v2g_chargers_for_power,
     v2g_max_discharge_duration,
-    v2g_required_available,
 )
 
 EV = EvParameters()
@@ -43,21 +37,23 @@ def app(power_mw, duration_h, cycles, schemes=frozenset(SchemeKind)):
 
 def test_v2g_charger_counts():
     # 100,000 kW / 6.808 kW per charger = 14,688.6 chargers
-    assert v2g_chargers_for_power(100_000.0, EV) == pytest.approx(14688.60, rel=1e-4)
-    # 100 MW * 4 h / 42 kWh per battery band = 9,523.8 chargers
-    arb = app(100, 4, 300)
-    assert v2g_chargers_for_energy(arb, EV) == pytest.approx(9523.81, rel=1e-4)
-    n, binding = v2g_required_available(arb, EV)
-    assert binding is BindingConstraint.POWER      # 14,689 > 9,524
-    assert n == pytest.approx(14688.60, rel=1e-4)
-
+    res = size_pairing(SchemeKind.V2G, app(100, 4, 300), ParameterSet())
+    assert res.binding_constraint is BindingConstraint.POWER      # 14,689 > 9,524
+    assert res.available_assets == pytest.approx(14688.60, rel=1e-4)
+    # a 22 kW charger (20.24 kW effective) binds on energy instead:
+    # 100 MW * 4 h / 42 kWh per battery band = 9,523.8 chargers > 4,940.7
+    fast = ParameterSet(ev=EvParameters(charger_power=22.0))
+    res = size_pairing(SchemeKind.V2G, app(100, 4, 300), fast)
+    assert res.binding_constraint is BindingConstraint.ENERGY
+    assert res.available_assets == pytest.approx(9523.81, rel=1e-4)
 
 def test_v2g_energy_binding():
-    # 8 h duration: energy count 100,000*8/42 = 19,047.6 > 14,688.6 power count
-    n, binding = v2g_required_available(app(100, 8, 300), EV)
-    assert binding is BindingConstraint.ENERGY
-    assert n == pytest.approx(19047.62, rel=1e-4)
-
+    # 8 h duration: energy count 100,000*8/42 = 19,047.6 > 14,688.6 power
+    # count; with a 22 kW charger the 8 h plug-in requirement fits in 24 h
+    fast = ParameterSet(ev=EvParameters(charger_power=22.0))
+    res = size_pairing(SchemeKind.V2G, app(100, 8, 300), fast)
+    assert res.binding_constraint is BindingConstraint.ENERGY
+    assert res.available_assets == pytest.approx(19047.62, rel=1e-4)
 
 def test_availability_factor():
     # (11.5 - 0.735) / 24 = 0.4485
@@ -68,10 +64,13 @@ def test_availability_factor():
 
 def test_unidirectional_assets():
     # 100,000 kW / 0.46 kW = 217,391.3 heat pumps
-    assert unidirectional_assets(100_000.0, 0.46) == pytest.approx(217391.3, rel=1e-4)
-    with pytest.raises(ZeroShiftablePower):
-        unidirectional_assets(1.0, 0.0)
-
+    res = size_pairing(SchemeKind.HP_THERMAL_STORAGE, app(100, 4, 300), ParameterSet())
+    assert res.contracted_assets == pytest.approx(217391.3, rel=1e-4)
+    assert res.available_assets == res.contracted_assets
+    no_home_charging = ParameterSet(ev=EvParameters(home_charge_fraction=0.0))
+    res = size_pairing(SchemeKind.SMART_CHARGING, app(1, 1, 10), no_home_charging)
+    assert not res.feasible
+    assert res.reason == "infeasible: average shiftable power must be > 0"
 
 def test_min_required_plugin_time_v2g():
     # recharge of the 42 kWh band takes 42/6.808 = 6.169 h; a 0.5 h discharge
@@ -96,23 +95,26 @@ def test_hp_power_reduction_and_duration():
     # heat band 34780 kJ/K * 1.67 K / 3600 = 16.13 kWh of electricity-equivalent
     # full active power can be shed up to 2*16.13/(1.68*2.71) = 7.088 h
     assert hp_max_discharge_duration(HEAT) == pytest.approx(7.088, rel=1e-3)
-    assert hp_power_reduction(4.0, HEAT) == pytest.approx(HEAT.hp_active_power)
+    params = ParameterSet()
+    res = size_pairing(SchemeKind.SMART_HEAT_PUMP, app(100, 4, 300), params)
+    assert res.power_reduction == pytest.approx(HEAT.hp_active_power)
     # beyond the limit the reduction shrinks proportionally
-    red = hp_power_reduction(10.0, HEAT)
+    red = size_pairing(SchemeKind.SMART_HEAT_PUMP, app(100, 10, 300), params).power_reduction
     assert red == pytest.approx(2 * 16.1346 / (2.71 * 10.0), rel=1e-3)
     assert red < HEAT.hp_active_power
 
-
 def test_hp_cycle_adjustment():
-    # allowance 12*3.33 = 39.96 activations a year
-    assert hp_cycle_adjusted_assets(100.0, 300.0, 3.33) == pytest.approx(
-        100.0 * 300.0 / 39.96)
-    # fewer cycles than allowed never shrinks the fleet in scale_up mode
-    assert hp_cycle_adjusted_assets(100.0, 10.0, 3.33) == 100.0
-    # the printed-variant comparison mode applies the reciprocal factor
-    assert hp_cycle_adjusted_assets(100.0, 10.0, 3.33, "as_printed") == \
-        pytest.approx(100.0 * 39.96 / 10.0)
+    def growth(cycles, direction="scale_up"):
+        params = ParameterSet(assumptions=Assumptions(cycle_constraint_direction=direction))
+        res = size_pairing(SchemeKind.SMART_HEAT_PUMP, app(100, 1, cycles), params)
+        return res.contracted_assets / res.available_assets
 
+    # allowance 12*3.33 = 39.96 activations a year
+    assert growth(300.0) == pytest.approx(300.0 / 39.96)
+    # fewer cycles than allowed never shrinks the fleet in scale_up mode
+    assert growth(10.0) == 1.0
+    # the printed-variant comparison mode applies the reciprocal factor
+    assert growth(10.0, "as_printed") == pytest.approx(39.96 / 10.0)
 
 def test_min_tank_area_fixture():
     # 4 h at full active power: 1.68*2.71*4 = 18.21 kWh thermal
@@ -127,7 +129,6 @@ def test_min_tank_area_fixture():
 
 
 def test_tank_mass_rejects_tiny_area():
-    from lcodr.sizing import AreaTooSmall
     with pytest.raises(AreaTooSmall):
         tank_mass_from_area(0.005, HEAT)
 

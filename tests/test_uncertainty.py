@@ -116,12 +116,13 @@ def test_run_monte_carlo_deterministic_across_workers():
 
 def test_run_monte_carlo_never_calls_the_scalar_path(monkeypatch):
     import lcodr.costing
+    import lcodr.sizing
 
     def forbidden(*args):
         raise AssertionError("scalar path called")
 
     monkeypatch.setattr(lcodr.costing, "evaluate_pairing", forbidden)
-    monkeypatch.setattr(lcodr.costing, "size_pairing", forbidden)
+    monkeypatch.setattr(lcodr.sizing, "size_pairing", forbidden)
     dists, _ = _small_run(5)
     assert any(d.feasible.any() for d in dists)
 
