@@ -3,9 +3,10 @@
 How many demand-response assets a storage application needs, and the
 contract terms that follow: the required plug-in time of EV schemes and the
 tank geometry of thermal storage. The sizing itself is done, for one sample
-or many, by `costing.evaluate_batch`; the formulas it shares with the named
+or many, by `costing.evaluate_batch`. The formulas it shares with the named
 functions below take floats and numpy columns alike, so each is written
-once. The named functions add only their domain errors.
+once, and a named function adds only its domain errors. The forward
+duration limits, which invert those formulas, are used by no kernel.
 
 `size_pairing` sizes one pairing on one ParameterSet. It never raises for
 domain outcomes: unsuitable or infeasible pairings come back as a
