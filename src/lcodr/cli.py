@@ -120,10 +120,6 @@ def _hash_dict(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _hash_file(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
 def _write_manifest(out: Path, run_id: str, args, params, data_hashes: dict,
                     extra: Optional[dict] = None) -> None:
     assumptions = params.assumptions
@@ -176,30 +172,38 @@ def _load(args):
     return params, apps, schemes
 
 
-#: Profile inputs: (flag dest, loader of a file, DataBundle attribute used
-#: when the flag is not given). The loaders look their functions up at call
-#: time, so a wrapper installed on the module names sees every load.
+#: Profile inputs: (flag dest, loader of a file that also feeds a digest,
+#: DataBundle attribute used when the flag is not given). The loaders look
+#: their functions up at call time, so a wrapper installed on the module
+#: names sees every load.
 _PROFILE_INPUTS = (
-    ("price", lambda path: load_timeseries_csv(path, unit="$/MWh"), "price"),
-    ("ev_pool", lambda path: load_profile_pool_csv(path), "ev_charging_pool"),
-    ("hp_pool", lambda path: load_profile_pool_csv(path), "heating_pool"),
-    ("v2g_power", lambda path: AvailabilityProfile(
-        ProfileKind.V2G_POWER_BOUNDARY, load_timeseries_csv(path, unit="kW")), "v2g_power"),
-    ("v2g_boundaries", lambda path: load_boundary_csv(path), "v2g_energy"),
+    ("price", lambda path, digest: load_timeseries_csv(path, unit="$/MWh", digest=digest),
+     "price"),
+    ("ev_pool", lambda path, digest: load_profile_pool_csv(path, digest=digest),
+     "ev_charging_pool"),
+    ("hp_pool", lambda path, digest: load_profile_pool_csv(path, digest=digest),
+     "heating_pool"),
+    ("v2g_power", lambda path, digest: AvailabilityProfile(
+        ProfileKind.V2G_POWER_BOUNDARY, load_timeseries_csv(path, unit="kW", digest=digest)),
+     "v2g_power"),
+    ("v2g_boundaries", lambda path, digest: load_boundary_csv(path, digest=digest),
+     "v2g_energy"),
 )
 
 
 def _load_profile_data(args):
     """Price and availability profiles, from files when given, otherwise the
     bundled synthetic dataset. Returns ({flag: profile}, {flag: data hash}),
-    both in _PROFILE_INPUTS order."""
+    both in _PROFILE_INPUTS order; a file is hashed from the bytes its loader
+    reads."""
     profiles, hashes = {}, {}
     bundle = None
     for flag, load, attribute in _PROFILE_INPUTS:
         path = getattr(args, flag)
         if path:
-            profiles[flag] = load(path)
-            hashes[flag] = _hash_file(path)
+            digest = hashlib.sha256()
+            profiles[flag] = load(path, digest)
+            hashes[flag] = digest.hexdigest()[:16]
         else:
             if bundle is None:
                 bundle = default_bundle()
@@ -319,8 +323,9 @@ def cmd_vf(args) -> int:
 def cmd_mc(args) -> int:
     params, apps, schemes = _load(args)
     params, data_hashes = _with_computed_value_factors(params, args)
-    lcos = load_lcos_reference(args.lcos)
-    data_hashes["lcos"] = _hash_file(args.lcos) if args.lcos else "bundled"
+    digest = hashlib.sha256()
+    lcos = load_lcos_reference(args.lcos, digest=digest)
+    data_hashes["lcos"] = digest.hexdigest()[:16] if args.lcos else "bundled"
     cfg = McConfig(samples=args.samples, sigma_inputs=args.sigma,
                    sigma_vf=args.sigma_vf, seed=args.seed,
                    lcos_sampling=LcosSampling(args.lcos_sampling))

@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import re
 from dataclasses import dataclass, field
+from functools import partial
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
@@ -69,19 +72,31 @@ class NonNumericValue(DataError):
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
+#: Bytes read from a CSV file at a time. Each block is cut after its last line
+#: end, so that it holds whole lines and decodes on its own.
+_BLOCK_BYTES = 1 << 20
+#: Every byte but the four that csv.reader treats specially.
+_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"')))
+#: One line as a file opened with newline="" yields it to csv.reader.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
-def _parse_timestamps(column: List[str], name: str, path: str) -> np.ndarray:
-    """Microseconds since the epoch of each ISO 8601 timestamp of a column;
-    naive timestamps are UTC. Each distinct text is parsed once, in
-    first-occurrence order, so the first text that fails is on the first
+
+def _parse_timestamps(column: List[str], name: str, path: str, row: int = 2,
+                      parsed: Optional[dict] = None) -> np.ndarray:
+    """Microseconds since the epoch of each ISO 8601 timestamp of a column
+    whose first text is on file row `row`; naive timestamps are UTC. Each
+    distinct text is parsed once into `parsed` (shared by a file's blocks),
+    in first-occurrence order, so the first text that fails is on the first
     bad row."""
-    parsed = {}
+    parsed = {} if parsed is None else parsed
     for text in dict.fromkeys(column):
+        if text in parsed:
+            continue
         try:
             ts = datetime.fromisoformat(text.strip())
         except ValueError:
             raise NonNumericValue(f"unparseable timestamp {text!r}", path,
-                                  column.index(text) + 2) from None
+                                  row + column.index(text)) from None
         if ts.tzinfo is None:
             ts = ts.replace(tzinfo=timezone.utc)
         parsed[text] = (ts - _EPOCH) // _MICROSECOND
@@ -98,65 +113,185 @@ def _parse_number(text: str, column: str, path: str, row: int) -> float:
     return value
 
 
-def _parse_numbers(column: List[str], name: str, path: str) -> np.ndarray:
-    """The finite floats of a column. Only when one fails does the per-row
-    _parse_number run, to name the first bad row."""
+def _parse_numbers(column: List[str], name: str, path: str, row: int = 2) -> np.ndarray:
+    """The finite floats of a column whose first text is on file row `row`.
+    Only when one fails does the per-row _parse_number run, to name the
+    first bad row."""
     try:
         values = np.fromiter(map(float, column), np.float64, len(column))
         if np.isfinite(values).all():
             return values
     except ValueError:
         pass
-    return np.array([_parse_number(t, name, path, r) for r, t in enumerate(column, start=2)])
+    return np.array([_parse_number(t, name, path, r) for r, t in enumerate(column, start=row)])
 
 
-def _read_columns(path: str, columns, text: Optional[str] = None) -> list:
-    """Read a CSV (the file at path, or text) once into one list of strings
-    per (name, column_parser) pair; return each column parsed whole into an
-    array by column_parser(strings, name, path) (None: the strings). Rows are
-    numbered as csv.DictReader yields them: header row 1, blank lines
-    skipped. A repeated header name means its last occurrence. The first bad
-    row is reported, within a row the leftmost column."""
-    names = [name for name, _ in columns]
-    texts: List[List[str]] = [[] for _ in columns]
-    errors = []
+def _parse_codes(column: List[str], name: str, path: str, row: int,
+                 codes: dict) -> np.ndarray:
+    """The code of each text of a column; `codes` (shared by a file's blocks)
+    numbers the distinct texts in first-occurrence order."""
+    for text in dict.fromkeys(column):
+        codes.setdefault(text, len(codes))
+    return np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
+
+
+def _blocks(fh, digest):
+    """(bytes, text) of each block of the binary file fh: about _BLOCK_BYTES,
+    cut after the last line end (a longer line is read whole). Every read
+    also goes to digest, when given."""
+    carry = b""
+    while raw := fh.read(_BLOCK_BYTES):
+        if digest is not None:
+            digest.update(raw)
+        cut = raw.rfind(b"\n") + 1
+        if cut:
+            block, carry = carry + raw[:cut], raw[cut:]
+            yield block, block.decode("utf-8")
+        else:
+            carry += raw
+    if carry:
+        yield carry, carry.decode("utf-8")
+
+
+def _lines_within(raw: bytes, limit: int) -> bool:
+    """Whether no line of raw is longer than limit bytes."""
+    start = 0
+    while len(raw) - start > limit:
+        end = raw.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return False
+        start = end + 1
+    return True
+
+
+def _split(raw: bytes, text: str):
+    """(fields, n) of a block by whole-text splits, when every line has the
+    same n >= 2 fields and the block has no quote, no CR and no line longer
+    than csv's field size limit, so that csv.reader would read the same
+    records. Otherwise None."""
+    delimiters = raw.translate(None, _PLAIN_BYTES)
+    if not raw.endswith(b"\n"):
+        delimiters += b"\n"
+    n = delimiters.find(b"\n") + 1
+    if (n < 2 or delimiters != (b"," * (n - 1) + b"\n") * (len(delimiters) // n)
+            or not _lines_within(raw, csv.field_size_limit())):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    if raw.endswith(b"\n"):
+        fields.pop()   # the empty text after the last line end
+    return fields, n
+
+
+def _csv_records(blocks):
+    """(records, 0) per block from one csv.reader over the blocks' lines: the
+    records that end in the block. Before a csv or decoding error is raised,
+    the records read ahead of it are yielded."""
+    block = 0
+
+    def lines():
+        nonlocal block
+        for _, text in blocks:
+            block += 1
+            yield from _LINE.findall(text)
+
+    reader = csv.reader(lines())
+    records, ends_in = [], 1
     try:
-        with (open(path, encoding="utf-8", newline="") if text is None
-              else io.StringIO(text)) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            for name in names:
-                if name not in header:
-                    raise MissingColumn(f"missing column {name!r} (found {header})", path, 1)
-            index = [len(header) - 1 - header[::-1].index(name) for name in names]
-            width = max(index)
-            appends = [(column.append, i) for column, i in zip(texts, index)]
-            for record in reader:
-                if len(record) > width:
-                    for append, i in appends:
-                        append(record[i])
-                elif record:   # a short row ends the read; blank lines are skipped
-                    missing = next(n for n, i in zip(names, index) if i >= len(record))
-                    errors.append(DataError(f"missing field {missing!r}", path,
-                                            len(texts[0]) + 2))
-                    break
+        for record in reader:
+            if block != ends_in:
+                yield records, 0
+                records, ends_in = [], block
+            records.append(record)
+    except (csv.Error, UnicodeDecodeError):
+        yield records, 0
+        raise
+    yield records, 0
+
+
+def _tables(blocks):
+    """Each block's records: (fields, n fields per record) by _split, until the
+    first block it cannot model; from there the rest of the file goes to
+    csv.reader, exactly, since every earlier block ended on a record."""
+    for raw, text in blocks:
+        table = _split(raw, text)
+        if table is None:
+            yield from _csv_records(itertools.chain([(raw, text)], blocks))
+            return
+        yield table
+
+
+def _columns(table, n: int, index: List[int]):
+    """(the texts at each index of the leading full records of a block's
+    table, the position in index of the field that the next record lacks,
+    or None). A table is (fields, n) or (records, 0); blank records are
+    skipped."""
+    width = max(index)
+    if n:
+        if n > width:
+            return [table[i::n] for i in index], None
+        return [[] for _ in index], (next(k for k, i in enumerate(index) if i >= n)
+                                     if table else None)
+    records = [record for record in table if record]
+    full = next((k for k, record in enumerate(records) if len(record) <= width), len(records))
+    short = None
+    if full < len(records):
+        short = next(k for k, i in enumerate(index) if i >= len(records[full]))
+    return [[record[i] for record in records[:full]] for i in index], short
+
+
+def _read_columns(path: str, columns, text: Optional[str] = None, digest=None) -> list:
+    """Read a CSV (the file at path, or text) one block of _BLOCK_BYTES at a
+    time, and parse each (name, column_parser) pair's texts of a block as it
+    goes, by column_parser(texts, name, path, row of texts[0]) (None: keep
+    the strings); return each column's parts joined. Only one block's
+    strings are held at a time. Every byte read also goes to digest.
+
+    Rows are numbered as csv.DictReader yields them: header row 1, blank
+    lines skipped. A repeated header name means its last occurrence; extra
+    trailing fields are ignored; a short row ends the read. The first bad row
+    is reported, within a row the leftmost column. The read stops at the
+    first block with an error, so an earlier block's error wins."""
+    names = [name for name, _ in columns]
+    parts: List[list] = [[] for _ in columns]
+    header, rows = None, 0   # data rows read so far
+    try:
+        with (open(path, "rb") if text is None
+              else io.BytesIO(text.encode("utf-8"))) as fh:
+            for table, n in _tables(_blocks(fh, digest)):
+                if header is None:
+                    if not table:
+                        continue
+                    header, table = (table[:n], table[n:]) if n else (table[0], table[1:])
+                    for name in names:
+                        if name not in header:
+                            raise MissingColumn(f"missing column {name!r} (found {header})",
+                                                path, 1)
+                    index = [len(header) - 1 - header[::-1].index(name) for name in names]
+                texts, short = _columns(table, n, index)
+                errors = []
+                for (name, parse), column, part in zip(columns, texts, parts):
+                    try:
+                        part.append(column if parse is None
+                                    else parse(column, name, path, rows + 2))
+                    except DataError as exc:
+                        errors.append(exc)
+                rows += len(texts[0])
+                if short is not None:
+                    errors.append(DataError(f"missing field {names[short]!r}", path, rows + 2))
+                if errors:
+                    raise min(errors, key=lambda e: e.row)
     except FileNotFoundError:
         raise DataError("file not found", path) from None
-    except (OSError, UnicodeDecodeError) as exc:   # decoding runs ahead of the rows
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file ({exc})", path) from None
     except csv.Error as exc:
-        raise DataError(f"unreadable CSV ({exc})", path, len(texts[0]) + 2) from None
-    if not texts[0] and not errors:
+        raise DataError(f"unreadable CSV ({exc})", path, rows + 2) from None
+    if header is None:
+        raise MissingColumn(f"missing column {names[0]!r} (found [])", path, 1)
+    if not rows:
         raise DataError("file has a header but no data rows", path)
-    arrays = []
-    for (name, parse), column in zip(columns, texts):
-        try:
-            arrays.append(column if parse is None else parse(column, name, path))
-        except DataError as exc:
-            errors.append(exc)
-    if errors:
-        raise min(errors, key=lambda e: e.row)
-    return arrays
+    return [list(itertools.chain.from_iterable(part)) if parse is None else np.concatenate(part)
+            for (_, parse), part in zip(columns, parts)]
 
 
 def _grid(us: np.ndarray, rows: np.ndarray, path: str, what: str = "a series"):
@@ -176,35 +311,37 @@ def _grid(us: np.ndarray, rows: np.ndarray, path: str, what: str = "a series"):
     return _EPOCH + timedelta(microseconds=int(us[0])), float(d[0])
 
 
-def _read_series(path: str, value_columns: Tuple[str, ...], unit: str) -> List[TimeSeries]:
+def _read_series(path: str, value_columns: Tuple[str, ...], unit: str,
+                 digest) -> List[TimeSeries]:
     """One TimeSeries per value column of a `timestamp,<value columns>` CSV."""
-    us, *values = _read_columns(path, [("timestamp", _parse_timestamps)]
-                                + [(name, _parse_numbers) for name in value_columns])
+    us, *values = _read_columns(path, [("timestamp", partial(_parse_timestamps, parsed={}))]
+                                + [(name, _parse_numbers) for name in value_columns],
+                                digest=digest)
     start, interval = _grid(us, np.arange(2, len(us) + 2), path)
     return [TimeSeries(start, interval, v, unit) for v in values]
 
 
-def load_timeseries_csv(path: str, unit: str = "") -> TimeSeries:
+def load_timeseries_csv(path: str, unit: str = "", *, digest=None) -> TimeSeries:
     """Load a `timestamp,value` CSV into a validated TimeSeries."""
-    return _read_series(path, ("value",), unit)[0]
+    return _read_series(path, ("value",), unit, digest)[0]
 
 
-def load_boundary_csv(path: str, unit: str = "kWh") -> AvailabilityProfile:
+def load_boundary_csv(path: str, unit: str = "kWh", *, digest=None) -> AvailabilityProfile:
     """Load a `timestamp,lower,upper` CSV into an energy-boundary profile."""
-    lower, upper = _read_series(path, ("lower", "upper"), unit)
+    lower, upper = _read_series(path, ("lower", "upper"), unit, digest)
     return AvailabilityProfile(ProfileKind.V2G_ENERGY_BOUNDARIES, lower, upper=upper)
 
 
 def load_profile_pool_csv(path: str, kind: ProfileKind = ProfileKind.UNIDIRECTIONAL_LOAD,
-                          unit: str = "kW") -> List[AvailabilityProfile]:
+                          unit: str = "kW", *, digest=None) -> List[AvailabilityProfile]:
     """Load a long-format `asset_id,timestamp,value` CSV into one profile
     per asset. Assets appear in first-occurrence order; each asset's block
     must form a valid grid on its own."""
-    assets, us, values = _read_columns(path, [("asset_id", None),
-                                              ("timestamp", _parse_timestamps),
-                                              ("value", _parse_numbers)])
-    codes = {asset_id: code for code, asset_id in enumerate(dict.fromkeys(assets))}
-    asset_index = np.fromiter(map(codes.__getitem__, assets), np.intp, len(assets))
+    codes: Dict[str, int] = {}
+    asset_index, us, values = _read_columns(
+        path, [("asset_id", partial(_parse_codes, codes=codes)),
+               ("timestamp", partial(_parse_timestamps, parsed={})),
+               ("value", _parse_numbers)], digest=digest)
     order = np.argsort(asset_index, kind="stable")   # each asset's rows, in file order
     profiles = []
     for asset_id, positions in zip(codes, np.split(order, np.cumsum(np.bincount(asset_index)))):
@@ -223,7 +360,7 @@ class LcosEntry:
     lcos_usd_per_mwh: float
 
 
-def load_lcos_reference(path: Optional[str] = None) -> List[LcosEntry]:
+def load_lcos_reference(path: Optional[str] = None, *, digest=None) -> List[LcosEntry]:
     """Load the storage-cost reference table; None loads the bundled file.
 
     The bundled values approximate published lifetime-cost projections for
@@ -235,7 +372,7 @@ def load_lcos_reference(path: Optional[str] = None) -> List[LcosEntry]:
             .read_text(encoding="utf-8")
         path = "<bundled lcos_reference.csv>"
     apps, techs, costs = _read_columns(path, [("application", None), ("technology", None),
-                                              ("lcos_usd_per_mwh", _parse_numbers)], text)
+                                              ("lcos_usd_per_mwh", _parse_numbers)], text, digest)
     return [LcosEntry(a.strip(), t.strip(), c) for a, t, c in zip(apps, techs, costs.tolist())]
 
 

@@ -30,7 +30,6 @@ batching changes no output.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -320,6 +319,8 @@ def run_monte_carlo(schemes: Sequence[SchemeKind], apps: Sequence[ApplicationSpe
         n_jobs = min(cfg.samples, workers * 4)
         bounds = [cfg.samples * k // n_jobs for k in range(n_jobs + 1)]
         jobs = [(base, cfg, lo, hi, pairings) for lo, hi in zip(bounds, bounds[1:])]
+        # imported here: the pool machinery costs every other command its import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_range, jobs))
     else:

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import importlib.resources
 import json
 from pathlib import Path
 
@@ -114,6 +116,24 @@ def test_vf_constant_price_gives_unit_factors(tmp_path):
     rows = read_csv(out / "value_factors.csv")
     for row in rows:
         assert float(row["value_factor"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_manifest_hashes_each_data_file_from_its_bytes(tmp_path):
+    """The loaders feed the manifest's sha256 while they read; it must be the
+    file's own, for split and csv.reader (quoted, CRLF) files alike."""
+    price = tmp_path / "price.csv"
+    price.write_bytes(b"timestamp,value\r\n" + b"".join(
+        f'2023-01-01T{h:02d}:00:00,"{h + 1}"\r\n'.encode() for h in range(24)))
+    lcos = tmp_path / "lcos.csv"
+    lcos.write_bytes(importlib.resources.files("lcodr").joinpath("lcos_reference.csv")
+                     .read_bytes())
+    assert main(["vf", "--out", str(tmp_path / "vf"), "--price", str(price)]) == 0
+    assert main(["mc", "--out", str(tmp_path / "mc"), "--samples", "2",
+                 "--lcos", str(lcos)]) == 0
+    for out, flag, path in (("vf", "price", price), ("mc", "lcos", lcos)):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["data_files"][flag] == \
+            hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def test_vf_subsample_deterministic(tmp_path):

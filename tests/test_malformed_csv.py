@@ -1,5 +1,7 @@
 """Property: `lcodr vf` on generated malformed CSVs ends in exit 0 or 3,
-never in an uncaught exception, and fails with one `error: data:` line."""
+never in an uncaught exception, and fails with one `error: data:` line.
+The quoted and CRLF mutations send the file through the reader's csv.reader
+tokenizer, the others through its whole-text splits."""
 
 import contextlib
 import io
@@ -15,7 +17,8 @@ from lcodr.cli import main
 
 START = datetime(2023, 1, 1)
 MUTATIONS = ["none", "drop_fields", "nan", "inf", "-inf", "garbage", "one_row",
-             "duplicate_timestamp", "swap_rows", "drop_row", "shift_asset", "blank_line"]
+             "duplicate_timestamp", "swap_rows", "drop_row", "shift_asset", "blank_line",
+             "quoted", "crlf"]
 
 
 def stamp(hour: int) -> str:
@@ -24,7 +27,8 @@ def stamp(hour: int) -> str:
 
 @st.composite
 def inputs(draw):
-    """(price rows, pool rows) with at most one mutation applied to one file."""
+    """(price rows, pool rows, line end) with at most one mutation applied to
+    one file."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     hours = draw(st.integers(2, 24))
     price = [[stamp(h), repr(v)] for h, v in enumerate(rng.uniform(1, 100, hours).tolist())]
@@ -55,25 +59,27 @@ def inputs(draw):
                 row[1] = (datetime.fromisoformat(row[1]) + timedelta(hours=1)).isoformat()
     elif mutation == "blank_line":
         rows.insert(i, [])
-    return price, pool
+    elif mutation == "quoted":   # a quoted field, sometimes holding a comma or a line end
+        column = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][column] = f'"{rows[i][column]}{draw(st.sampled_from(["", ",", chr(10)]))}"'
+    return price, pool, "\r\n" if mutation == "crlf" else "\n"
 
 
-def write(path: Path, header: str, rows) -> str:
-    path.write_text(header + "\n" + "".join(",".join(r) + "\n" for r in rows),
-                    encoding="utf-8")
+def write(path: Path, header: str, rows, end: str = "\n") -> str:
+    path.write_bytes((header + end + "".join(",".join(r) + end for r in rows)).encode("utf-8"))
     return str(path)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inputs())
 def test_vf_on_malformed_csv_exits_0_or_3_with_one_error_line(case):
-    price, pool = case
+    price, pool, end = case
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         hours = [stamp(h) for h in range(4)]
         argv = ["vf", "--out", str(d / "out"), "--subsample", "2", "--iterations", "3",
-                "--price", write(d / "price.csv", "timestamp,value", price),
-                "--ev-pool", write(d / "pool.csv", "asset_id,timestamp,value", pool),
+                "--price", write(d / "price.csv", "timestamp,value", price, end),
+                "--ev-pool", write(d / "pool.csv", "asset_id,timestamp,value", pool, end),
                 "--hp-pool", str(d / "pool.csv"),
                 "--v2g-power", write(d / "power.csv", "timestamp,value",
                                      [[t, "2.0"] for t in hours]),
