@@ -15,6 +15,14 @@ CSV layouts:
   profile pool       asset_id,timestamp,value         (long format)
   storage reference  application,technology,lcos_usd_per_mwh
 Timestamps are ISO 8601; naive timestamps are taken as UTC.
+
+Files are read once, in blocks of about 1 MiB of whole lines, and each
+block's columns are parsed as it is read, so a load holds one block's
+strings plus the output arrays. A block is split on its commas and line
+ends (CRLF ones included); from the first block holding a quote, a lone
+CR or lines of differing field counts on, the rest of the file goes to
+csv.reader. Each file loader takes an optional `digest` (a hashlib
+object) that every byte read goes to.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ import csv
 import io
 import itertools
 import math
-import re
 from dataclasses import dataclass, field
-from functools import partial
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from importlib import resources
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -77,8 +85,6 @@ _MICROSECOND = timedelta(microseconds=1)
 _BLOCK_BYTES = 1 << 20
 #: Every byte but the four that csv.reader treats specially.
 _PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"')))
-#: One line as a file opened with newline="" yields it to csv.reader.
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def _parse_timestamps(column: List[str], name: str, path: str, row: int = 2,
@@ -166,17 +172,20 @@ def _lines_within(raw: bytes, limit: int) -> bool:
 
 def _split(raw: bytes, text: str):
     """(fields, n) of a block by whole-text splits, when every line has the
-    same n >= 2 fields and the block has no quote, no CR and no line longer
-    than csv's field size limit, so that csv.reader would read the same
-    records. Otherwise None."""
+    same n >= 2 fields and the same line end, LF or CRLF, and the block has
+    no quote, no other CR and no line longer than csv's field size limit, so
+    that csv.reader would read the same records. Otherwise None."""
     delimiters = raw.translate(None, _PLAIN_BYTES)
+    eol = b"\r\n" if b"\r" in delimiters else b"\n"
     if not raw.endswith(b"\n"):
-        delimiters += b"\n"
-    n = delimiters.find(b"\n") + 1
-    if (n < 2 or delimiters != (b"," * (n - 1) + b"\n") * (len(delimiters) // n)
+        delimiters += eol
+    line = delimiters[:delimiters.find(b"\n") + 1]
+    n = len(line) - len(eol) + 1
+    if (n < 2 or line != b"," * (n - 1) + eol
+            or delimiters != line * (len(delimiters) // len(line))
             or not _lines_within(raw, csv.field_size_limit())):
         return None
-    fields = text.replace("\n", ",").split(",")
+    fields = text.replace(eol.decode(), ",").split(",")
     if raw.endswith(b"\n"):
         fields.pop()   # the empty text after the last line end
     return fields, n
@@ -192,9 +201,9 @@ def _csv_records(blocks):
         nonlocal block
         for _, text in blocks:
             block += 1
-            yield from _LINE.findall(text)
+            yield io.StringIO(text, newline="")   # lines as a file opened with newline=""
 
-    reader = csv.reader(lines())
+    reader = csv.reader(itertools.chain.from_iterable(lines()))
     records, ends_in = [], 1
     try:
         for record in reader:
@@ -231,6 +240,8 @@ def _columns(table, n: int, index: List[int]):
             return [table[i::n] for i in index], None
         return [[] for _ in index], (next(k for k, i in enumerate(index) if i >= n)
                                      if table else None)
+    if table and min(map(len, table)) > width:   # no blank or short record
+        return [list(map(itemgetter(i), table)) for i in index], None
     records = [record for record in table if record]
     full = next((k for k, record in enumerate(records) if len(record) <= width), len(records))
     short = None

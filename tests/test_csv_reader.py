@@ -169,7 +169,9 @@ def test_block_reader_equals_the_whole_file_reference(case, block_bytes):
     ("a,b\n\n1,2\n", False),      # a blank line
     ("a\n1\n", False),            # one field per line
     ('a,b\n"1",2\n', False),
-    ("a,b\r\n1,2\r\n", False),
+    ("a,b\r\n1,2\r\n", True),    # CRLF line ends
+    ("a,b\n1,2\r\n", False),      # LF and CRLF in one block
+    ("a,b\r1,2\r\n", False),      # a lone CR
     ("a,b\n1,22222\n", False),    # a line longer than the field size limit
 ])
 def test_split_takes_only_blocks_that_csv_reader_reads_the_same(monkeypatch, text, split):
