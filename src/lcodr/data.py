@@ -16,13 +16,14 @@ CSV layouts:
   storage reference  application,technology,lcos_usd_per_mwh
 Timestamps are ISO 8601; naive timestamps are taken as UTC.
 
-Files are read once, in blocks of about 1 MiB of whole lines, and each
-block's columns are parsed as it is read, so a load holds one block's
-strings plus the output arrays. A block is split on its commas and line
-ends (CRLF ones included); from the first block holding a quote, a lone
-CR or lines of differing field counts on, the rest of the file goes to
-csv.reader. Each file loader takes an optional `digest` (a hashlib
-object) that every byte read goes to.
+Files are read once, in blocks of about 1 MiB cut after a line end, and
+each block's columns are parsed as it is read, so a load holds one
+block's strings plus the output arrays (a line longer than a block is
+read whole). A block is split on its commas and LF line ends; from the
+first block holding a quote, a CR, a NUL or lines of differing field
+counts on, the rest of the file goes to csv.reader. Each file loader
+takes an optional `digest` (a hashlib object) that every byte read goes
+to.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import partial
 from importlib import resources
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -81,10 +81,11 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 #: Bytes read from a CSV file at a time. Each block is cut after its last line
-#: end, so that it holds whole lines and decodes on its own.
+#: end, LF or CR, so that it holds whole lines and decodes on its own.
 _BLOCK_BYTES = 1 << 20
-#: Every byte but the four that csv.reader treats specially.
-_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"')))
+#: Every byte but the four that csv.reader treats specially and NUL, which
+#: csv.reader rejects before Python 3.11.
+_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"\0')))
 
 
 def _parse_timestamps(column: List[str], name: str, path: str, row: int = 2,
@@ -143,20 +144,23 @@ def _parse_codes(column: List[str], name: str, path: str, row: int,
 
 def _blocks(fh, digest):
     """(bytes, text) of each block of the binary file fh: about _BLOCK_BYTES,
-    cut after the last line end (a longer line is read whole). Every read
-    also goes to digest, when given."""
-    carry = b""
+    cut after the last LF or CR (a longer line is read whole). A cut between
+    the CR and LF of a CRLF is exact, since a block with a CR goes to
+    csv.reader. Every read also goes to digest, when given."""
+    pieces = []
     while raw := fh.read(_BLOCK_BYTES):
         if digest is not None:
             digest.update(raw)
-        cut = raw.rfind(b"\n") + 1
+        cut = max(raw.rfind(b"\n"), raw.rfind(b"\r")) + 1
         if cut:
-            block, carry = carry + raw[:cut], raw[cut:]
+            block = b"".join(pieces + [raw[:cut]])
+            pieces = [raw[cut:]]
             yield block, block.decode("utf-8")
         else:
-            carry += raw
-    if carry:
-        yield carry, carry.decode("utf-8")
+            pieces.append(raw)
+    block = b"".join(pieces)
+    if block:
+        yield block, block.decode("utf-8")
 
 
 def _lines_within(raw: bytes, limit: int) -> bool:
@@ -172,20 +176,17 @@ def _lines_within(raw: bytes, limit: int) -> bool:
 
 def _split(raw: bytes, text: str):
     """(fields, n) of a block by whole-text splits, when every line has the
-    same n >= 2 fields and the same line end, LF or CRLF, and the block has
-    no quote, no other CR and no line longer than csv's field size limit, so
-    that csv.reader would read the same records. Otherwise None."""
+    same n >= 2 fields and the block has no quote, no CR, no NUL and no line
+    longer than csv's field size limit, so that csv.reader would read the
+    same records. Otherwise None."""
     delimiters = raw.translate(None, _PLAIN_BYTES)
-    eol = b"\r\n" if b"\r" in delimiters else b"\n"
     if not raw.endswith(b"\n"):
-        delimiters += eol
-    line = delimiters[:delimiters.find(b"\n") + 1]
-    n = len(line) - len(eol) + 1
-    if (n < 2 or line != b"," * (n - 1) + eol
-            or delimiters != line * (len(delimiters) // len(line))
+        delimiters += b"\n"
+    n = delimiters.find(b"\n") + 1
+    if (n < 2 or delimiters != (b"," * (n - 1) + b"\n") * (len(delimiters) // n)
             or not _lines_within(raw, csv.field_size_limit())):
         return None
-    fields = text.replace(eol.decode(), ",").split(",")
+    fields = text.replace("\n", ",").split(",")
     if raw.endswith(b"\n"):
         fields.pop()   # the empty text after the last line end
     return fields, n
@@ -240,8 +241,6 @@ def _columns(table, n: int, index: List[int]):
             return [table[i::n] for i in index], None
         return [[] for _ in index], (next(k for k, i in enumerate(index) if i >= n)
                                      if table else None)
-    if table and min(map(len, table)) > width:   # no blank or short record
-        return [list(map(itemgetter(i), table)) for i in index], None
     records = [record for record in table if record]
     full = next((k for k, record in enumerate(records) if len(record) <= width), len(records))
     short = None

@@ -1,7 +1,9 @@
 """Property: `lcodr vf` on generated malformed CSVs ends in exit 0 or 3,
 never in an uncaught exception, and fails with one `error: data:` line.
-The quoted and CRLF mutations send the file through the reader's csv.reader
-tokenizer, the others through its whole-text splits."""
+The quoted and crlf mutations send the file through the reader's csv.reader
+tokenizer from the first block they touch; so do a blank line and dropped
+fields, which leave lines of differing field counts. The others go through
+its whole-text splits."""
 
 import contextlib
 import io
