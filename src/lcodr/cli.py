@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .costing import evaluate_pairing
+from .costing import COST_COMPONENTS, evaluate_pairing
 from .data import (
     DataError,
     default_bundle,
@@ -50,7 +50,6 @@ from .model import (
     parameter_set_to_dict,
 )
 from .uncertainty import (
-    COST_COMPONENTS,
     LcosSampling,
     McConfig,
     RNG_SCHEME,
@@ -329,7 +328,7 @@ def cmd_mc(args) -> int:
     cfg = McConfig(samples=args.samples, sigma_inputs=args.sigma,
                    sigma_vf=args.sigma_vf, seed=args.seed,
                    lcos_sampling=LcosSampling(args.lcos_sampling))
-    dists = run_monte_carlo(schemes, apps, params, cfg, workers=args.workers)
+    dists = run_monte_carlo(schemes, apps, params, cfg)
 
     out, run_id = _output(args, config=parameter_set_to_dict(params),
                           apps=[app.name for app in apps],
@@ -489,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--lcos-sampling", choices=["point", "same_scheme"],
                       default="point")
     p_mc.add_argument("--emit-samples", action="store_true")
-    p_mc.add_argument("--workers", type=_int_at_least(1), default=None)
+    p_mc.add_argument("--workers", type=_int_at_least(1), default=None,
+                      help="accepted for compatibility and ignored: Monte-Carlo "
+                           "runs in one process")
     p_mc.set_defaults(func=cmd_mc)
     return parser
 

@@ -63,8 +63,10 @@ REASONS = (
     "infeasible: required plug-in time {hours:.2f} h exceeds 24 h",
     "infeasible: availability factor must be > 0",
     "infeasible: average shiftable power must be > 0",
+    "infeasible: fleet size or cost exceeds the float range",
 )
-FEASIBLE, UNSUITABLE, PLUGIN_OVER_24H, ZERO_AVAILABILITY, ZERO_SHIFTABLE = range(len(REASONS))
+(FEASIBLE, UNSUITABLE, PLUGIN_OVER_24H, ZERO_AVAILABILITY, ZERO_SHIFTABLE,
+ NOT_FINITE) = range(len(REASONS))
 
 
 class CostingError(LcodrError):
@@ -375,7 +377,9 @@ def evaluate_batch(scheme: SchemeKind, app: ApplicationSpec,
         values["lcodr_energy"] = total / values["energy_pv"]
         values["lcodr_power"] = total / (app.power_capacity * c["annuity"])
         values["lcodr_vf"] = values["lcodr_energy"] / values["value_factor"]
-    return _result(_first_failure(n, values["failures"]), values)
+    # a per-asset capacity near the float minimum sizes an infinite fleet
+    failures = (*values["failures"], (NOT_FINITE, ~np.isfinite(values["lcodr_vf"])))
+    return _result(_first_failure(n, failures), values)
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ class EconomicParameters:
     """
 
     discount_rate: float = _param(0.08, ge=0.0, lt=1.0)       # per year
-    lifetime_years: int = _param(15, perturb=False)
+    lifetime_years: int = _param(15, le=100, perturb=False)
     electricity_price: float = _param(0.05, gt=0.0)           # $/kWh
     v2g_charger_capex: float = _param(3000.0, ge=0.0)         # $/charger
     smart_charger_capex: float = _param(107.0, ge=0.0)        # $/charger
@@ -313,12 +313,14 @@ class Assumptions:
     reward_base_hours: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("rpt_floor_at_base", "v2g_rebound_roundtrip"):
+            _check(isinstance(getattr(self, name), bool), "must be true or false", name)
         _check(self.cycle_constraint_direction in ("scale_up", "as_printed"),
                "must be 'scale_up' or 'as_printed'", "cycle_constraint_direction")
         hours = self.reward_base_hours
         if hours is not None:
-            _check(isinstance(hours, (int, float)) and 0 <= hours <= 24,
-                   "must be a number in [0, 24] h", "reward_base_hours")
+            _check(isinstance(hours, (int, float)) and not isinstance(hours, bool)
+                   and 0 <= hours <= 24, "must be a number in [0, 24] h", "reward_base_hours")
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,8 @@ class ApplicationSpec:
 
     def __post_init__(self):
         _check(bool(self.name), "application name must not be empty", "name")
-        _check(self.power_capacity > 0, "power capacity must be > 0", "power_capacity")
+        _check(0 < self.power_capacity < math.inf, "power capacity must be finite and > 0",
+               "power_capacity")
         _check(self.discharge_duration > 0, "discharge duration must be > 0",
                "discharge_duration")
         _check(self.annual_cycles >= 1, "annual cycles must be >= 1", "annual_cycles")
@@ -377,8 +380,7 @@ class TimeSeries:
     """A regularly spaced series of numbers with a declared unit.
 
     Gaps are a load-time error; a TimeSeries that exists has no missing
-    values. The value buffer is frozen so instances can be shared across
-    workers.
+    values. The value buffer is frozen so instances can be shared safely.
     """
 
     start: datetime
@@ -618,21 +620,22 @@ def _applications_from_config(entries: list) -> list:
         if not isinstance(entry, dict):
             raise ValidationError("application entry must be a mapping",
                                   f"applications[{i}]")
+        path = f"applications[{i}]"
         unknown = set(entry) - _ALLOWED_APP_KEYS
         if unknown:
-            raise ValidationError(f"unknown keys {sorted(unknown)}", f"applications[{i}]")
+            raise ValidationError(f"unknown keys {sorted(unknown)}", path)
         try:
-            apps.append(ApplicationSpec(
-                name=str(entry["name"]),
-                power_capacity=float(entry["power_capacity_mw"]) * 1000.0,
-                discharge_duration=float(entry["discharge_duration_h"]),
-                annual_cycles=float(entry["annual_cycles"]),
-                suitable_schemes=frozenset(
-                    SchemeKind.from_name(s) for s in entry.get("suitable_schemes", [])),
-            ))
+            name = str(entry["name"])
+            power, duration, cycles = (
+                _number(entry[key], f"{path}.{key}")
+                for key in ("power_capacity_mw", "discharge_duration_h", "annual_cycles"))
         except KeyError as exc:
-            raise ValidationError(f"missing key {exc.args[0]!r}",
-                                  f"applications[{i}]") from None
+            raise ValidationError(f"missing key {exc.args[0]!r}", path) from None
+        schemes = entry.get("suitable_schemes", [])
+        if not isinstance(schemes, list):
+            raise ValidationError("must be a list", f"{path}.suitable_schemes")
+        apps.append(ApplicationSpec(name, power * 1000.0, duration, cycles,
+                                    frozenset(SchemeKind.from_name(s) for s in schemes)))
     return apps
 
 

@@ -58,13 +58,20 @@ class InfeasibleDuration(SizingError):
             f"required plug-in time {required_hours:.2f} h exceeds 24 h")
 
 
+def _pow(x: float, y: float) -> float:
+    try:
+        return x ** y
+    except OverflowError:   # a finite result beyond the float range
+        return math.inf
+
+
 def python_pow(x, y):
-    """x ** y through Python's float pow, element-wise over a column: numpy
-    squares `x ** 2` instead of calling libm, which can differ in the last
-    bit."""
+    """x ** y (x >= 0) through Python's float pow, element-wise over a
+    column, inf where it overflows: numpy squares `x ** 2` instead of
+    calling libm, which can differ in the last bit."""
     if np.ndim(x) == 0:
-        return float(x) ** y
-    return np.array([v ** y for v in x.tolist()])
+        return _pow(float(x), y)
+    return np.array([_pow(v, y) for v in x.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,17 @@ at once by starting the generator's counter at the range's first sample.
 Each pair of words gives two Box-Muller normals, and the first of the
 PROPOSALS normals inside +/- truncation_z is the sample's draw. So the
 draws are bit-identical for a fixed seed however the samples are split
-into ranges or scheduled across workers. A sample with no accepted
+into ranges. A sample with no accepted
 proposal (about 7e-12 of cells at z = 1.285) draws on from its own
 generator, keyed by the sample index, until one is accepted.
 
 A drawn row that breaks a parameter invariant is redrawn whole on the next
 attempt's substreams; only the failing rows are redrawn.
 
-Evaluation is batched: a job draws a contiguous range of sample indices
-into a samples x parameters matrix and runs `costing.evaluate_batch`, the
-pairing kernel that `lcodr run` also uses, on it once per pairing with
-numpy over the sample axis. A sample's values depend on its row only, so
+Evaluation is batched and runs in one process: every sample is drawn into
+one samples x parameters matrix, and `costing.evaluate_batch`, the pairing
+kernel that `lcodr run` also uses, runs on it once per pairing with numpy
+over the sample axis. A sample's values depend on its row only, so
 batching changes no output.
 """
 
@@ -31,17 +31,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .costing import (
-    BATCH_COLUMNS,
-    COST_COMPONENTS,
-    batch_columns,
-    batch_row,
-    evaluate_batch,
-)
+from .costing import BATCH_COLUMNS, batch_columns, batch_row, evaluate_batch
 from .model import (
     ApplicationSpec,
     LcodrError,
@@ -285,57 +279,23 @@ class McDistribution:
                    feasible_fraction=float(feasible.mean()), **stats)
 
 
-def _evaluate_range(args) -> list:
-    """Evaluate every pairing on the sample indices [start, stop). Top-level
-    so worker processes can unpickle it; returns, per pairing in pairing
-    order, the (lcodr_vf, feasible, components) of its BatchEvaluation. The
-    sizing columns are dropped at once, so they are neither kept nor
-    pickled."""
-    base, cfg, start, stop, pairings = args
-    columns = batch_columns(perturb_matrix(base, cfg, start, stop))
-    kept = []
-    for scheme, app in pairings:
-        batch = evaluate_batch(scheme, app, columns, base.assumptions)
-        kept.append((batch.lcodr_vf, batch.feasible, batch.components))
-    return kept
-
-
 def run_monte_carlo(schemes: Sequence[SchemeKind], apps: Sequence[ApplicationSpec],
-                    base: ParameterSet, cfg: McConfig,
-                    workers: Optional[int] = None) -> list:
+                    base: ParameterSet, cfg: McConfig) -> list:
     """Monte-Carlo batch over every (scheme, application) pairing.
 
     One perturbed parameter set per sample index is shared by all pairings,
     so cross-technology comparisons within a sample use common random
-    numbers. Returns one McDistribution per pairing, ordered scheme-major.
-
-    A job is a contiguous range of sample indices; serially there is one,
-    and workers > 1 spreads a few ranges per worker over processes. Ranges
-    are joined in index order and every sample is computed on its own, so
-    the output is identical for any worker count.
+    numbers. Every sample is drawn into one matrix, and each pairing is
+    evaluated over it in one `evaluate_batch` call. Returns one
+    McDistribution per pairing, ordered scheme-major.
     """
-    pairings = [(scheme, app) for scheme in schemes for app in apps]
-    if workers is not None and workers > 1 and cfg.samples > 1:
-        n_jobs = min(cfg.samples, workers * 4)
-        bounds = [cfg.samples * k // n_jobs for k in range(n_jobs + 1)]
-        jobs = [(base, cfg, lo, hi, pairings) for lo, hi in zip(bounds, bounds[1:])]
-        # imported here: the pool machinery costs every other command its import
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_range, jobs))
-    else:
-        results = [_evaluate_range((base, cfg, 0, cfg.samples, pairings))]
-
-    def join(arrays):
-        # a single job's arrays are used as they are, not copied
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
+    columns = batch_columns(perturb_matrix(base, cfg, 0, cfg.samples))
     distributions = []
-    for j, (scheme, app) in enumerate(pairings):
-        lcodr_vf, feasible, components = zip(*(result[j] for result in results))
-        distributions.append(McDistribution.build(
-            scheme.value, app.name, join(lcodr_vf), join(feasible),
-            {name: join([c[name] for c in components]) for name in COST_COMPONENTS}))
+    for scheme in schemes:
+        for app in apps:
+            batch = evaluate_batch(scheme, app, columns, base.assumptions)
+            distributions.append(McDistribution.build(
+                scheme.value, app.name, batch.lcodr_vf, batch.feasible, batch.components))
     return distributions
 
 

@@ -205,12 +205,25 @@ def test_criterion_08_value_factor_properties():
 
 
 def test_criterion_09_monte_carlo_contract(tmp_path):
-    from lcodr.uncertainty import sample_truncated_normal
+    from lcodr.costing import batch_row
+    from lcodr.model import PARAMETERS, VALUE_FACTOR_SPECS
+    from lcodr.uncertainty import perturb_matrix, sample_truncated_normal, truncated_normals
     rng = np.random.default_rng(909)
     bound = 1.285 * 0.33
     draws = np.array([sample_truncated_normal(1.0, 0.33, 1.285, rng)
                       for _ in range(100_000)])
     ok = bool(np.all(np.abs(draws - 1.0) <= bound))
+
+    # the same truncation on the sampler Monte-Carlo runs, and on every
+    # column of the perturbed matrix it evaluates
+    ok &= bool(np.all(np.abs(truncated_normals(909, 0, 0, 0, 100_000, 1.285)) <= 1.285))
+    base = default_parameters()
+    cfg = McConfig(samples=10_000, seed=909)
+    base_row = np.array(batch_row(base))
+    sigma = np.array([(0.33 if spec.perturb else 0.0) for spec in PARAMETERS]
+                     + [0.10 for _ in VALUE_FACTOR_SPECS])
+    spread = np.abs(perturb_matrix(base, cfg, 0, cfg.samples) - base_row)
+    ok &= bool(np.all(spread <= 1.285 * sigma * np.abs(base_row) * (1 + 1e-12)))
 
     # byte-identical CSV payloads across worker counts
     from lcodr.cli import main

@@ -20,6 +20,7 @@ import oracle
 from lcodr.costing import (
     COST_COMPONENTS,
     FEASIBLE,
+    NOT_FINITE,
     PLUGIN_OVER_24H,
     REASONS,
     SIZING_FIELDS,
@@ -282,6 +283,24 @@ def test_reason_texts():
     no_power = evaluate_pairing(SchemeKind.SMART_HEAT_PUMP, ARBITRAGE,
                                 _params(building_temp_divergence=0.0))
     assert no_power.reason == "infeasible: average shiftable power must be > 0"
+
+
+@pytest.mark.parametrize("scheme,values", [
+    (SchemeKind.V2G, {"battery_capacity": 1.1125369292536007e-308}),
+    (SchemeKind.SMART_HEAT_PUMP, {"hp_average_power": 2.2e-308}),
+    (SchemeKind.HP_THERMAL_STORAGE, {"hp_average_power": 2.2e-308}),
+])
+def test_an_overflowing_fleet_is_infeasible(scheme, values):
+    # A per-asset capacity near the float minimum sizes an infinite fleet.
+    # The oracle costs it as 'ok' with an infinite or NaN cost; the kernel
+    # reports it instead, so `lcodr run` never ceils an infinite count.
+    params = _params(**values)
+    assert oracle.evaluate_pairing(scheme, ARBITRAGE, params).status == "ok"
+    batch = evaluate_batch(scheme, ARBITRAGE, batch_columns(np.array([batch_row(params)])),
+                           params.assumptions)
+    assert int(batch.reason[0]) == NOT_FINITE and not batch.feasible[0]
+    got = evaluate_pairing(scheme, ARBITRAGE, params)
+    assert (got.status, got.reason) == ("infeasible", REASONS[NOT_FINITE])
 
 
 def test_size_pairing_is_the_evaluation_sizing():

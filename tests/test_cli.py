@@ -79,6 +79,29 @@ def test_malformed_config_is_config_error(tmp_path):
     assert main(["run", "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
 
 
+_APP = ("applications: [{name: X, power_capacity_mw: %s, discharge_duration_h: 1,"
+        " annual_cycles: 10, suitable_schemes: %s}]\n")
+
+
+@pytest.mark.parametrize("text,field", [
+    (_APP % ("abc", "[v2g]"), "applications[0].power_capacity_mw"),
+    (_APP % ("1", "5"), "applications[0].suitable_schemes"),
+    (_APP % (".inf", "[v2g]"), "power_capacity"),
+    ('assumptions: {rpt_floor_at_base: "no"}\n', "rpt_floor_at_base"),
+    ("assumptions: {v2g_rebound_roundtrip: 0}\n", "v2g_rebound_roundtrip"),
+    ("assumptions: {reward_base_hours: true}\n", "reward_base_hours"),
+    ("lifetime_years: 1000000\n", "lifetime_years"),
+])
+@pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, text, field, command):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(command + ["--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: config: {field}:")
+
+
 def test_reward_base_hours_flag_sets_metadata(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--out", str(out), "--reward-base-hours", "10"]) == 0

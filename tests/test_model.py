@@ -240,6 +240,7 @@ DOMAINS = [
     (HeatParameters, "ceiling_height", "gt", 0.0),
     (EconomicParameters, "discount_rate", "ge", 0.0),
     (EconomicParameters, "discount_rate", "lt", 1.0),
+    (EconomicParameters, "lifetime_years", "le", 100),
     (EconomicParameters, "electricity_price", "gt", 0.0),
     (EconomicParameters, "v2g_charger_capex", "ge", 0.0),
     (EconomicParameters, "smart_charger_capex", "ge", 0.0),
@@ -254,8 +255,10 @@ DOMAINS = [
 #: Values just inside a domain that a cross-field check still rejects, with
 #: the field that check reports: a vanishing charger power makes the daily
 #: charging time exceed 24 h, and the active heat-pump power and the
-#: ceiling height must also clear another field.
+#: ceiling height must also clear another field. The lifetime just below
+#: its bound is not an integer.
 CROSS_FIELD = {
+    ("lifetime_years", "le"): "lifetime_years",
     ("charger_power", "gt"): "daily_drive_energy",
     ("charger_efficiency", "gt"): "daily_drive_energy",
     ("hp_active_power", "gt"): "hp_active_power",

@@ -83,12 +83,11 @@ def test_perturb_skips_fixed_parameters():
     assert p.econ.reward_floor == base.econ.reward_floor
 
 
-def _small_run(samples=20, workers=None, seed=0):
+def _small_run(samples=20, seed=0):
     apps = [a for a in default_applications()
             if a.name in ("Energy arbitrage", "Primary response")]
     cfg = McConfig(samples=samples, seed=seed)
-    return run_monte_carlo(list(SchemeKind), apps, default_parameters(), cfg,
-                           workers=workers), cfg
+    return run_monte_carlo(list(SchemeKind), apps, default_parameters(), cfg), cfg
 
 
 def test_run_monte_carlo_degenerate_matches_deterministic():
@@ -99,19 +98,6 @@ def test_run_monte_carlo_degenerate_matches_deterministic():
     expected = evaluate_pairing(SchemeKind.V2G, apps[0], default_parameters())
     assert dists[0].samples[0] == pytest.approx(expected.breakdown.lcodr_vf, rel=1e-12)
     assert dists[0].feasible_fraction == 1.0
-
-
-def test_run_monte_carlo_deterministic_across_workers():
-    # 23 samples split unevenly over 2 x 4 and 3 x 4 sample ranges
-    for samples in (23, 1):
-        serial, _ = _small_run(samples, None)
-        for workers in (2, 3):
-            pooled, _ = _small_run(samples, workers)
-            for d1, d2 in zip(serial, pooled):
-                assert np.array_equal(d1.samples, d2.samples, equal_nan=True)
-                assert np.array_equal(d1.feasible, d2.feasible)
-                for name, values in d1.components.items():
-                    assert np.array_equal(values, d2.components[name], equal_nan=True)
 
 
 def test_run_monte_carlo_never_calls_the_scalar_path(monkeypatch):
