@@ -617,10 +617,9 @@ _ALLOWED_ASSUMPTION_KEYS = {f.name for f in fields(Assumptions)}
 def _applications_from_config(entries: list) -> list:
     apps = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValidationError("application entry must be a mapping",
-                                  f"applications[{i}]")
         path = f"applications[{i}]"
+        if not isinstance(entry, dict):
+            raise ValidationError("application entry must be a mapping", path)
         unknown = set(entry) - _ALLOWED_APP_KEYS
         if unknown:
             raise ValidationError(f"unknown keys {sorted(unknown)}", path)

@@ -13,9 +13,9 @@ at once by starting the generator's counter at the range's first sample.
 Each pair of words gives two Box-Muller normals, and the first of the
 PROPOSALS normals inside +/- truncation_z is the sample's draw. So the
 draws are bit-identical for a fixed seed however the samples are split
-into ranges. A sample with no accepted
-proposal (about 7e-12 of cells at z = 1.285) draws on from its own
-generator, keyed by the sample index, until one is accepted.
+into ranges. A sample with no accepted proposal (about 7e-12 of cells at
+z = 1.285) draws on from its own generator, keyed by the sample index,
+until one is accepted.
 
 A drawn row that breaks a parameter invariant is redrawn whole on the next
 attempt's substreams; only the failing rows are redrawn.
