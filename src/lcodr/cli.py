@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import enum
 import hashlib
 import json
 import sys
@@ -27,8 +28,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from . import __version__
-from .costing import COST_COMPONENTS, evaluate_pairing
+from .costing import (COST_COMPONENTS, batch_columns, batch_row, evaluate_batch,
+                      sample_values)
 from .data import (
     DataError,
     default_bundle,
@@ -53,6 +57,7 @@ from .uncertainty import (
     LcosSampling,
     McConfig,
     RNG_SCHEME,
+    UncertaintyError,
     cheapest_probability,
     run_monte_carlo,
 )
@@ -76,7 +81,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    """Shortest-roundtrip cell rendering; None and NaN become empty."""
+    """Shortest-roundtrip cell rendering; None and NaN become empty, an enum
+    member its value."""
+    if isinstance(value, enum.Enum):
+        value = value.value
     if value is None:
         return ""
     if isinstance(value, float):
@@ -243,25 +251,12 @@ _RUN_HEADER = [
     "value_factor", "lcodr_vf_usd_per_mwh",
 ]
 
-
-def _run_row(ev) -> list:
-    s, b = ev.sizing, ev.breakdown
-    return [
-        ev.scheme.value, ev.application.name, ev.status, ev.reason,
-        s.binding_constraint.value if s else "",
-        s.contracted_assets if s else None,
-        s.contracted_assets_ceiled if s else None,
-        s.available_assets if s else None,
-        s.required_plugin_time if s else None,
-        s.power_reduction if s else None,
-        s.tank_area if s else None,
-        s.tank_volume if s else None,
-        b.investment if b else None, b.om_pv if b else None,
-        b.rewards_pv if b else None, b.rebound_pv if b else None,
-        b.eol_pv if b else None, b.energy_pv if b else None,
-        b.lcodr_energy if b else None, b.lcodr_power if b else None,
-        b.value_factor if b else None, b.lcodr_vf if b else None,
-    ]
+#: The `costing.sample_values` key of each _RUN_HEADER column from status on.
+_RUN_KEYS = (
+    "status", "reason", "binding_constraint", "contracted_assets", "contracted_assets_ceiled",
+    "available_assets", "required_plugin_time", "power_reduction", "tank_area", "tank_volume",
+    "investment", "om_pv", "rewards_pv", "rebound_pv", "eol_pv", "energy_pv", "lcodr_energy",
+    "lcodr_power", "value_factor", "lcodr_vf")
 
 
 def cmd_run(args) -> int:
@@ -270,10 +265,13 @@ def cmd_run(args) -> int:
     out, run_id = _output(args, config=parameter_set_to_dict(params),
                           apps=[app.name for app in apps],
                           schemes=[s.value for s in schemes])
+    columns = batch_columns(np.array([batch_row(params)]))
     rows = []
     for scheme in schemes:
         for app in apps:
-            rows.append(_run_row(evaluate_pairing(scheme, app, params)))
+            values = sample_values(scheme, app, evaluate_batch(scheme, app, columns,
+                                                               params.assumptions))
+            rows.append([scheme, app.name, *(values[key] for key in _RUN_KEYS)])
     _write_csv(out / "lcodr_deterministic.csv", _RUN_HEADER, rows, run_id)
     _write_manifest(out, run_id, args, params, data_hashes)
     print(f"wrote {out / 'lcodr_deterministic.csv'} ({len(rows)} rows)")
@@ -330,6 +328,26 @@ def cmd_mc(args) -> int:
                    lcos_sampling=LcosSampling(args.lcos_sampling))
     dists = run_monte_carlo(schemes, apps, params, cfg)
 
+    # before anything is written: the same_scheme LCOS draws can still fail
+    prob_rows = []
+    skipped = []
+    by_app = {}
+    for d in dists:
+        by_app.setdefault(d.application, []).append(d)
+    for app in apps:
+        ds = by_app[app.name]
+        entries = [(e.technology, e.lcos_usd_per_mwh)
+                   for e in lcos if e.application == app.name]
+        try:
+            probs = cheapest_probability(ds, cfg, entries)
+        except UncertaintyError as exc:
+            print(f"warning: {app.name!r} left out of cheapest_probability.csv: {exc}",
+                  file=sys.stderr)
+            skipped.append({"application": app.name, "reason": str(exc)})
+            continue
+        for order, (tech, prob) in enumerate(probs.items()):
+            prob_rows.append([app.name, tech, order, prob])
+
     out, run_id = _output(args, config=parameter_set_to_dict(params),
                           apps=[app.name for app in apps],
                           schemes=[s.value for s in schemes],
@@ -344,24 +362,6 @@ def cmd_mc(args) -> int:
                ["technology", "application", "feasible_fraction", "mean",
                 "median", "p5", "p95"], summary_rows, run_id)
 
-    prob_rows = []
-    skipped = []
-    by_app = {}
-    for d in dists:
-        by_app.setdefault(d.application, []).append(d)
-    for app in apps:
-        ds = by_app[app.name]
-        entries = [(e.technology, e.lcos_usd_per_mwh)
-                   for e in lcos if e.application == app.name]
-        try:
-            probs = cheapest_probability(ds, cfg, entries)
-        except LcodrError as exc:
-            print(f"warning: {app.name!r} left out of cheapest_probability.csv: {exc}",
-                  file=sys.stderr)
-            skipped.append({"application": app.name, "reason": str(exc)})
-            continue
-        for order, (tech, prob) in enumerate(probs.items()):
-            prob_rows.append([app.name, tech, order, prob])
     _write_csv(out / "cheapest_probability.csv",
                ["application", "technology", "tie_break_order", "probability"],
                prob_rows, run_id)

@@ -8,9 +8,9 @@ energy purchases, end-of-life), discounts them, levelises them per shifted
 MWh and per kW-year, and divides by the scheme's availability-profile value
 factor. A sample that cannot be evaluated carries a code into REASONS.
 
-`evaluate_pairing` is the kernel on the single row of one ParameterSet,
-returned as Python values; `lcodr run` uses it, `lcodr mc` calls the kernel
-on whole sample ranges.
+`lcodr run` and `evaluate_pairing` call the kernel on the single row of one
+ParameterSet and read it through `sample_values`, as Python values; `lcodr
+mc` calls the kernel on whole sample ranges.
 
 Numerical care: basic arithmetic, sqrt, min, max and comparisons are
 correctly rounded in numpy as in Python, so a value does not depend on
@@ -22,7 +22,8 @@ right, so the discount sums are taken per sample with `present_value_annual`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -406,10 +407,29 @@ class PairingEvaluation:
         return self.status == "ok"
 
 
-def _value(column: np.ndarray) -> Optional[float]:
-    """A one-sample column's value as a Python float, None for NaN."""
-    value = column[0].item()
-    return None if value != value else value
+def sample_values(scheme: SchemeKind, app: ApplicationSpec, batch: BatchEvaluation) -> dict:
+    """Sample 0 of `batch` as Python values: 'status' ('ok', 'unsuitable' or
+    'infeasible'), 'reason', 'binding_constraint' (None when unsuitable),
+    each SIZING_FIELDS, 'contracted_assets_ceiled' and each CostBreakdown
+    field. A sizing or cost value is None where it does not apply to the
+    scheme, and everywhere unless the status is 'ok'."""
+    code = int(batch.reason[0])
+    ok = code == FEASIBLE
+    # CostBreakdown's fields: the COST_COMPONENTS present values, then these
+    costs = (*batch.components.values(), batch.energy_pv, batch.lcodr_energy,
+             batch.lcodr_power, batch.value_factor, batch.lcodr_vf)
+    columns = {**batch.sizing, **dict(zip((f.name for f in fields(CostBreakdown)), costs))}
+    first = [column[0].item() if ok else None for column in columns.values()]
+    values = {name: None if v != v else v for name, v in zip(columns, first)}   # NaN
+    binding = None if code == UNSUITABLE else BindingConstraint.NOT_APPLICABLE
+    if ok and scheme is SchemeKind.V2G:
+        binding = BindingConstraint.ENERGY if batch.energy_bound[0] else BindingConstraint.POWER
+    status = "ok" if ok else "unsuitable" if code == UNSUITABLE else "infeasible"
+    hours = batch.sizing["required_plugin_time"][0].item()
+    n = values["contracted_assets"]
+    return dict(values, status=status, binding_constraint=binding,
+                reason=REASONS[code].format(scheme=scheme.value, app=app.name, hours=hours),
+                contracted_assets_ceiled=None if n is None else math.ceil(n - 1e-9))
 
 
 def evaluate_pairing(scheme: SchemeKind, app: ApplicationSpec,
@@ -417,26 +437,14 @@ def evaluate_pairing(scheme: SchemeKind, app: ApplicationSpec,
     """`evaluate_batch` on the single row of `params`, as Python values.
     Never raises for domain outcomes; unsuitable and infeasible pairings
     carry their reason."""
-    batch = evaluate_batch(scheme, app, batch_columns(np.array([batch_row(params)])),
-                           params.assumptions)
-    code = int(batch.reason[0])
-    if code != FEASIBLE:
-        reason = REASONS[code].format(scheme=scheme.value, app=app.name,
-                                      hours=_value(batch.sizing["required_plugin_time"]))
-        if code == UNSUITABLE:
-            return PairingEvaluation(scheme, app, "unsuitable", reason)
-        return PairingEvaluation(scheme, app, "infeasible", reason,
-                                 sizing=SizingResult(scheme, feasible=False, reason=reason))
-    binding = BindingConstraint.NOT_APPLICABLE
-    if scheme is SchemeKind.V2G:
-        binding = (BindingConstraint.ENERGY if batch.energy_bound[0]
-                   else BindingConstraint.POWER)
-    sizing = SizingResult(scheme, feasible=True, binding_constraint=binding,
-                          **{name: _value(column) for name, column in batch.sizing.items()})
-    pv = {name: _value(column) for name, column in batch.components.items()}
-    breakdown = CostBreakdown(
-        investment=pv["investment"], om_pv=pv["om"], rewards_pv=pv["rewards"],
-        rebound_pv=pv["rebound"], eol_pv=pv["eol"], energy_pv=_value(batch.energy_pv),
-        lcodr_energy=_value(batch.lcodr_energy), lcodr_power=_value(batch.lcodr_power),
-        value_factor=_value(batch.value_factor), lcodr_vf=_value(batch.lcodr_vf))
-    return PairingEvaluation(scheme, app, "ok", sizing=sizing, breakdown=breakdown)
+    values = sample_values(scheme, app, evaluate_batch(
+        scheme, app, batch_columns(np.array([batch_row(params)])), params.assumptions))
+    status, reason = values["status"], values["reason"]
+    if status == "unsuitable":
+        return PairingEvaluation(scheme, app, status, reason)
+    sizing = SizingResult(scheme, status == "ok", reason,
+                          binding_constraint=values["binding_constraint"],
+                          **{name: values[name] for name in SIZING_FIELDS})
+    breakdown = (CostBreakdown(**{f.name: values[f.name] for f in fields(CostBreakdown)})
+                 if status == "ok" else None)
+    return PairingEvaluation(scheme, app, status, reason, sizing, breakdown)

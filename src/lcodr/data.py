@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .model import LcodrError, TimeSeries, ValueFactorTable
+from .model import CSV_UNSAFE, LcodrError, SchemeKind, TimeSeries, ValueFactorTable
 from .valuefactor import (AvailabilityProfile, ProfileKind, ValueFactorError, align,
                           v2g_value_factors, value_factor)
 
@@ -374,7 +374,9 @@ def load_lcos_reference(path: Optional[str] = None, *, digest=None) -> List[Lcos
     """Load the storage-cost reference table; None loads the bundled file.
 
     The bundled values approximate published lifetime-cost projections for
-    mature storage technologies and are user-replaceable.
+    mature storage technologies and are user-replaceable. A name may not
+    hold a CSV_UNSAFE character, a technology may not be named after a
+    scheme, and an (application, technology) pair may not repeat.
     """
     text = None
     if path is None:
@@ -383,7 +385,22 @@ def load_lcos_reference(path: Optional[str] = None, *, digest=None) -> List[Lcos
         path = "<bundled lcos_reference.csv>"
     apps, techs, costs = _read_columns(path, [("application", None), ("technology", None),
                                               ("lcos_usd_per_mwh", _parse_numbers)], text, digest)
-    return [LcosEntry(a.strip(), t.strip(), c) for a, t, c in zip(apps, techs, costs.tolist())]
+    entries = [LcosEntry(a.strip(), t.strip(), c)
+               for a, t, c in zip(apps, techs, costs.tolist())]
+    # a technology is labelled by its name in cheapest_probability.csv, next
+    # to the schemes: two equal labels of one application would merge
+    schemes = {kind.value for kind in SchemeKind}
+    seen = set()
+    for row, e in enumerate(entries, start=2):
+        if CSV_UNSAFE.intersection(e.application + e.technology):
+            raise DataError("a name holds a comma, a double quote or a line break", path, row)
+        if e.technology in schemes:
+            raise DataError(f"technology {e.technology!r} is named after a scheme", path, row)
+        if (e.application, e.technology) in seen:
+            raise DataError(f"repeated technology {e.technology!r} for {e.application!r}",
+                            path, row)
+        seen.add((e.application, e.technology))
+    return entries
 
 
 # ---------------------------------------------------------------------------

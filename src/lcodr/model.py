@@ -423,8 +423,8 @@ class TimeSeries:
 class SizingResult:
     """Outcome of sizing one (scheme, application) pairing.
 
-    Asset counts are real-valued; contracted_assets_ceiled is reported for
-    information only. Fields that do not apply to a scheme stay None.
+    Asset counts are real-valued. Fields that do not apply to a scheme stay
+    None.
     """
 
     scheme: SchemeKind
@@ -449,12 +449,6 @@ class SizingResult:
                    "contracted count cannot be below available count", "contracted_assets")
         else:
             _check(bool(self.reason), "infeasible sizing must carry a reason", "reason")
-
-    @property
-    def contracted_assets_ceiled(self) -> Optional[int]:
-        if self.contracted_assets is None:
-            return None
-        return int(math.ceil(self.contracted_assets - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -560,24 +554,29 @@ def build_parameter_set(values: dict, value_factors: Optional[dict] = None,
 
 
 def _number(value, field_path: str) -> float:
-    """value as a float; a ValidationError naming field_path if it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"must be a number, got {value!r}", field_path) from None
+    """value as a float; a ValidationError naming field_path if it is not a
+    number. A bool is not, though Python would take true for 1."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"must be a number, got {value!r}", field_path)
 
 
 def valid_rows(columns) -> np.ndarray:
     """Which rows of a {key: column} mapping over every PARAMETERS and
     VALUE_FACTOR_KEYS key would build a valid ParameterSet: the single-field
     domains and CROSS_FIELD_RULES that __post_init__ checks, as boolean
-    masks. The integer lifetime is not checked."""
+    masks. The integer lifetime is not checked. A rule whose arithmetic
+    overflows or divides by zero fails, as inf and NaN compare."""
     ok = np.ones(len(columns[VALUE_FACTOR_KEYS[0]]), dtype=bool)
     for checks in _DOMAIN_CHECKS.values():
         for name, test, bound, _ in checks:
             ok &= test(columns[name], bound)
-    for _, _, _, holds in CROSS_FIELD_RULES:
-        ok &= holds(columns)
+    with np.errstate(all="ignore"):
+        for _, _, _, holds in CROSS_FIELD_RULES:
+            ok &= holds(columns)
     return ok
 
 
@@ -609,6 +608,10 @@ def _bundled_defaults() -> dict:
     return yaml.load(text, Loader=_FAST_SAFE_LOADER)
 
 
+#: Characters that would split or quote a cell of an output CSV: no
+#: application or storage technology name may hold one.
+CSV_UNSAFE = frozenset(',"\r\n')
+
 _ALLOWED_APP_KEYS = {"name", "power_capacity_mw", "discharge_duration_h",
                      "annual_cycles", "suitable_schemes"}
 _ALLOWED_ASSUMPTION_KEYS = {f.name for f in fields(Assumptions)}
@@ -630,6 +633,9 @@ def _applications_from_config(entries: list) -> list:
                 for key in ("power_capacity_mw", "discharge_duration_h", "annual_cycles"))
         except KeyError as exc:
             raise ValidationError(f"missing key {exc.args[0]!r}", path) from None
+        if CSV_UNSAFE.intersection(name):
+            raise ValidationError("must not hold a comma, a double quote or a line break",
+                                  f"{path}.name")
         schemes = entry.get("suitable_schemes", [])
         if not isinstance(schemes, list):
             raise ValidationError("must be a list", f"{path}.suitable_schemes")

@@ -22,14 +22,15 @@ attempt's substreams; only the failing rows are redrawn.
 
 Evaluation is batched and runs in one process: every sample is drawn into
 one samples x parameters matrix, and `costing.evaluate_batch`, the pairing
-kernel that `lcodr run` also uses, runs on it once per pairing with numpy
-over the sample axis. A sample's values depend on its row only, so
+kernel that `lcodr run` calls on one row, runs on it once per pairing with
+numpy over the sample axis. A sample's values depend on its row only, so
 batching changes no output.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
@@ -167,12 +168,24 @@ def truncated_normals(seed: int, stream: int, attempt: int, start: int, stop: in
 
 
 def _drawn_columns(cfg: McConfig) -> list:
-    """(column, spec, relative sigma) of every column Monte-Carlo perturbs,
-    in BATCH_COLUMNS order; a column's index is also its substream id."""
-    specs = ([(spec, cfg.sigma_inputs) for spec in PARAMETERS]
-             + [(spec, cfg.sigma_vf) for spec in VALUE_FACTOR_SPECS])
+    """(column, spec, name of its McConfig sigma) of every column Monte-Carlo
+    perturbs, in BATCH_COLUMNS order; a column's index is also its substream
+    id."""
+    specs = ([(spec, "sigma_inputs") for spec in PARAMETERS]
+             + [(spec, "sigma_vf") for spec in VALUE_FACTOR_SPECS])
     return [(column, spec, sigma) for column, (spec, sigma) in enumerate(specs)
-            if spec.perturb and sigma != 0.0]
+            if spec.perturb and getattr(cfg, sigma) != 0.0]
+
+
+def _spread(value: float, cfg: McConfig, sigma: str) -> float:
+    """The standard deviation of the draws around `value`: the McConfig field
+    `sigma` times |value|. A ValidationError naming that field where the
+    widest draw, |value| + spread * truncation_z, is beyond the float range."""
+    value, relative = float(value), float(getattr(cfg, sigma))
+    spread = relative * abs(value)
+    if not math.isfinite(abs(value) + spread * cfg.truncation_z):
+        raise ValidationError(f"{relative!r} would overflow the draws around {value!r}", sigma)
+    return spread
 
 
 def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> np.ndarray:
@@ -183,7 +196,8 @@ def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> 
     substream and clamped to its registered domain. A row that breaks an
     invariant (`model.valid_rows`) is redrawn whole on the next attempt's
     substreams; after MAX_ATTEMPTS the base configuration is declared
-    unsatisfiable. Row i depends only on (base, cfg, start + i).
+    unsatisfiable. A sigma under which a draw could overflow is a
+    ValidationError. Row i depends only on (base, cfg, start + i).
     """
     base_row = np.array(batch_row(base), dtype=float)
     columns = np.repeat(base_row[:, None], stop - start, axis=1)
@@ -195,7 +209,7 @@ def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> 
         lo, hi = pending[0], pending[-1] + 1
         for column, spec, sigma in _drawn_columns(cfg):
             value = base_row[column]
-            drawn = value + sigma * abs(value) * truncated_normals(
+            drawn = value + _spread(value, cfg, sigma) * truncated_normals(
                 cfg.seed, column, attempt, start + lo, start + hi, cfg.truncation_z)
             if spec.lower is not None:
                 drawn = np.maximum(spec.lower, drawn)
@@ -316,7 +330,7 @@ def lcos_sample_matrix(lcos_entries: Sequence[Tuple[str, float]],
         if cfg.lcos_sampling is LcosSampling.POINT or cfg.sigma_inputs == 0.0:
             matrix[e, :] = value
             continue
-        drawn = value + cfg.sigma_inputs * abs(value) * truncated_normals(
+        drawn = value + _spread(value, cfg, "sigma_inputs") * truncated_normals(
             cfg.seed, LCOS_ID_OFFSET + e, 0, 0, cfg.samples, cfg.truncation_z)
         matrix[e, :] = np.maximum(0.0, drawn)
     return matrix

@@ -81,6 +81,8 @@ def test_malformed_config_is_config_error(tmp_path):
 
 _APP = ("applications: [{name: X, power_capacity_mw: %s, discharge_duration_h: 1,"
         " annual_cycles: 10, suitable_schemes: %s}]\n")
+_NAMED = ("applications: [{name: %s, power_capacity_mw: 1, discharge_duration_h: 1,"
+          " annual_cycles: 10}]\n")
 
 
 @pytest.mark.parametrize("text,field", [
@@ -91,6 +93,13 @@ _APP = ("applications: [{name: X, power_capacity_mw: %s, discharge_duration_h: 1
     ("assumptions: {v2g_rebound_roundtrip: 0}\n", "v2g_rebound_roundtrip"),
     ("assumptions: {reward_base_hours: true}\n", "reward_base_hours"),
     ("lifetime_years: 1000000\n", "lifetime_years"),
+    ("battery_capacity: true\n", "battery_capacity"),
+    ("value_factors: {heat_pump: true}\n", "value_factors.heat_pump"),
+    (_APP % ("true", "[v2g]"), "applications[0].power_capacity_mw"),
+    (_NAMED % '"Arbitrage, day-ahead"', "applications[0].name"),
+    (_NAMED % "'Say \"when\"'", "applications[0].name"),
+    (_NAMED % '"Peak\\rer"', "applications[0].name"),
+    (_NAMED % '"Peak\\ner"', "applications[0].name"),
 ])
 @pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, text, field, command):
@@ -342,3 +351,64 @@ def test_sample_lines_format_cells_as_fmt_does():
         for d in dists
         for i, (ok, v) in enumerate(zip(d.feasible.tolist(), d.samples.tolist())))
     assert "".join(_sample_lines(dists, len(values))) == expected
+
+
+def test_run_reads_the_pairing_kernel_directly(tmp_path, monkeypatch):
+    """`lcodr run` writes its golden bytes with the one-row wrappers broken
+    in every module that holds them."""
+    import sys
+    from lcodr import costing, sizing
+    from test_golden import GOLDEN, _digest
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("lcodr run called a one-row wrapper")
+
+    wrappers = (costing.evaluate_pairing, sizing.size_pairing)
+    for name, module in list(sys.modules.items()):
+        if name == "lcodr" or name.startswith("lcodr."):
+            for attr, value in list(vars(module).items()):
+                if any(value is wrapper for wrapper in wrappers):
+                    monkeypatch.setattr(module, attr, broken)
+    argv, expected = GOLDEN["run"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert {p.name: _digest(p) for p in tmp_path.iterdir()} == expected
+
+
+@pytest.mark.parametrize("flags,lcos,field", [
+    (["--sigma", "1.7e308"], None, "sigma_inputs"),
+    (["--sigma-vf", "1.7e308"], None, "sigma_vf"),
+    (["--sigma", "1", "--lcos-sampling", "same_scheme"], "1e308", "sigma_inputs"),
+])
+def test_a_sigma_whose_draws_overflow_is_a_config_error(tmp_path, capsys, flags, lcos, field):
+    if lcos is not None:
+        path = tmp_path / "lcos.csv"
+        path.write_text(f"application,technology,lcos_usd_per_mwh\n"
+                        f"Energy arbitrage,lithium_ion,{lcos}\n", encoding="utf-8")
+        flags = flags + ["--lcos", str(path)]
+    out = tmp_path / "o"
+    assert main(["mc", "--samples", "5", "--out", str(out), *flags]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: config: {field}:")
+    assert not out.exists()
+
+
+def test_a_wide_sigma_that_stays_in_range_runs_without_warnings(tmp_path):
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["mc", "--samples", "20", "--sigma", "1e300", "--lcos-sampling",
+                     "same_scheme", "--out", str(tmp_path)]) == 0
+
+
+def test_an_lcos_technology_named_after_a_scheme_is_a_data_error(tmp_path, capsys):
+    bundled = importlib.resources.files("lcodr").joinpath("lcos_reference.csv") \
+        .read_text(encoding="utf-8")
+    lcos = tmp_path / "lcos.csv"
+    lcos.write_text(bundled + "Energy arbitrage,v2g,5.0\n", encoding="utf-8")
+    row = len(bundled.splitlines()) + 1
+    assert main(["mc", "--samples", "5", "--out", str(tmp_path / "o"),
+                 "--lcos", str(lcos)]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: data: {lcos}:{row}: technology 'v2g' is named after a scheme"]

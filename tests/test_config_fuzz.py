@@ -3,10 +3,11 @@
 
 Whatever the input, a command ends in a documented exit code. A failure
 prints exactly one `error:` line and raises nothing out of `main`; a
-success writes feasible rows whose fleet covers the application at a
-positive cost, and a manifest whose assumption toggles are booleans. Each
-run has TIMEOUT_S seconds before SIGALRM fails it, so an input that makes a
-command run for minutes fails the property instead of stalling the suite.
+success writes rows of the header's width, feasible rows whose fleet covers
+the application at a positive cost, and a manifest whose assumption toggles
+are booleans. Each run has TIMEOUT_S seconds before SIGALRM fails it, so an
+input that makes a command run for minutes fails the property instead of
+stalling the suite.
 """
 
 import contextlib
@@ -129,6 +130,9 @@ def test_any_config_ends_in_a_documented_outcome(config):
         _check_outcome(code, stderr, out)
         if code:
             return
+        lines = (out / "lcodr_deterministic.csv").read_text(encoding="utf-8").split("\n")
+        width = len(lines[1].split(","))
+        assert all(len(line.split(",")) == width for line in lines[2:-1]), lines
         with open(out / "lcodr_deterministic.csv", encoding="utf-8") as fh:
             fh.readline()
             for row in csv.DictReader(fh):

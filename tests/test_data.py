@@ -364,6 +364,23 @@ def test_lcos_reference_non_finite_is_a_data_error(tmp_path):
     assert err.value.row == 3
 
 
+@pytest.mark.parametrize("row,match", [
+    ("Energy arbitrage,v2g,5.0\n", "named after a scheme"),
+    ("Energy arbitrage,Li-ion,5.0\n", "repeated technology 'Li-ion'"),
+    ('Energy arbitrage,"Li, ion",5.0\n', "comma"),
+    ('Energy arbitrage,"Li ""ion""",5.0\n', "double quote"),
+    ('Energy arbitrage,"Li\rion",5.0\n', "line break"),
+    ('Energy arbitrage,"Li\nion",5.0\n', "line break"),
+    ('"Energy arbitrage, day-ahead",Flow,5.0\n', "comma"),
+])
+def test_lcos_labels_that_would_merge_or_break_a_row_are_data_errors(tmp_path, row, match):
+    path = write(tmp_path, "application,technology,lcos_usd_per_mwh\n"
+                           "Energy arbitrage,Li-ion,100\n" + row)
+    with pytest.raises(DataError, match=match) as err:
+        load_lcos_reference(path)
+    assert err.value.row == 3
+
+
 def test_default_bundle_builds_v2g_profiles_once(monkeypatch):
     calls = []
     original = data.synthetic_v2g_profiles
