@@ -32,10 +32,10 @@ import numpy as np
 
 from . import __version__
 from .costing import (COST_COMPONENTS, batch_columns, batch_row, evaluate_batch,
-                      sample_values)
+                      left_to_right_sum, sample_values)
 from .data import (
     DataError,
-    default_bundle,
+    bundle_sources,
     load_boundary_csv,
     load_lcos_reference,
     load_profile_pool_csv,
@@ -180,7 +180,7 @@ def _load(args):
 
 
 #: Profile inputs: (flag dest, loader of a file that also feeds a digest,
-#: DataBundle attribute used when the flag is not given). The loaders look
+#: data.bundle_sources key used when the flag is not given). The loaders look
 #: their functions up at call time, so a wrapper installed on the module
 #: names sees every load.
 _PROFILE_INPUTS = (
@@ -199,22 +199,20 @@ _PROFILE_INPUTS = (
 
 
 def _load_profile_data(args):
-    """Price and availability profiles, from files when given, otherwise the
-    bundled synthetic dataset. Returns ({flag: profile}, {flag: data hash}),
-    both in _PROFILE_INPUTS order; a file is hashed from the bytes its loader
-    reads."""
+    """Price and availability profiles, from files when given, otherwise from
+    the bundled synthetic dataset's own source each, a pool as an iterator.
+    Returns ({flag: profile}, {flag: data hash}), both in _PROFILE_INPUTS
+    order; a file is hashed from the bytes its loader reads."""
     profiles, hashes = {}, {}
-    bundle = None
-    for flag, load, attribute in _PROFILE_INPUTS:
+    sources = bundle_sources()
+    for flag, load, source in _PROFILE_INPUTS:
         path = getattr(args, flag)
         if path:
             digest = hashlib.sha256()
             profiles[flag] = load(path, digest)
             hashes[flag] = digest.hexdigest()[:16]
         else:
-            if bundle is None:
-                bundle = default_bundle()
-            profiles[flag] = getattr(bundle, attribute)
+            profiles[flag] = sources[source]()
             hashes[flag] = "synthetic"
     return profiles, hashes
 
@@ -285,6 +283,8 @@ def cmd_run(args) -> int:
 def cmd_vf(args) -> int:
     params, _, _ = _load(args)
     profiles, hashes = _load_profile_data(args)
+    if args.subsample:   # subsets are drawn from the whole pool
+        profiles["ev_pool"] = list(profiles["ev_pool"])
     factors = profile_value_factors(*profiles.values())
 
     # the subset selection scheme keys subsample runs only, so that runs
@@ -379,7 +379,8 @@ def cmd_mc(args) -> int:
         if not per_app:
             continue
         n = len(per_app)
-        shares = [sum(v[c] for v in per_app) / n for c in range(len(COST_COMPONENTS))]
+        shares = [left_to_right_sum(v[c] for v in per_app) / n
+                  for c in range(len(COST_COMPONENTS))]
         for c, name in enumerate(COST_COMPONENTS):
             comp_rows.append([scheme.value, name, shares[c]])
     _write_csv(out / "cost_composition.csv",

@@ -57,10 +57,12 @@ SIZING_FIELDS = ("contracted_assets", "available_assets", "required_plugin_time"
 
 #: Why a sample has no cost, indexed by BatchEvaluation.reason; code 0 is a
 #: feasible sample. Formatted with the scheme value, the application name
-#: and the required plug-in hours.
+#: and the required plug-in hours. The name goes in single quotes as given,
+#: not by repr, which switches to double quotes for a name holding an
+#: apostrophe; a name cannot hold a double quote (model.CSV_UNSAFE).
 REASONS = (
     "",
-    "{scheme} cannot service {app!r}",
+    "{scheme} cannot service '{app}'",
     "infeasible: required plug-in time {hours:.2f} h exceeds 24 h",
     "infeasible: availability factor must be > 0",
     "infeasible: average shiftable power must be > 0",
@@ -100,11 +102,21 @@ class CashFlowSchedule:
     discount_rate: float
 
 
+def left_to_right_sum(values) -> float:
+    """The values added one at a time from the left. Python's sum() does so
+    before 3.12; from 3.12 on it compensates float sums, which can round
+    differently."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def present_value_annual(amount: float, discount_rate: float, years: int) -> float:
     """Present value of a constant annual amount paid at the end of years
     1..T. Computed by explicit summation; the year-by-year sum is the
     definition, not an approximation of the annuity formula."""
-    return amount * sum((1.0 + discount_rate) ** -t for t in range(1, years + 1))
+    return amount * left_to_right_sum((1.0 + discount_rate) ** -t for t in range(1, years + 1))
 
 
 def _eol_discount(discount_rate: float, years: int) -> float:

@@ -9,6 +9,13 @@ their qualitative daily shapes — evening-peaked EV charging, morning and
 evening heating peaks, overnight vehicle plug-in — and are deterministic
 for a fixed seed.
 
+`bundle_sources` builds each input of the bundled dataset on its own, a
+pool as an iterator of its profiles; `default_bundle` is made from it. So
+`--compute-vf` without files streams each synthetic pool into its total,
+one asset at a time, and gives the same numbers as
+`bundle_value_factors(default_bundle())` without holding the 260 asset
+profiles at once.
+
 CSV layouts:
   single series      timestamp,value
   energy boundaries  timestamp,lower,upper
@@ -34,9 +41,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from functools import partial
+from functools import cache, partial
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -440,11 +447,11 @@ def synthetic_price(days: int = 365, seed: int = 0,
     return TimeSeries(_START, _HOUR, values, "$/MWh")
 
 
-def synthetic_ev_charging_pool(n_assets: int = 200, days: int = 365,
-                               seed: int = 0) -> List[AvailabilityProfile]:
-    """Per-vehicle home-charging load: a single evening peak, heterogeneous
-    in timing, width and magnitude, with day-to-day noise."""
-    pool = []
+def synthetic_ev_charging_profiles(n_assets: int = 200, days: int = 365,
+                                   seed: int = 0) -> Iterator[AvailabilityProfile]:
+    """Per-vehicle home-charging load, one vehicle at a time: a single
+    evening peak, heterogeneous in timing, width and magnitude, with
+    day-to-day noise."""
     hours = _hour_axis(days)
     for a in range(n_assets):
         rng = np.random.default_rng((seed, 1, a))
@@ -456,16 +463,20 @@ def synthetic_ev_charging_pool(n_assets: int = 200, days: int = 365,
                                       0.0, None), 24)
         values = base * day_noise
         series = TimeSeries(_START, _HOUR, values, "kW")
-        pool.append(AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD,
-                                        series, asset_id=f"synthetic-ev-{a:03d}"))
-    return pool
+        yield AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD,
+                                  series, asset_id=f"synthetic-ev-{a:03d}")
 
 
-def synthetic_heating_pool(n_assets: int = 60, days: int = 365,
-                           seed: int = 0) -> List[AvailabilityProfile]:
-    """Per-dwelling heat-pump electricity demand: morning and evening peaks
-    over a continuous base, amplified in winter."""
-    pool = []
+def synthetic_ev_charging_pool(n_assets: int = 200, days: int = 365,
+                               seed: int = 0) -> List[AvailabilityProfile]:
+    """The profiles of synthetic_ev_charging_profiles, as a list."""
+    return list(synthetic_ev_charging_profiles(n_assets, days, seed))
+
+
+def synthetic_heating_profiles(n_assets: int = 60, days: int = 365,
+                               seed: int = 0) -> Iterator[AvailabilityProfile]:
+    """Per-dwelling heat-pump electricity demand, one dwelling at a time:
+    morning and evening peaks over a continuous base, amplified in winter."""
     hours = _hour_axis(days)
     day = np.arange(days * 24) / 24.0
     winter = 1.0 + 0.75 * np.cos(2.0 * np.pi * (day - 15.0) / 365.25)
@@ -481,9 +492,14 @@ def synthetic_heating_pool(n_assets: int = 60, days: int = 365,
                                       0.0, None), 24)
         values = shape * winter * day_noise
         series = TimeSeries(_START, _HOUR, values, "kW")
-        pool.append(AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD,
-                                        series, asset_id=f"synthetic-hp-{a:03d}"))
-    return pool
+        yield AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD,
+                                  series, asset_id=f"synthetic-hp-{a:03d}")
+
+
+def synthetic_heating_pool(n_assets: int = 60, days: int = 365,
+                           seed: int = 0) -> List[AvailabilityProfile]:
+    """The profiles of synthetic_heating_profiles, as a list."""
+    return list(synthetic_heating_profiles(n_assets, days, seed))
 
 
 def synthetic_v2g_profiles(days: int = 365, seed: int = 0,
@@ -545,14 +561,33 @@ class DataBundle:
     provenance: Dict[str, str] = field(default_factory=dict)
 
 
-def default_bundle(seed: int = 2024, days: int = 365) -> DataBundle:
-    """The deterministic bundled dataset. Same seed, same bundle."""
-    v2g_power, v2g_energy = synthetic_v2g_profiles(days=days, seed=seed)
+#: Seed of the bundled dataset, for default_bundle and for the CLI's inputs
+#: without a file.
+BUNDLE_SEED = 2024
+
+
+def bundle_sources(seed: int = BUNDLE_SEED, days: int = 365) -> Dict[str, Callable[[], object]]:
+    """A builder of each DataBundle profile input, by field name: the price
+    and the V2G profiles as values (the V2G pair built once, on first use),
+    each pool as an iterator that builds its profiles one at a time."""
+    v2g = cache(lambda: synthetic_v2g_profiles(days=days, seed=seed))
+    return {
+        "price": lambda: synthetic_price(days=days, seed=seed),
+        "ev_charging_pool": lambda: synthetic_ev_charging_profiles(days=days, seed=seed),
+        "heating_pool": lambda: synthetic_heating_profiles(days=days, seed=seed),
+        "v2g_power": lambda: v2g()[0],
+        "v2g_energy": lambda: v2g()[1],
+    }
+
+
+def default_bundle(seed: int = BUNDLE_SEED, days: int = 365) -> DataBundle:
+    """The deterministic bundled dataset, from bundle_sources with each pool
+    made a list. Same seed, same bundle."""
+    inputs = {name: source() for name, source in bundle_sources(seed, days).items()}
+    for pool in ("ev_charging_pool", "heating_pool"):
+        inputs[pool] = list(inputs[pool])
     return DataBundle(
-        price=synthetic_price(days=days, seed=seed),
-        ev_charging_pool=synthetic_ev_charging_pool(days=days, seed=seed),
-        heating_pool=synthetic_heating_pool(days=days, seed=seed),
-        v2g_power=v2g_power, v2g_energy=v2g_energy,
+        **inputs,
         lcos_reference=load_lcos_reference(),
         provenance={
             "price": "synthetic: two-peak daily shape, seasonal modulation, "
@@ -566,21 +601,25 @@ def default_bundle(seed: int = 2024, days: int = 365) -> DataBundle:
         })
 
 
-def _pool_total(pool: List[AvailabilityProfile]) -> AvailabilityProfile:
-    """Sum of the pool's profiles; every asset must share the first's grid."""
-    first = pool[0].series
+def _pool_total(pool: Iterable[AvailabilityProfile]) -> AvailabilityProfile:
+    """Sum of the pool's profiles, added in order; every asset must share the
+    first's grid. Only the first profile and the running total are kept, so a
+    pool given as an iterator is never held whole."""
+    profiles = iter(pool)
+    head = next(profiles)
+    first = head.series
     total = first.values.copy()
-    for prof in pool[1:]:
+    for prof in profiles:
         s = prof.series
         if (s.start, s.interval_seconds, len(s)) != (first.start, first.interval_seconds,
                                                      len(first)):
             raise ValueFactorError(f"asset {prof.asset_id!r} is not on the first asset's grid")
         total += s.values
-    return AvailabilityProfile(pool[0].kind, first.with_values(total), asset_id="pool-total")
+    return AvailabilityProfile(head.kind, first.with_values(total), asset_id="pool-total")
 
 
-def profile_value_factors(price: TimeSeries, ev_pool: List[AvailabilityProfile],
-                          hp_pool: List[AvailabilityProfile], v2g_power: AvailabilityProfile,
+def profile_value_factors(price: TimeSeries, ev_pool: Iterable[AvailabilityProfile],
+                          hp_pool: Iterable[AvailabilityProfile], v2g_power: AvailabilityProfile,
                           v2g_energy: AvailabilityProfile) -> Dict[str, float]:
     """Value factor per ValueFactorTable field. The two heat-pump schemes share
     one factor: their uncontrolled demand profile is the same."""

@@ -664,9 +664,10 @@ def load_config_dict(overrides: Optional[dict]):
         raise ParseError("configuration root must be a mapping")
 
     version = overrides.get("schema_version")
-    if version is not None and version != CONFIG_SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"unsupported schema_version {version!r} (expected {CONFIG_SCHEMA_VERSION})")
+    # type(): True == 1 and 1.0 == 1, but neither is schema version 1
+    if version is not None and (type(version) is not int or version != CONFIG_SCHEMA_VERSION):
+        raise SchemaVersionError(f"schema_version: unsupported version {version!r} "
+                                 f"(expected {CONFIG_SCHEMA_VERSION})")
 
     for key, value in overrides.items():
         if key == "schema_version":

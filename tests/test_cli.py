@@ -2,11 +2,14 @@ import csv
 import hashlib
 import importlib.resources
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from lcodr import cli, data
 from lcodr.cli import main
+from lcodr.model import default_parameters
 
 
 def read_csv(path):
@@ -100,6 +103,7 @@ _NAMED = ("applications: [{name: %s, power_capacity_mw: 1, discharge_duration_h:
     (_NAMED % "'Say \"when\"'", "applications[0].name"),
     (_NAMED % '"Peak\\rer"', "applications[0].name"),
     (_NAMED % '"Peak\\ner"', "applications[0].name"),
+    ("schema_version: true\n", "schema_version"),
 ])
 @pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, text, field, command):
@@ -109,6 +113,20 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, text, field, comm
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith(f"error: config: {field}:")
+
+
+def test_an_apostrophe_in_an_application_name_keeps_rows_unquoted(tmp_path):
+    cfg = tmp_path / "apostrophe.yaml"
+    cfg.write_text(_APP.replace("name: X", "name: \"it's\"") % ("1", "[v2g]"),
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", "--out", str(out), "--config", str(cfg)]) == 0
+    text = (out / "lcodr_deterministic.csv").read_text(encoding="utf-8")
+    assert '"' not in text
+    header, *rows = text.splitlines()[1:]
+    assert len(rows) == 4
+    assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
+    assert "smart_charging cannot service 'it's'" in text
 
 
 def test_reward_base_hours_flag_sets_metadata(tmp_path):
@@ -412,3 +430,35 @@ def test_an_lcos_technology_named_after_a_scheme_is_a_data_error(tmp_path, capsy
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert errors == [f"error: data: {lcos}:{row}: technology 'v2g' is named after a scheme"]
+
+
+@pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
+def test_compute_vf_without_files_streams_the_bundled_pools(tmp_path, monkeypatch, command):
+    _, expected = data.bundle_value_factors(data.default_bundle())
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the whole bundled pool was built")
+
+    for name in ("default_bundle", "synthetic_ev_charging_pool", "synthetic_heating_pool"):
+        monkeypatch.setattr(data, name, unused)
+    computed = []
+
+    def recording(*profiles):
+        computed.append(data.profile_value_factors(*profiles))
+        return computed[-1]
+
+    monkeypatch.setattr(cli, "profile_value_factors", recording)
+    assert main(command + ["--compute-vf", "--out", str(tmp_path / "o")]) == 0
+    assert computed == [expected]
+
+
+def test_compute_vf_without_files_holds_one_asset_at_a_time():
+    # the 260 bundled asset profiles together take about 17 MiB
+    args = cli.build_parser().parse_args(["mc", "--compute-vf", "--out", "unused"])
+    tracemalloc.start()
+    try:
+        cli._with_computed_value_factors(default_parameters(), args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20

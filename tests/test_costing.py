@@ -8,6 +8,7 @@ from lcodr.costing import (
     ZeroEnergy,
     evaluate_pairing,
     lcodr_energy,
+    left_to_right_sum,
     monthly_reward_per_asset,
     present_value_annual,
 )
@@ -43,6 +44,21 @@ def test_present_value_matches_annuity():
         for years in (1, 5, 15, 30):
             assert present_value_annual(1.0, r, years) == \
                 pytest.approx(annuity(r, years), rel=1e-12)
+
+
+def test_sums_add_left_to_right_not_compensated():
+    # inputs on which math.fsum, and so sum() of floats from Python 3.12 on,
+    # rounds differently from adding one value at a time
+    cancelling = [1.0, 1e100, 1.0, -1e100]
+    assert math.fsum(cancelling) == 2.0
+    assert left_to_right_sum(cancelling) == 0.0
+    terms = [1.05 ** -t for t in range(1, 16)]
+    total = 0.0
+    for term in terms:
+        total += term
+    assert math.fsum(terms) != total
+    assert left_to_right_sum(terms) == total
+    assert present_value_annual(1.0, 0.05, 15) == total
 
 
 def test_monthly_reward_smart_charging():

@@ -21,7 +21,9 @@ from lcodr.data import (
     load_timeseries_csv,
     profile_value_factors,
     synthetic_ev_charging_pool,
+    synthetic_ev_charging_profiles,
     synthetic_heating_pool,
+    synthetic_heating_profiles,
     synthetic_price,
     synthetic_v2g_profiles,
 )
@@ -161,6 +163,20 @@ def test_bundle_deterministic():
     assert np.array_equal(a.v2g_power.series.values, b.v2g_power.series.values)
     c = default_bundle(seed=8, days=10)
     assert not np.array_equal(a.price.values, c.price.values)
+
+
+@pytest.mark.parametrize("profiles,pool", [
+    (synthetic_ev_charging_profiles, synthetic_ev_charging_pool),
+    (synthetic_heating_profiles, synthetic_heating_pool),
+])
+def test_a_pool_total_over_a_generator_is_bitwise_the_total_over_its_list(profiles, pool):
+    listed = pool(n_assets=9, days=6, seed=3)
+    streamed = profiles(n_assets=9, days=6, seed=3)
+    assert not isinstance(streamed, list)
+    a, b = data._pool_total(streamed), data._pool_total(listed)
+    assert a.series.values.tobytes() == b.series.values.tobytes()
+    assert (a.kind, a.asset_id, a.series.start, a.series.interval_seconds, a.series.unit) == \
+        (b.kind, b.asset_id, b.series.start, b.series.interval_seconds, b.series.unit)
 
 
 def test_bundled_value_factors_are_the_config_goldens():

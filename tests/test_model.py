@@ -186,8 +186,9 @@ def test_config_overrides_and_unknown_keys():
         load_config_dict({"chargr_power": 11.0})
     with pytest.raises(ValidationError):
         load_config_dict({"value_factors": {"v2g": 1.0}})
-    with pytest.raises(SchemaVersionError):
-        load_config_dict({"schema_version": 99})
+    for version in (99, True, 1.0, "1"):
+        with pytest.raises(SchemaVersionError, match="schema_version"):
+            load_config_dict({"schema_version": version})
 
 
 def test_default_applications_table():
