@@ -199,8 +199,8 @@ _PROFILE_INPUTS = (
 
 
 def _load_profile_data(args):
-    """Price and availability profiles, from files when given, otherwise from
-    the bundled synthetic dataset's own source each, a pool as an iterator.
+    """Price and availability profiles, from files when given, otherwise each
+    from its own data.bundle_sources builder (a pool as an iterator).
     Returns ({flag: profile}, {flag: data hash}), both in _PROFILE_INPUTS
     order; a file is hashed from the bytes its loader reads."""
     profiles, hashes = {}, {}
