@@ -27,12 +27,7 @@ from .model import (
     load_config,
 )
 from .sizing import size_pairing
-from .costing import (
-    CashFlowSchedule,
-    PairingEvaluation,
-    evaluate_pairing,
-    lcodr_energy,
-)
+from .costing import PairingEvaluation, evaluate_pairing
 from .valuefactor import AvailabilityProfile, ProfileKind, value_factor, vf_subsample_mc
 from .uncertainty import (
     McConfig,
@@ -47,13 +42,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApplicationSpec", "Assumptions", "AvailabilityProfile", "BindingConstraint",
-    "CashFlowSchedule", "CostBreakdown", "DataBundle", "EconomicParameters",
+    "CostBreakdown", "DataBundle", "EconomicParameters",
     "EvParameters", "HeatParameters", "LcodrError", "McConfig", "McDistribution",
     "PairingEvaluation", "ParameterSet", "ParseError", "ProfileKind", "SchemeKind",
     "SizingResult", "TimeSeries", "ValidationError", "ValueFactorTable",
     "__version__", "bundle_value_factors", "cheapest_probability",
     "default_applications", "default_bundle", "default_parameters",
-    "evaluate_pairing", "lcodr_energy", "load_config",
+    "evaluate_pairing", "load_config",
     "load_lcos_reference", "perturb_parameters", "run_monte_carlo", "size_pairing",
     "value_factor", "vf_subsample_mc",
 ]

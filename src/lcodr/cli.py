@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf = sub.add_parser("vf", help="value factors from time series")
     _add_common(p_vf)
     _add_data_flags(p_vf)
-    p_vf.add_argument("--subsample", type=_int_at_least(0), default=None,
+    p_vf.add_argument("--subsample", type=_int_at_least(1), default=None,
                       help="asset subset size for the sensitivity distribution")
     p_vf.add_argument("--iterations", type=_int_at_least(1), default=1000)
     p_vf.set_defaults(func=cmd_vf)
@@ -482,12 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_mc)
     _add_data_flags(p_mc)
     p_mc.add_argument("--compute-vf", action="store_true")
-    p_mc.add_argument("--samples", type=_int_at_least(1), default=1000)
-    p_mc.add_argument("--sigma", type=float, default=0.33)
-    p_mc.add_argument("--sigma-vf", type=float, default=0.10)
+    p_mc.add_argument("--samples", type=_int_at_least(1), default=McConfig.samples)
+    p_mc.add_argument("--sigma", type=float, default=McConfig.sigma_inputs)
+    p_mc.add_argument("--sigma-vf", type=float, default=McConfig.sigma_vf)
     p_mc.add_argument("--lcos", default=None, help="storage-cost reference CSV")
     p_mc.add_argument("--lcos-sampling", choices=["point", "same_scheme"],
-                      default="point")
+                      default=McConfig.lcos_sampling.value)
     p_mc.add_argument("--emit-samples", action="store_true")
     p_mc.add_argument("--workers", type=_int_at_least(1), default=None,
                       help="accepted for compatibility and ignored: Monte-Carlo "

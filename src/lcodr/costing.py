@@ -10,7 +10,9 @@ factor. A sample that cannot be evaluated carries a code into REASONS.
 
 `lcodr run` and `evaluate_pairing` call the kernel on the single row of one
 ParameterSet and read it through `sample_values`, as Python values; `lcodr
-mc` calls the kernel on whole sample ranges.
+mc` calls the kernel on whole sample ranges. There is no second, scalar
+route to a levelised cost. The consumer reward formula, `monthly_reward`,
+is the kernel's own and takes floats and columns alike.
 
 Numerical care: basic arithmetic, sqrt, min, max and comparisons are
 correctly rounded in numpy as in Python, so a value does not depend on
@@ -35,7 +37,6 @@ from .model import (
     Assumptions,
     BindingConstraint,
     CostBreakdown,
-    LcodrError,
     ParameterSet,
     SchemeKind,
     SizingResult,
@@ -72,36 +73,6 @@ REASONS = (
  NOT_FINITE) = range(len(REASONS))
 
 
-class CostingError(LcodrError):
-    pass
-
-
-class InfeasibleInput(CostingError):
-    """Cash flows were requested for an infeasible sizing."""
-
-
-class ZeroEnergy(CostingError):
-    pass
-
-
-@dataclass(frozen=True)
-class CashFlowSchedule:
-    """Constant annual cash flows over the scheme lifetime.
-
-    Monetary fields in $, energy in MWh/year. End-of-life costs fall due one
-    year after the last operating year.
-    """
-
-    investment_t0: float
-    annual_om: float
-    annual_rewards: float
-    annual_rebound: float
-    eol_cost: float
-    annual_energy: float
-    lifetime_years: int
-    discount_rate: float
-
-
 def left_to_right_sum(values) -> float:
     """The values added one at a time from the left. Python's sum() does so
     before 3.12; from 3.12 on it compensates float sums, which can round
@@ -119,32 +90,6 @@ def present_value_annual(amount: float, discount_rate: float, years: int) -> flo
     return amount * left_to_right_sum((1.0 + discount_rate) ** -t for t in range(1, years + 1))
 
 
-def _eol_discount(discount_rate: float, years: int) -> float:
-    """Discount factor one year after the last operating year."""
-    return (1.0 + discount_rate) ** -(years + 1)
-
-
-def _discounted(investment, annual_om, annual_rewards, annual_rebound, eol_cost,
-                annuity, eol_discount):
-    """Present value of each cost component, by COST_COMPONENTS name, and
-    their total. `annuity` is the present value of 1 per year."""
-    pv = {"investment": investment, "om": annual_om * annuity,
-          "rewards": annual_rewards * annuity, "rebound": annual_rebound * annuity,
-          "eol": eol_cost * eol_discount}
-    return pv, pv["investment"] + pv["om"] + pv["rewards"] + pv["rebound"] + pv["eol"]
-
-
-def lcodr_energy(cf: CashFlowSchedule) -> float:
-    """Levelised cost per discounted MWh of shifted energy, $/MWh."""
-    if cf.annual_energy <= 0:
-        raise ZeroEnergy("annual shifted energy must be > 0")
-    r, years = cf.discount_rate, cf.lifetime_years
-    annuity = present_value_annual(1.0, r, years)
-    _, total = _discounted(cf.investment_t0, cf.annual_om, cf.annual_rewards,
-                           cf.annual_rebound, cf.eol_cost, annuity, _eol_discount(r, years))
-    return total / (cf.annual_energy * annuity)
-
-
 def _ev_reward(p, plugin_time, base, per_hour, assumptions: Assumptions):
     base_hours = assumptions.reward_base_hours
     if base_hours is None:
@@ -152,10 +97,17 @@ def _ev_reward(p, plugin_time, base, per_hour, assumptions: Assumptions):
     return np.maximum(p["reward_floor"], p[base] + (plugin_time - base_hours) * p[per_hour])
 
 
-def _monthly_reward(scheme: SchemeKind, p: Mapping, assumptions: Assumptions,
-                    plugin_time=None, tank_area=None):
-    """`monthly_reward_per_asset` where `p` maps parameter keys to values
-    or columns."""
+def monthly_reward(scheme: SchemeKind, p: Mapping, assumptions: Assumptions,
+                   plugin_time=None, tank_area=None):
+    """Monthly payment to one contracted consumer, $; `p` maps parameter
+    keys to values or columns.
+
+    EV schemes pay a base reward plus a per-hour rate on the contracted
+    plug-in time above the base contract; thermal storage pays for the
+    tank's floor area; the smart heat-pump reward is a flat thermostat
+    payment. V2G, smart charging and thermal storage are floored at the
+    minimum monthly reward.
+    """
     if scheme is SchemeKind.V2G:
         return _ev_reward(p, plugin_time, "v2g_reward_base", "v2g_reward_per_hour", assumptions)
     if scheme is SchemeKind.SMART_CHARGING:
@@ -164,21 +116,6 @@ def _monthly_reward(scheme: SchemeKind, p: Mapping, assumptions: Assumptions,
     if scheme is SchemeKind.SMART_HEAT_PUMP:
         return p["hp_reward_monthly"]
     return np.maximum(p["reward_floor"], p["tank_area_reward_monthly"] * tank_area)
-
-
-def monthly_reward_per_asset(scheme: SchemeKind, sizing: SizingResult,
-                             params: ParameterSet) -> float:
-    """Monthly payment to one contracted consumer, $.
-
-    EV schemes pay a base reward plus a per-hour rate on plug-in time above
-    the base contract; thermal storage pays for the tank's floor area; the
-    smart heat-pump reward is a flat thermostat payment. V2G, smart charging
-    and thermal storage are floored at the minimum monthly reward.
-    """
-    if not sizing.feasible:
-        raise InfeasibleInput(sizing.reason)
-    return float(_monthly_reward(scheme, parameter_values(params), params.assumptions,
-                                 sizing.required_plugin_time, sizing.tank_area))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +143,7 @@ def batch_columns(matrix: np.ndarray) -> Dict[str, np.ndarray]:
     years = [int(t) for t in columns["lifetime_years"].tolist()]
     columns["annuity"] = np.array(
         [present_value_annual(1.0, r, t) for r, t in zip(rates, years)])
-    columns["eol_discount"] = np.array([_eol_discount(r, t) for r, t in zip(rates, years)])
+    columns["eol_discount"] = np.array([(1.0 + r) ** -(t + 1) for r, t in zip(rates, years)])
     return columns
 
 
@@ -378,17 +315,19 @@ def evaluate_batch(scheme: SchemeKind, app: ApplicationSpec,
         values = _BATCH_SIZERS[scheme](app, c, assumptions)
         n_assets = values["contracted_assets"]
         investment = n_assets * values["capex"]
-        reward = _monthly_reward(scheme, c, assumptions, values.get("required_plugin_time"),
-                                 values.get("tank_area"))
+        reward = monthly_reward(scheme, c, assumptions, values.get("required_plugin_time"),
+                                values.get("tank_area"))
         annual_rebound = (app.annual_energy_mwh * (c["electricity_price"] * 1000.0)
                           * values["rebound"])
-        pv, total = _discounted(investment, c["om_fraction"] * investment,
-                                12.0 * n_assets * reward, annual_rebound,
-                                n_assets * values["eol"], c["annuity"], c["eol_discount"])
+        annuity = c["annuity"]
+        pv = {"investment": investment, "om": c["om_fraction"] * investment * annuity,
+              "rewards": 12.0 * n_assets * reward * annuity, "rebound": annual_rebound * annuity,
+              "eol": n_assets * values["eol"] * c["eol_discount"]}
+        total = pv["investment"] + pv["om"] + pv["rewards"] + pv["rebound"] + pv["eol"]
         values.update(pv)
-        values["energy_pv"] = app.annual_energy_mwh * c["annuity"]
+        values["energy_pv"] = app.annual_energy_mwh * annuity
         values["lcodr_energy"] = total / values["energy_pv"]
-        values["lcodr_power"] = total / (app.power_capacity * c["annuity"])
+        values["lcodr_power"] = total / (app.power_capacity * annuity)
         values["lcodr_vf"] = values["lcodr_energy"] / values["value_factor"]
     # a per-asset capacity near the float minimum sizes an infinite fleet
     failures = (*values["failures"], (NOT_FINITE, ~np.isfinite(values["lcodr_vf"])))

@@ -73,12 +73,6 @@ class SchemeKind(enum.Enum):
                                   "scheme") from None
 
 
-#: Schemes that can only shift load, not export power.
-UNIDIRECTIONAL_SCHEMES = frozenset(
-    {SchemeKind.SMART_CHARGING, SchemeKind.SMART_HEAT_PUMP, SchemeKind.HP_THERMAL_STORAGE}
-)
-
-
 class BindingConstraint(enum.Enum):
     POWER = "power"
     ENERGY = "energy"
@@ -275,6 +269,9 @@ class ValueFactorTable:
 
     def __post_init__(self):
         _check_fields(self)
+        # the kernel divides by the factor: an infinite one prices a pairing at 0
+        for name, value in vars(self).items():
+            _check(math.isfinite(value), "must be finite", name)
 
     def for_scheme(self, scheme: SchemeKind,
                    binding: BindingConstraint = BindingConstraint.NOT_APPLICABLE) -> float:
@@ -636,6 +633,8 @@ def _applications_from_config(entries: list) -> list:
         if CSV_UNSAFE.intersection(name):
             raise ValidationError("must not hold a comma, a double quote or a line break",
                                   f"{path}.name")
+        if any(app.name == name for app in apps):
+            raise ValidationError(f"repeats the application name {name!r}", f"{path}.name")
         schemes = entry.get("suitable_schemes", [])
         if not isinstance(schemes, list):
             raise ValidationError("must be a list", f"{path}.suitable_schemes")

@@ -3,10 +3,10 @@
 How many demand-response assets a storage application needs, and the
 contract terms that follow: the required plug-in time of EV schemes and the
 tank geometry of thermal storage. The sizing itself is done, for one sample
-or many, by `costing.evaluate_batch`. The formulas it shares with the named
-functions below take floats and numpy columns alike, so each is written
-once, and a named function adds only its domain errors. The forward
-duration limits, which invert those formulas, are used by no kernel.
+or many, by `costing.evaluate_batch`, on the shared formulas below, which
+take floats and numpy columns alike. The forward duration limits, which
+those formulas invert, are the references the kernel's inverse is checked
+against.
 
 `size_pairing` sizes one pairing on one ParameterSet. It never raises for
 domain outcomes: unsuitable or infeasible pairings come back as a
@@ -36,26 +36,8 @@ class SizingError(LcodrError):
     """A sizing computation cannot proceed with the given inputs."""
 
 
-class RptTooShort(SizingError):
-    pass
-
-
-class RptOutOfRange(SizingError):
-    pass
-
-
 class AreaTooSmall(SizingError):
     pass
-
-
-class InfeasibleDuration(SizingError):
-    """The required plug-in time would exceed 24 hours. Carries the
-    unclamped requirement for diagnostics."""
-
-    def __init__(self, required_hours: float):
-        self.required_hours = required_hours
-        super().__init__(
-            f"required plug-in time {required_hours:.2f} h exceeds 24 h")
 
 
 def _pow(x: float, y: float) -> float:
@@ -106,41 +88,8 @@ def tank_geometry(discharge_duration: float, heat):
 
 
 # ---------------------------------------------------------------------------
-# Named formulas on one parameter group
+# Forward duration limits on one parameter group
 # ---------------------------------------------------------------------------
-
-def _recharge_time(ev: EvParameters) -> float:
-    return ev.dischargeable_energy / ev.effective_charger_power
-
-
-def v2g_availability_factor(required_plugin_time: float, ev: EvParameters) -> float:
-    """Fraction of the day a contracted EV is plugged in and not charging."""
-    t_cha = ev.daily_charge_time
-    if required_plugin_time > 24.0:
-        raise RptOutOfRange(
-            f"required plug-in time {required_plugin_time} h exceeds 24 h")
-    if required_plugin_time < t_cha:
-        raise RptTooShort(
-            f"required plug-in time {required_plugin_time} h is below the "
-            f"daily charging time {t_cha:.3f} h")
-    return availability_factor(required_plugin_time, t_cha)
-
-
-def min_required_plugin_time(scheme: SchemeKind, discharge_duration: float,
-                             ev: EvParameters) -> float:
-    """Smallest daily plug-in time whose discharge-duration limit covers
-    `discharge_duration`. Closed-form inversion of the duration limits.
-
-    Raises InfeasibleDuration when more than 24 h would be required.
-    """
-    if scheme not in (SchemeKind.V2G, SchemeKind.SMART_CHARGING):
-        raise SizingError(f"plug-in time applies only to EV schemes, not {scheme}")
-    required = required_plugin_time(scheme, discharge_duration, ev.daily_charge_time,
-                                    _recharge_time(ev))
-    if required > 24.0:
-        raise InfeasibleDuration(required)
-    return required
-
 
 def v2g_max_discharge_duration(required_plugin_time: float, ev: EvParameters) -> float:
     """Longest V2G discharge a plug-in window supports, hours.
@@ -150,7 +99,7 @@ def v2g_max_discharge_duration(required_plugin_time: float, ev: EvParameters) ->
     is unavailable. Clamped at 0 (no discharge possible).
     """
     half_window = (required_plugin_time - ev.daily_charge_time) / 2.0
-    return max(0.0, half_window - _recharge_time(ev))
+    return max(0.0, half_window - ev.dischargeable_energy / ev.effective_charger_power)
 
 
 def smart_charging_max_discharge_duration(required_plugin_time: float,
@@ -184,15 +133,6 @@ def thermal_storage_max_discharge_duration(area: float, heat: HeatParameters) ->
     mass = tank_mass_from_area(area, heat)
     stored_kwh = mass * heat.water_heat_capacity * heat.tank_temp_range / KJ_PER_KWH
     return stored_kwh / (heat.hp_active_power * heat.seasonal_performance)
-
-
-def min_tank_area(discharge_duration: float, heat: HeatParameters):
-    """Smallest tank covering a discharge duration.
-
-    Returns (area m^2, volume m^3, water mass kg). The forward duration
-    formula reproduces `discharge_duration` from the returned area.
-    """
-    return tuple(float(v) for v in tank_geometry(discharge_duration, vars(heat)))
 
 
 def size_pairing(scheme: SchemeKind, app: ApplicationSpec,

@@ -7,25 +7,25 @@ import json
 import numpy as np
 import pytest
 
-from lcodr.costing import evaluate_pairing, monthly_reward_per_asset, present_value_annual
+from lcodr.costing import evaluate_pairing, monthly_reward, present_value_annual
 from lcodr.model import (
+    ApplicationSpec,
     Assumptions,
     EvParameters,
     HeatParameters,
     ParameterSet,
     SchemeKind,
-    SizingResult,
     default_applications,
     default_parameters,
+    load_config_dict,
+    parameter_values,
 )
 from lcodr.sizing import (
-    InfeasibleDuration,
-    min_required_plugin_time,
-    min_tank_area,
+    availability_factor,
     hp_max_discharge_duration,
+    size_pairing,
     smart_charging_max_discharge_duration,
     thermal_storage_max_discharge_duration,
-    v2g_availability_factor,
     v2g_max_discharge_duration,
 )
 from lcodr.uncertainty import McConfig, cheapest_probability, run_monte_carlo
@@ -40,6 +40,12 @@ def _report(number, name, ok):
     assert ok, f"acceptance criterion {number} ({name}) failed"
 
 
+def _sized(scheme, hours, params):
+    """The kernel's sizing of `scheme` for a 1 MW application of `hours`."""
+    app = ApplicationSpec("sized", 1000.0, hours, 10.0, frozenset({scheme}))
+    return size_pairing(scheme, app, params)
+
+
 @pytest.fixture(scope="module")
 def full_mc():
     """The default 1000-sample Monte-Carlo over all 48 pairings, shared by
@@ -51,13 +57,12 @@ def full_mc():
 
 
 def test_criterion_01_reward_formula_fixture(tmp_path):
-    sizing = SizingResult(scheme=SchemeKind.SMART_CHARGING, feasible=True,
-                          contracted_assets=1.0, available_assets=1.0,
-                          required_plugin_time=15.0)
-    anchored = ParameterSet(assumptions=Assumptions(reward_base_hours=10.0))
-    at_10 = monthly_reward_per_asset(SchemeKind.SMART_CHARGING, sizing, anchored)
-    at_observed = monthly_reward_per_asset(SchemeKind.SMART_CHARGING, sizing,
-                                           ParameterSet())
+    def reward_at_15h(params):
+        return monthly_reward(SchemeKind.SMART_CHARGING, parameter_values(params),
+                              params.assumptions, plugin_time=15.0)
+
+    at_10 = reward_at_15h(ParameterSet(assumptions=Assumptions(reward_base_hours=10.0)))
+    at_observed = reward_at_15h(ParameterSet())
     # the discrepancy between the two anchors is flagged in run metadata
     from lcodr.cli import main
     out = tmp_path / "out"
@@ -130,11 +135,17 @@ def test_criterion_05_discounting_oracle():
             explicit = present_value_annual(1.0, r, years)
             closed = (1.0 - (1.0 + r) ** -years) / r
             ok &= abs(explicit - closed) <= 1e-12 * closed
-    # rebound-only cost per MWh is the energy price, independent of (r, T)
-    from lcodr.costing import CashFlowSchedule, lcodr_energy
+    # rebound-only cost per MWh is the energy price (50 $/MWh), independent
+    # of (r, T): smart charging with no charger cost and no reward
+    app = ApplicationSpec("rebound only", 1000.0, 1.0, 777.0,
+                          frozenset({SchemeKind.SMART_CHARGING}))
     for r, years in ((0.0, 1), (0.033, 9), (0.19, 28)):
-        cf = CashFlowSchedule(0.0, 0.0, 0.0, 777.0 * 50.0, 0.0, 777.0, years, r)
-        ok &= abs(lcodr_energy(cf) - 50.0) <= 1e-12 * 50.0
+        params, _ = load_config_dict({
+            "smart_charger_capex": 0.0, "smart_reward_base": 0.0,
+            "smart_reward_per_hour": 0.0, "reward_floor": 0.0,
+            "discount_rate": r, "lifetime_years": years})
+        b = evaluate_pairing(SchemeKind.SMART_CHARGING, app, params).breakdown
+        ok &= abs(b.lcodr_energy - 50.0) <= 1e-12 * 50.0
     _report(5, "discounting oracle", ok)
 
 
@@ -158,17 +169,18 @@ def test_criterion_06_inversion_roundtrips():
             wall_thickness=rng.uniform(0.02, 0.1),
             ceiling_height=rng.uniform(2.1, 3.0))
         duration = rng.uniform(0.1, 10.0)
-        try:
-            rpt = min_required_plugin_time(SchemeKind.V2G, duration, ev)
-            ok &= abs(v2g_max_discharge_duration(rpt, ev) - duration) \
-                <= 1e-9 * duration
-        except InfeasibleDuration:
-            pass
-        rpt = min_required_plugin_time(SchemeKind.SMART_CHARGING,
-                                       min(duration, 20.0), ev)
+        # the kernel's inverse, unfloored, fed into the forward limits
+        params = ParameterSet(ev=ev, heat=heat,
+                              assumptions=Assumptions(rpt_floor_at_base=False))
+        v2g = _sized(SchemeKind.V2G, duration, params)
+        if v2g.feasible:   # more than 24 h of plug-in is infeasible
+            ok &= abs(v2g_max_discharge_duration(v2g.required_plugin_time, ev)
+                      - duration) <= 1e-9 * duration
+        rpt = _sized(SchemeKind.SMART_CHARGING, min(duration, 20.0),
+                     params).required_plugin_time
         ok &= abs(smart_charging_max_discharge_duration(rpt, ev)
                   - min(duration, 20.0)) <= 1e-9 * duration
-        area, _, _ = min_tank_area(duration, heat)
+        area = _sized(SchemeKind.HP_THERMAL_STORAGE, duration, params).tank_area
         ok &= abs(thermal_storage_max_discharge_duration(area, heat)
                   - duration) <= 1e-9 * duration
         checked += 1
@@ -178,11 +190,11 @@ def test_criterion_06_inversion_roundtrips():
 def test_criterion_07_hand_arithmetic_fixtures():
     ev = EvParameters()
     heat = HeatParameters()
-    ok = abs(v2g_availability_factor(11.5, ev) - 0.4485) <= 0.005 * 0.4485
-    ok &= abs(min_required_plugin_time(SchemeKind.V2G, 0.5, ev)
+    ok = abs(availability_factor(11.5, ev.daily_charge_time) - 0.4485) <= 0.005 * 0.4485
+    ok &= abs(_sized(SchemeKind.V2G, 0.5, ParameterSet()).required_plugin_time
               - 14.073) <= 0.005 * 14.073
     ok &= abs(hp_max_discharge_duration(heat) - 7.088) <= 0.005 * 7.088
-    area, _, _ = min_tank_area(4.0, heat)
+    area = _sized(SchemeKind.HP_THERMAL_STORAGE, 4.0, ParameterSet()).tank_area
     ok &= abs(area - 0.371) <= 0.005 * 0.371
     _report(7, "hand-derived sizing fixtures", ok)
 

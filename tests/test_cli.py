@@ -98,12 +98,18 @@ _NAMED = ("applications: [{name: %s, power_capacity_mw: 1, discharge_duration_h:
     ("lifetime_years: 1000000\n", "lifetime_years"),
     ("battery_capacity: true\n", "battery_capacity"),
     ("value_factors: {heat_pump: true}\n", "value_factors.heat_pump"),
+    ("value_factors: {v2g_power: .inf}\n", "v2g_power"),
     (_APP % ("true", "[v2g]"), "applications[0].power_capacity_mw"),
     (_NAMED % '"Arbitrage, day-ahead"', "applications[0].name"),
     (_NAMED % "'Say \"when\"'", "applications[0].name"),
     (_NAMED % '"Peak\\rer"', "applications[0].name"),
     (_NAMED % '"Peak\\ner"', "applications[0].name"),
     ("schema_version: true\n", "schema_version"),
+    ("applications:\n"
+     "  - {name: A, power_capacity_mw: 1, discharge_duration_h: 1, annual_cycles: 10,\n"
+     "     suitable_schemes: [v2g, smart_charging]}\n"
+     "  - {name: A, power_capacity_mw: 1, discharge_duration_h: 4, annual_cycles: 10,\n"
+     "     suitable_schemes: [hp_thermal_storage]}\n", "applications[1].name"),
 ])
 @pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, text, field, command):
@@ -255,6 +261,7 @@ def test_mc_outputs_and_composition_shares(tmp_path):
 @pytest.mark.parametrize("argv", [["vf", "--subsample", "5", "--iterations", "-1"],
                                   ["vf", "--subsample", "5", "--iterations", "0"],
                                   ["vf", "--subsample", "-2"],
+                                  ["vf", "--subsample", "0"],
                                   ["mc", "--samples", "0"],
                                   ["mc", "--samples", "-3"],
                                   ["mc", "--samples", "1", "--workers", "0"],

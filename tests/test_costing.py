@@ -3,13 +3,9 @@ import math
 import pytest
 
 from lcodr.costing import (
-    CashFlowSchedule,
-    InfeasibleInput,
-    ZeroEnergy,
     evaluate_pairing,
-    lcodr_energy,
     left_to_right_sum,
-    monthly_reward_per_asset,
+    monthly_reward,
     present_value_annual,
 )
 from lcodr.model import (
@@ -18,12 +14,16 @@ from lcodr.model import (
     BindingConstraint,
     ParameterSet,
     SchemeKind,
-    SizingResult,
     ValidationError,
     ValueFactorTable,
+    load_config_dict,
+    parameter_values,
 )
 
 ARBITRAGE = ApplicationSpec("Energy arbitrage", 100_000.0, 4.0, 300.0, frozenset(SchemeKind))
+#: Overrides under which smart charging costs nothing but rebound energy.
+REBOUND_ONLY = {"smart_charger_capex": 0.0, "smart_reward_base": 0.0,
+                "smart_reward_per_hour": 0.0, "reward_floor": 0.0}
 
 
 def annuity(r, years):
@@ -33,10 +33,9 @@ def annuity(r, years):
     return (1.0 - (1.0 + r) ** -years) / r
 
 
-def sc_sizing(rpt):
-    return SizingResult(scheme=SchemeKind.SMART_CHARGING, feasible=True,
-                        contracted_assets=100.0, available_assets=100.0,
-                        required_plugin_time=rpt)
+def reward(scheme, params, **sizing):
+    """The monthly reward on `params` for a plug-in time or tank area."""
+    return monthly_reward(scheme, parameter_values(params), params.assumptions, **sizing)
 
 
 def test_present_value_matches_annuity():
@@ -64,51 +63,38 @@ def test_sums_add_left_to_right_not_compensated():
 def test_monthly_reward_smart_charging():
     params = ParameterSet()
     # base contract: 11.5 h plug-in pays exactly the base reward
-    assert monthly_reward_per_asset(SchemeKind.SMART_CHARGING,
-                                    sc_sizing(11.5), params) == pytest.approx(40.81)
+    assert reward(SchemeKind.SMART_CHARGING, params,
+                  plugin_time=11.5) == pytest.approx(40.81)
     # 15 h: 40.81 + 3.5 * 11.8 = 82.11
-    assert monthly_reward_per_asset(SchemeKind.SMART_CHARGING,
-                                    sc_sizing(15.0), params) == pytest.approx(82.11)
+    assert reward(SchemeKind.SMART_CHARGING, params,
+                  plugin_time=15.0) == pytest.approx(82.11)
     # 8 h: 40.81 - 3.5 * 11.8 = -0.49, floored at the 5 $ minimum
-    assert monthly_reward_per_asset(SchemeKind.SMART_CHARGING,
-                                    sc_sizing(8.0), params) == pytest.approx(5.0)
+    assert reward(SchemeKind.SMART_CHARGING, params,
+                  plugin_time=8.0) == pytest.approx(5.0)
 
 
 def test_monthly_reward_base_hours_override():
     # anchoring the base reward at 10 h instead of the observed plug-in time:
     # 40.81 + (15 - 10) * 11.8 = 99.81
     params = ParameterSet(assumptions=Assumptions(reward_base_hours=10.0))
-    assert monthly_reward_per_asset(SchemeKind.SMART_CHARGING,
-                                    sc_sizing(15.0), params) == pytest.approx(99.81)
+    assert reward(SchemeKind.SMART_CHARGING, params,
+                  plugin_time=15.0) == pytest.approx(99.81)
 
 
 def test_monthly_reward_v2g_and_heat():
     params = ParameterSet()
-    v2g = SizingResult(scheme=SchemeKind.V2G, feasible=True,
-                       contracted_assets=10.0, available_assets=5.0,
-                       required_plugin_time=14.0)
     # 59.1 + 2.5 * 29 = 131.6
-    assert monthly_reward_per_asset(SchemeKind.V2G, v2g, params) == \
-        pytest.approx(131.6)
-    shp = SizingResult(scheme=SchemeKind.SMART_HEAT_PUMP, feasible=True,
-                       contracted_assets=10.0, available_assets=10.0)
-    assert monthly_reward_per_asset(SchemeKind.SMART_HEAT_PUMP, shp, params) == 10.7
-    tank = SizingResult(scheme=SchemeKind.HP_THERMAL_STORAGE, feasible=True,
-                        contracted_assets=10.0, available_assets=10.0,
-                        tank_area=0.3712, tank_volume=0.448, tank_mass=448.1)
+    assert reward(SchemeKind.V2G, params, plugin_time=14.0) == pytest.approx(131.6)
+    assert reward(SchemeKind.SMART_HEAT_PUMP, params) == 10.7
     # 17.7 $/m2 * 0.3712 m2 = 6.57 $/month, above the floor
-    assert monthly_reward_per_asset(SchemeKind.HP_THERMAL_STORAGE, tank, params) \
+    assert reward(SchemeKind.HP_THERMAL_STORAGE, params, tank_area=0.3712) \
         == pytest.approx(6.570, rel=1e-3)
 
 
 def test_reward_floor_under_perturbation():
     # the floor holds even when the area reward collapses
-    params, _ = __import__("lcodr.model", fromlist=["load_config_dict"]) \
-        .load_config_dict({"tank_area_reward_monthly": 0.01})
-    tank = SizingResult(scheme=SchemeKind.HP_THERMAL_STORAGE, feasible=True,
-                        contracted_assets=10.0, available_assets=10.0,
-                        tank_area=0.3712)
-    assert monthly_reward_per_asset(SchemeKind.HP_THERMAL_STORAGE, tank, params) == 5.0
+    params, _ = load_config_dict({"tank_area_reward_monthly": 0.01})
+    assert reward(SchemeKind.HP_THERMAL_STORAGE, params, tank_area=0.3712) == 5.0
 
 
 def test_rebound_factor():
@@ -127,24 +113,22 @@ def test_rebound_factor():
 
 def test_rebound_only_lcodr_equals_energy_price():
     # with every other cost zero, the levelised cost is exactly the rebound
-    # price per MWh, independent of discounting
+    # price per MWh (50 $/MWh by default), independent of discounting
     for r in (0.0, 0.05, 0.12):
         for years in (1, 7, 25):
-            cf = CashFlowSchedule(investment_t0=0.0, annual_om=0.0,
-                                  annual_rewards=0.0,
-                                  annual_rebound=1234.0 * 50.0,
-                                  eol_cost=0.0, annual_energy=1234.0,
-                                  lifetime_years=years, discount_rate=r)
-            assert lcodr_energy(cf) == pytest.approx(50.0, rel=1e-12)
+            params, _ = load_config_dict(dict(REBOUND_ONLY, discount_rate=r,
+                                              lifetime_years=years))
+            b = evaluate_pairing(SchemeKind.SMART_CHARGING, ARBITRAGE, params).breakdown
+            assert b.lcodr_energy == pytest.approx(50.0, rel=1e-12)
 
 
 def test_eol_discounted_one_year_after_life():
-    cf = CashFlowSchedule(investment_t0=0.0, annual_om=0.0, annual_rewards=0.0,
-                          annual_rebound=0.0, eol_cost=1000.0,
-                          annual_energy=10.0, lifetime_years=15,
-                          discount_rate=0.08)
-    expected = 1000.0 / 1.08 ** 16 / (10.0 * annuity(0.08, 15))
-    assert lcodr_energy(cf) == pytest.approx(expected, rel=1e-12)
+    params = ParameterSet()
+    result = evaluate_pairing(SchemeKind.V2G, ARBITRAGE, params)
+    # the default 15-year life at 8 %: due in year 16
+    assert result.breakdown.eol_pv == (result.sizing.contracted_assets
+                                       * parameter_values(params)["v2g_eol_per_charger"]
+                                       * 1.08 ** -16)
 
 
 def test_lcodr_power_term():
@@ -154,22 +138,17 @@ def test_lcodr_power_term():
         b.total_cost_pv / (100_000.0 * annuity(0.08, 15)), rel=1e-12)
 
 def test_zero_energy_and_value_factor_guards():
-    cf = CashFlowSchedule(investment_t0=1.0, annual_om=0.0, annual_rewards=0.0,
-                          annual_rebound=0.0, eol_cost=0.0, annual_energy=0.0,
-                          lifetime_years=5, discount_rate=0.05)
-    with pytest.raises(ZeroEnergy):
-        lcodr_energy(cf)
+    # the shifted energy of the smallest positive capacity rounds to 0 MWh
+    tiny = ApplicationSpec("tiny", 5e-324, 1.0, 1.0, frozenset(SchemeKind))
+    assert tiny.annual_energy_mwh == 0.0
+    result = evaluate_pairing(SchemeKind.SMART_CHARGING, tiny, ParameterSet())
+    assert result.reason == "infeasible: fleet size or cost exceeds the float range"
     with pytest.raises(ValidationError):
         ValueFactorTable(smart_charging=0.0)
     params = ParameterSet(value_factors=ValueFactorTable(smart_charging=1.25))
     b = evaluate_pairing(SchemeKind.SMART_CHARGING, ARBITRAGE, params).breakdown
     assert b.value_factor == 1.25
     assert b.lcodr_vf == b.lcodr_energy / 1.25
-
-def test_monthly_reward_requires_feasible_sizing():
-    bad = SizingResult(scheme=SchemeKind.V2G, feasible=False, reason="infeasible: x")
-    with pytest.raises(InfeasibleInput):
-        monthly_reward_per_asset(SchemeKind.V2G, bad, ParameterSet())
 
 def test_evaluate_pairing_v2g_arbitrage():
     result = evaluate_pairing(SchemeKind.V2G, ARBITRAGE, ParameterSet())

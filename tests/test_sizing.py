@@ -13,21 +13,20 @@ from lcodr.model import (
 )
 from lcodr.sizing import (
     AreaTooSmall,
-    InfeasibleDuration,
-    RptTooShort,
+    availability_factor,
     hp_max_discharge_duration,
-    min_required_plugin_time,
-    min_tank_area,
     size_pairing,
     smart_charging_max_discharge_duration,
     tank_mass_from_area,
     thermal_storage_max_discharge_duration,
-    v2g_availability_factor,
     v2g_max_discharge_duration,
 )
 
 EV = EvParameters()
 HEAT = HeatParameters()
+#: The contracted plug-in time is the kernel's inverse, not floored at the
+#: observed base plug-in time.
+UNFLOORED = ParameterSet(assumptions=Assumptions(rpt_floor_at_base=False))
 
 
 def app(power_mw, duration_h, cycles, schemes=frozenset(SchemeKind)):
@@ -57,9 +56,7 @@ def test_v2g_energy_binding():
 
 def test_availability_factor():
     # (11.5 - 0.735) / 24 = 0.4485
-    assert v2g_availability_factor(11.5, EV) == pytest.approx(0.44854, rel=1e-4)
-    with pytest.raises(RptTooShort):
-        v2g_availability_factor(0.5, EV)
+    assert availability_factor(11.5, EV.daily_charge_time) == pytest.approx(0.44854, rel=1e-4)
 
 
 def test_unidirectional_assets():
@@ -75,18 +72,18 @@ def test_unidirectional_assets():
 def test_min_required_plugin_time_v2g():
     # recharge of the 42 kWh band takes 42/6.808 = 6.169 h; a 0.5 h discharge
     # needs 2*(0.5 + 6.169) + 0.735 = 14.073 h of daily plug-in
-    rpt = min_required_plugin_time(SchemeKind.V2G, 0.5, EV)
+    rpt = size_pairing(SchemeKind.V2G, app(100, 0.5, 300), UNFLOORED).required_plugin_time
     assert rpt == pytest.approx(14.0735, rel=1e-4)
     # the forward duration limit reproduces the requested duration
     assert v2g_max_discharge_duration(rpt, EV) == pytest.approx(0.5, rel=1e-9)
     # 8 h would need 2*(8 + 6.169) + 0.735 = 29.07 h > 24 h
-    with pytest.raises(InfeasibleDuration) as err:
-        min_required_plugin_time(SchemeKind.V2G, 8.0, EV)
-    assert err.value.required_hours == pytest.approx(29.0735, rel=1e-3)
+    res = size_pairing(SchemeKind.V2G, app(100, 8, 300), UNFLOORED)
+    assert res.reason == "infeasible: required plug-in time 29.07 h exceeds 24 h"
 
 
 def test_min_required_plugin_time_smart_charging():
-    rpt = min_required_plugin_time(SchemeKind.SMART_CHARGING, 4.0, EV)
+    rpt = size_pairing(SchemeKind.SMART_CHARGING, app(100, 4, 300),
+                       UNFLOORED).required_plugin_time
     assert rpt == pytest.approx(4.0 + EV.daily_charge_time)
     assert smart_charging_max_discharge_duration(rpt, EV) == pytest.approx(4.0)
 
@@ -119,12 +116,12 @@ def test_hp_cycle_adjustment():
 def test_min_tank_area_fixture():
     # 4 h at full active power: 1.68*2.71*4 = 18.21 kWh thermal
     # mass = 18.21*3600/(4.18*35) = 448.1 kg; r = sqrt(V/(pi*2.2)); A = (2(r+L))^2
-    area, volume, mass = min_tank_area(4.0, HEAT)
-    assert mass == pytest.approx(448.13, rel=1e-3)
-    assert volume == pytest.approx(0.44813, rel=1e-3)
-    assert area == pytest.approx(0.3712, rel=1e-3)
+    res = size_pairing(SchemeKind.HP_THERMAL_STORAGE, app(100, 4, 300), ParameterSet())
+    assert res.tank_mass == pytest.approx(448.13, rel=1e-3)
+    assert res.tank_volume == pytest.approx(0.44813, rel=1e-3)
+    assert res.tank_area == pytest.approx(0.3712, rel=1e-3)
     # forward formula reproduces the duration
-    assert thermal_storage_max_discharge_duration(area, HEAT) == \
+    assert thermal_storage_max_discharge_duration(res.tank_area, HEAT) == \
         pytest.approx(4.0, rel=1e-9)
 
 
