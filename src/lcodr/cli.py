@@ -38,6 +38,7 @@ from .data import (
     bundle_sources,
     load_boundary_csv,
     load_lcos_reference,
+    load_power_boundary_csv,
     load_profile_pool_csv,
     load_timeseries_csv,
     profile_value_factors,
@@ -61,8 +62,7 @@ from .uncertainty import (
     cheapest_probability,
     run_monte_carlo,
 )
-from .valuefactor import (AvailabilityProfile, ProfileKind, VF_RNG_SCHEME, ValueFactorError,
-                          vf_subsample_mc)
+from .valuefactor import VF_RNG_SCHEME, ValueFactorError, vf_subsample_mc
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -190,8 +190,7 @@ _PROFILE_INPUTS = (
      "ev_charging_pool"),
     ("hp_pool", lambda path, digest: load_profile_pool_csv(path, digest=digest),
      "heating_pool"),
-    ("v2g_power", lambda path, digest: AvailabilityProfile(
-        ProfileKind.V2G_POWER_BOUNDARY, load_timeseries_csv(path, unit="kW", digest=digest)),
+    ("v2g_power", lambda path, digest: load_power_boundary_csv(path, digest=digest),
      "v2g_power"),
     ("v2g_boundaries", lambda path, digest: load_boundary_csv(path, digest=digest),
      "v2g_energy"),

@@ -23,14 +23,18 @@ CSV layouts:
   storage reference  application,technology,lcos_usd_per_mwh
 Timestamps are ISO 8601; naive timestamps are taken as UTC.
 
-Files are read once, in blocks of about 1 MiB cut after a line end, and
-each block's columns are parsed as it is read, so a load holds one
-block's strings plus the output arrays (a line longer than a block is
-read whole). A block is split on its commas and LF line ends; from the
-first block holding a quote, a CR, a NUL or lines of differing field
-counts on, the rest of the file goes to csv.reader. Each file loader
-takes an optional `digest` (a hashlib object) that every byte read goes
-to.
+Files are read once, in blocks of about 256 KiB cut after a line end, and
+each block's columns are parsed as it is read (a line longer than a block
+is read whole). A series file's blocks are joined into its arrays; a
+pool file's block is grouped by asset into per-asset chunks and dropped.
+So a load holds one block's strings plus the output arrays, and for a
+pool each asset's timestamps and file rows until its grid is checked.
+A block is split on its commas and LF line ends; from the first block
+holding a quote, a CR, a NUL or lines of differing field counts on, the
+rest of the file goes to csv.reader. Each file loader takes an optional
+`digest` (a hashlib object) that every byte read goes to. A negative
+availability value, or an upper energy boundary below the lower one, is
+a DataError on its row.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ _MICROSECOND = timedelta(microseconds=1)
 
 #: Bytes read from a CSV file at a time. Each block is cut after its last line
 #: end, LF or CR, so that it holds whole lines and decodes on its own.
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 #: Every byte but the four that csv.reader treats specially and NUL, which
 #: csv.reader rejects before Python 3.11.
 _PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"\0')))
@@ -256,20 +260,20 @@ def _columns(table, n: int, index: List[int]):
     return [[record[i] for record in records[:full]] for i in index], short
 
 
-def _read_columns(path: str, columns, text: Optional[str] = None, digest=None) -> list:
+def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
     """Read a CSV (the file at path, or text) one block of _BLOCK_BYTES at a
-    time, and parse each (name, column_parser) pair's texts of a block as it
-    goes, by column_parser(texts, name, path, row of texts[0]) (None: keep
-    the strings); return each column's parts joined. Only one block's
-    strings are held at a time. Every byte read also goes to digest.
+    time, and yield each block's (file row of its first data row, columns):
+    each (name, column_parser) pair's texts of the block parsed by
+    column_parser(texts, name, path, row of texts[0]) (None: the strings).
+    Only one block's strings are held at a time. Every byte read also goes to
+    digest.
 
     Rows are numbered as csv.DictReader yields them: header row 1, blank
     lines skipped. A repeated header name means its last occurrence; extra
     trailing fields are ignored; a short row ends the read. The first bad row
-    is reported, within a row the leftmost column. The read stops at the
-    first block with an error, so an earlier block's error wins."""
+    is reported, within a row the leftmost column. A block with an error is
+    not yielded, so an earlier block's error wins."""
     names = [name for name, _ in columns]
-    parts: List[list] = [[] for _ in columns]
     header, rows = None, 0   # data rows read so far
     try:
         with (open(path, "rb") if text is None
@@ -285,18 +289,19 @@ def _read_columns(path: str, columns, text: Optional[str] = None, digest=None) -
                                                 path, 1)
                     index = [len(header) - 1 - header[::-1].index(name) for name in names]
                 texts, short = _columns(table, n, index)
-                errors = []
-                for (name, parse), column, part in zip(columns, texts, parts):
+                parsed, errors = [], []
+                for (name, parse), column in zip(columns, texts):
                     try:
-                        part.append(column if parse is None
-                                    else parse(column, name, path, rows + 2))
+                        parsed.append(column if parse is None
+                                      else parse(column, name, path, rows + 2))
                     except DataError as exc:
                         errors.append(exc)
-                rows += len(texts[0])
+                first, rows = rows + 2, rows + len(texts[0])
                 if short is not None:
                     errors.append(DataError(f"missing field {names[short]!r}", path, rows + 2))
                 if errors:
                     raise min(errors, key=lambda e: e.row)
+                yield first, parsed
     except FileNotFoundError:
         raise DataError("file not found", path) from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -307,6 +312,12 @@ def _read_columns(path: str, columns, text: Optional[str] = None, digest=None) -
         raise MissingColumn(f"missing column {names[0]!r} (found [])", path, 1)
     if not rows:
         raise DataError("file has a header but no data rows", path)
+
+
+def _read_columns(path: str, columns, text: Optional[str] = None, digest=None) -> list:
+    """Each column of _column_blocks over the whole file, its blocks' parts
+    joined: a list of strings for a column without a parser, else an array."""
+    parts = zip(*(parsed for _, parsed in _column_blocks(path, columns, text, digest)))
     return [list(itertools.chain.from_iterable(part)) if parse is None else np.concatenate(part)
             for (_, parse), part in zip(columns, parts)]
 
@@ -343,27 +354,63 @@ def load_timeseries_csv(path: str, unit: str = "", *, digest=None) -> TimeSeries
     return _read_series(path, ("value",), unit, digest)[0]
 
 
+def _check_nonnegative(values: np.ndarray, rows, path: str) -> None:
+    """Raise a DataError on the file row (rows[i] of values[i]) of the first
+    negative availability value."""
+    bad = np.flatnonzero(values < 0)
+    if bad.size:
+        raise DataError(f"availability value {float(values[bad[0]])!r} is below 0",
+                        path, int(rows[bad[0]]))
+
+
+def load_power_boundary_csv(path: str, unit: str = "kW", *, digest=None) -> AvailabilityProfile:
+    """Load a `timestamp,value` CSV of dischargeable power (values >= 0) into
+    a V2G power-boundary profile."""
+    series = load_timeseries_csv(path, unit, digest=digest)
+    _check_nonnegative(series.values, range(2, len(series) + 2), path)
+    return AvailabilityProfile(ProfileKind.V2G_POWER_BOUNDARY, series)
+
+
 def load_boundary_csv(path: str, unit: str = "kWh", *, digest=None) -> AvailabilityProfile:
-    """Load a `timestamp,lower,upper` CSV into an energy-boundary profile."""
+    """Load a `timestamp,lower,upper` CSV into an energy-boundary profile;
+    upper may not fall below lower (by more than 1e-9)."""
     lower, upper = _read_series(path, ("lower", "upper"), unit, digest)
+    bad = np.flatnonzero(upper.values < lower.values - 1e-9)
+    if bad.size:
+        raise DataError(f"upper energy boundary {float(upper.values[bad[0]])!r} below lower "
+                        f"boundary {float(lower.values[bad[0]])!r}", path, int(bad[0]) + 2)
     return AvailabilityProfile(ProfileKind.V2G_ENERGY_BOUNDARIES, lower, upper=upper)
 
 
 def load_profile_pool_csv(path: str, kind: ProfileKind = ProfileKind.UNIDIRECTIONAL_LOAD,
                           unit: str = "kW", *, digest=None) -> List[AvailabilityProfile]:
     """Load a long-format `asset_id,timestamp,value` CSV into one profile
-    per asset. Assets appear in first-occurrence order; each asset's block
-    must form a valid grid on its own."""
+    per asset. Assets appear in first-occurrence order; each asset's rows
+    must form a valid grid on its own, with values >= 0.
+
+    The file is taken block by block (_column_blocks): each block's rows are
+    grouped by asset, in file order, and appended to that asset's chunks of
+    timestamps, values and file rows, and the block is dropped. So a load
+    holds one block's strings plus the per-asset arrays. Every row error of
+    the file comes first; then, asset by asset, its grid, then its values."""
     codes: Dict[str, int] = {}
-    asset_index, us, values = _read_columns(
-        path, [("asset_id", partial(_parse_codes, codes=codes)),
-               ("timestamp", partial(_parse_timestamps, parsed={})),
-               ("value", _parse_numbers)], digest=digest)
-    order = np.argsort(asset_index, kind="stable")   # each asset's rows, in file order
+    chunks: List[list] = []   # per asset code: its blocks' (timestamps, values, rows)
+    for row, (asset_index, us, values) in _column_blocks(
+            path, [("asset_id", partial(_parse_codes, codes=codes)),
+                   ("timestamp", partial(_parse_timestamps, parsed={})),
+                   ("value", _parse_numbers)], digest=digest):
+        chunks += [[] for _ in range(len(codes) - len(chunks))]
+        order = np.argsort(asset_index, kind="stable")   # each asset's rows, in file order
+        held, starts = np.unique(asset_index[order], return_index=True)
+        for code, positions in zip(held.tolist(), np.split(order, starts[1:])):
+            chunks[code].append((us[positions], values[positions], positions + row))
     profiles = []
-    for asset_id, positions in zip(codes, np.split(order, np.cumsum(np.bincount(asset_index)))):
-        start, interval = _grid(us[positions], positions + 2, path, f"asset {asset_id!r}")
-        series = TimeSeries(start, interval, values[positions], unit)
+    for code, asset_id in enumerate(codes):
+        us, values, rows = map(np.concatenate, zip(*chunks[code]))
+        chunks[code] = None
+        start, interval = _grid(us, rows, path, f"asset {asset_id!r}")
+        _check_nonnegative(values, rows, path)
+        series = TimeSeries(start, interval, values, unit)
         profiles.append(AvailabilityProfile(kind, series, asset_id=asset_id))
     return profiles
 

@@ -258,34 +258,38 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
 
     The value factor is linear in the summed profile: with w_j = sum(p *
     a_j) and m_j = sum(a_j) per asset j over n points, a subset S has the
-    factor sum_S(w) / ((sum_S(m) / n) * sum(p)). So w and m are computed
-    once, and each iteration sums `subset_size` scalars, in asset order.
-    Selections are drawn SUBSAMPLE_BLOCK iterations at a time.
+    factor sum_S(w) / ((sum_S(m) / n) * sum(p)). So each asset is reduced
+    to w_j and m_j as it is aligned, and no pool of aligned profiles is
+    held; each iteration sums `subset_size` scalars, in asset order.
+    Selections are drawn SUBSAMPLE_BLOCK iterations at a time. Only when a
+    subset's factor is undefined is its summed profile built, for
+    value_factor's own error.
     """
     if subset_size < 1:
         raise ValueFactorError(f"subset size must be >= 1, got {subset_size}")
     if len(profiles) < subset_size:
         raise TooFewAssets(
             f"need at least {subset_size} asset profiles, got {len(profiles)}")
-    aligned = [align(price, prof) for prof in profiles]
-    price0 = aligned[0][0]
-    stacks = []
-    for price_i, prof_i, _ in aligned:
-        if len(price_i) != len(price0) or price_i.start != price0.start:
+    weighted, totals = np.empty(len(profiles)), np.empty(len(profiles))
+    price0 = None
+    for j, prof in enumerate(profiles):
+        price_j, prof_j, _ = align(price, prof)
+        price0 = price_j if price0 is None else price0
+        if len(price_j) != len(price0) or price_j.start != price0.start:
             raise ValueFactorError("asset profiles must share one grid")
-        stacks.append(prof_i.series.values)
-    pool = np.stack(stacks)
-    weighted = (pool * price0.values).sum(axis=1)
-    totals = pool.sum(axis=1)
+        weighted[j] = (prof_j.series.values * price0.values).sum()
+        totals[j] = prof_j.series.values.sum()
     price_sum = price0.values.sum()
 
     samples = np.empty(iterations)
     for start in range(0, iterations, SUBSAMPLE_BLOCK):
         stop = min(start + SUBSAMPLE_BLOCK, iterations)
-        mask = subsample_masks(seed, len(pool), subset_size, start, stop)
+        mask = subsample_masks(seed, len(profiles), subset_size, start, stop)
         mean = np.where(mask, totals, 0.0).sum(axis=1) / len(price0)
         failed = np.flatnonzero((mean <= 0) | (price_sum == 0))
         if failed.size:   # value_factor's own error for the first failing subset
-            value_factor(price0, price0.with_values(pool[mask[failed[0]]].sum(axis=0)))
+            subset = np.flatnonzero(mask[failed[0]])
+            value_factor(price0, price0.with_values(
+                sum(align(price, profiles[j])[1].series.values for j in subset)))
         samples[start:stop] = np.where(mask, weighted, 0.0).sum(axis=1) / (mean * price_sum)
     return VfDistribution.from_samples(samples)
