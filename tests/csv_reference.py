@@ -8,6 +8,13 @@ whole at the end. tests/test_csv_reader.py compares the block reader with
 this copy on generated files, so the reader is never checked against
 itself.
 
+`load_profile_pool_csv` is, on top of that reader, a copy of the pool
+loader as it was before it went block by block: whole columns, one stable
+argsort of the asset codes, and a gather of each asset's rows, whose grid
+and then values are checked asset by asset (a negative value is reported
+on its row, which the loader began to do when it went block by block).
+tests/test_csv_reader.py compares the streamed pool loader with it.
+
 Keep it frozen: a change to the row model is made in `src/lcodr/` first,
 and here only as a deliberate, reviewed edit of the reference. It imports
 nothing from lcodr but the error classes of `lcodr.data`.
@@ -23,7 +30,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from lcodr.data import DataError, MissingColumn, NonNumericValue
+from lcodr.data import (DataError, IrregularSpacing, MissingColumn, NonMonotonicTimestamps,
+                        NonNumericValue)
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -116,3 +124,42 @@ def read_columns(path: str, columns, text: Optional[str] = None) -> list:
     if errors:
         raise min(errors, key=lambda e: e.row)
     return arrays
+
+
+def grid(us: np.ndarray, rows: np.ndarray, path: str, what: str):
+    """(start, spacing in seconds) of strictly increasing, evenly spaced
+    timestamps given in microseconds since the epoch."""
+    if len(us) < 2:
+        raise DataError(f"{what} needs at least 2 data rows", path, int(rows[0]))
+    d = np.diff(us) / 1e6
+    bad = np.flatnonzero(d <= 0)
+    if bad.size:
+        raise NonMonotonicTimestamps(f"timestamp does not increase (delta {d[bad[0]]:.0f} s)",
+                                     path, int(rows[bad[0] + 1]))
+    bad = np.flatnonzero(np.abs(d - d[0]) > 1e-6)
+    if bad.size:
+        raise IrregularSpacing(f"spacing {d[bad[0]]:.0f} s differs from first spacing "
+                               f"{d[0]:.0f} s", path, int(rows[bad[0] + 1]))
+    return _EPOCH + timedelta(microseconds=int(us[0])), float(d[0])
+
+
+def load_profile_pool_csv(path: str) -> list:
+    """(asset id, start, spacing in seconds, values) per asset of a long-format
+    `asset_id,timestamp,value` CSV, in first-occurrence order. Every row
+    error of the file comes first; then, asset by asset, its grid, then its
+    first negative value, on its file row."""
+    ids, us, values = read_columns(path, [("asset_id", None), ("timestamp", parse_timestamps),
+                                          ("value", parse_numbers)])
+    codes = {}
+    asset_index = np.fromiter((codes.setdefault(text, len(codes)) for text in ids), np.intp,
+                              len(ids))
+    order = np.argsort(asset_index, kind="stable")   # each asset's rows, in file order
+    profiles = []
+    for asset_id, positions in zip(codes, np.split(order, np.cumsum(np.bincount(asset_index)))):
+        start, interval = grid(us[positions], positions + 2, path, f"asset {asset_id!r}")
+        bad = np.flatnonzero(values[positions] < 0)
+        if bad.size:
+            raise DataError(f"availability value {float(values[positions[bad[0]]])!r} is below 0",
+                            path, int(positions[bad[0]]) + 2)
+        profiles.append((asset_id, start, interval, values[positions]))
+    return profiles

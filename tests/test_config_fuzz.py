@@ -119,7 +119,8 @@ def _check_outcome(code, stderr, out: Path):
     assert hours is None or type(hours) in (int, float), flags
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(overrides())
 def test_any_config_ends_in_a_documented_outcome(config):
     with tempfile.TemporaryDirectory() as tmp:
@@ -145,7 +146,8 @@ FLAG_TEXT = st.one_of(st.floats().map(repr), st.floats(-1.0, 30.0).map(repr),
                       st.sampled_from(["", "x"]))
 
 
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(sigma=FLAG_TEXT, hours=FLAG_TEXT,
        direction=st.sampled_from(["scale_up", "as_printed", "up"]))
 def test_any_mc_flags_end_in_a_documented_outcome(sigma, hours, direction):

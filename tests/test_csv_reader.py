@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import csv_reference as reference
@@ -220,3 +220,68 @@ def test_undecodable_bytes_are_an_unreadable_file(tmp_path):
     want = outcome(lambda: reference.read_columns(str(path), frozen))
     assert got[:2] == want[:2] == (DataError, None)
     assert got[2].startswith(f"{path}: unreadable file ('utf-8' codec can't decode byte 0xff")
+
+
+# ---------------------------------------------------------------------------
+# The streamed pool loader against the whole-file pool loader
+# ---------------------------------------------------------------------------
+
+POOL_VALUES = ["1", "0", "2.5", " 4 ", "1e-3", "-0.0"]
+POOL_BAD_VALUES = ["-1", "-2.5", "x", "nan"]
+
+
+@st.composite
+def pool_files(draw):
+    """A pool file's text: 1 to 4 assets of 1 to 6 rows, each on an hourly or
+    two-hourly grid from its own start, sometimes with one timestamp moved
+    off it; values rarely negative or not a number; the assets' rows one
+    asset after another or interleaved, each asset's in grid order."""
+    assets = draw(st.lists(st.sampled_from(["a", "b", "ev 1", "é"]), min_size=1, max_size=4,
+                           unique=True))
+    rows = {}
+    for asset in assets:
+        start, step = draw(st.integers(0, 3)), draw(st.sampled_from([1, 2]))
+        hours = [start + step * k for k in range(draw(st.sampled_from([1] + [2, 3, 4, 6] * 4)))]
+        if draw(st.integers(0, 5)) == 0:
+            hours[draw(st.integers(0, len(hours) - 1))] = draw(st.integers(0, 12))
+        rows[asset] = [f"{asset},2023-01-01T{h:02d}:00:00,"
+                       + draw(st.sampled_from(POOL_BAD_VALUES if draw(st.integers(0, 29)) == 0
+                                              else POOL_VALUES)) for h in hours]
+    order = [asset for asset in assets for _ in rows[asset]]
+    if draw(st.booleans()):
+        order = draw(st.permutations(order))
+    taken = {asset: iter(lines) for asset, lines in rows.items()}
+    return "".join(line + "\n" for line in
+                   ["asset_id,timestamp,value"] + [next(taken[asset]) for asset in order])
+
+
+POOL = "asset_id,timestamp,value\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pool_files(), st.one_of(st.integers(1, 40), st.just(data._BLOCK_BYTES)))
+@example(POOL + "a,2023-01-01T00:00:00,1\n", 8)                       # one row
+@example(POOL + "a,2023-01-01T00:00:00,1\nb,2023-01-01T00:00:00,2\n"
+         "a,2023-01-01T01:00:00,3\nb,2023-01-01T01:00:00,4\n", 5)    # interleaved
+@example(POOL + "a,2023-01-01T00:00:00,1\na,2023-01-01T00:00:00,1\n"
+         "b,2023-01-01T00:00:00,1\nb,2023-01-01T02:00:00,1\nb,2023-01-01T03:00:00,1\n"
+         "c,2023-01-01T00:00:00,x\n", 8)       # grid errors in a and b, then a bad value
+@example(POOL + "a,2023-01-01T00:00:00,1\na,2023-01-01T00:00:00,1\n"
+         "b,2023-01-01T00:00:00,1\nb,2023-01-01T02:00:00,1\nb,2023-01-01T03:00:00,1\n", 8)
+@example(POOL + "b,2023-01-01T00:00:00,1\na,2023-01-01T00:00:00,-1\n"
+         "b,2023-01-01T00:00:00,2\na,2023-01-01T01:00:00,-2\n", data._BLOCK_BYTES)  # b first
+def test_streamed_pool_loader_equals_the_whole_file_pool_loader(text, block_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "pool.csv")
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
+            got = outcome(lambda: [
+                (p.asset_id, p.series.start, p.series.interval_seconds, p.series.values)
+                for p in data.load_profile_pool_csv(str(path))])
+        want = outcome(lambda: reference.load_profile_pool_csv(str(path)))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert [g[:3] for g in got] == [w[:3] for w in want]
+    assert all(np.array_equal(g[3], w[3]) for g, w in zip(got, want))

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -27,7 +28,7 @@ from lcodr.data import (
     synthetic_price,
     synthetic_v2g_profiles,
 )
-from lcodr.valuefactor import ValueFactorError
+from lcodr.valuefactor import ValueFactorError, vf_subsample_mc
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -424,6 +425,55 @@ def test_malformed_price_file_exits_3_with_its_row(tmp_path, capsys, name, text,
     assert main(command + ["--out", str(tmp_path / "o"), "--price", path]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: data: {path}:")
+
+
+HOURS = [f"2023-01-01T{h:02d}:00:00" for h in range(3)]
+
+
+@pytest.mark.parametrize("command,flag,lines,row,message", [
+    (["vf"], "--ev-pool", ["asset_id,timestamp,value", f"a,{HOURS[0]},1", f"a,{HOURS[1]},2",
+                           f"b,{HOURS[0]},3", f"b,{HOURS[1]},-0.5"],
+     5, "availability value -0.5 is below 0"),
+    (["run", "--compute-vf"], "--hp-pool",
+     ["asset_id,timestamp,value", f"a,{HOURS[0]},-1", f"b,{HOURS[0]},-2", f"a,{HOURS[1]},1",
+      f"b,{HOURS[1]},1"], 2, "availability value -1.0 is below 0"),
+    (["vf"], "--v2g-power", ["timestamp,value", f"{HOURS[0]},1", f"{HOURS[1]},-2",
+                             f"{HOURS[2]},1"], 3, "availability value -2.0 is below 0"),
+    (["vf"], "--v2g-boundaries", ["timestamp,lower,upper", f"{HOURS[0]},0,3",
+                                  f"{HOURS[1]},0,3", f"{HOURS[2]},4,3"],
+     4, "upper energy boundary 3.0 below lower boundary 4.0"),
+])
+def test_bad_availability_value_exits_3_with_its_row(tmp_path, capsys, command, flag, lines,
+                                                     row, message):
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert main(command + ["--out", str(tmp_path / "o"), flag, path]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: data: {path}:{row}: {message}"]
+
+
+def test_pool_load_and_subsample_hold_one_block_and_per_asset_sums(tmp_path):
+    # the 60 loaded profiles of an hourly year hold 4 MiB; whole-file
+    # columns took the load's peak to about 29 MiB, and stacking the aligned
+    # pool took the subsampler's to 16 MiB above what it was given
+    stamps = [(datetime(2023, 1, 1) + timedelta(hours=h)).isoformat() for h in range(8760)]
+    path = tmp_path / "pool.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("asset_id,timestamp,value\n")
+        for prof in synthetic_ev_charging_profiles(n_assets=60, seed=3):
+            fh.writelines(f"{prof.asset_id},{t},{v!r}\n"
+                          for t, v in zip(stamps, prof.series.values.tolist()))
+    tracemalloc.start()
+    try:
+        pool = load_profile_pool_csv(str(path))
+        held, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        vf_subsample_mc(pool, synthetic_price(seed=3), subset_size=50, iterations=2000, seed=3)
+        subsample_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(pool) == 60 and all(len(p.series) == 8760 for p in pool)
+    assert load_peak < 18 * 2 ** 20
+    assert subsample_peak < 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

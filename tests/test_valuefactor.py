@@ -168,6 +168,28 @@ def test_subsample_mc_equals_gathered_sum(seed):
         np.testing.assert_allclose(dist.samples, reference, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 13])
+def test_subsample_mc_equals_the_stacked_formula_bit_for_bit(seed):
+    # the per-asset sums against the whole-pool formula they replace:
+    # aligned profiles stacked, each row of (pool * p).sum(axis=1); the
+    # price starts 2 hours early and runs 4 hours late, so both are cropped,
+    # and the 30-asset pool is half-hourly, so it is averaged to hours
+    price = series(np.random.default_rng(seed).uniform(5, 95, 102),
+                   start=START - timedelta(hours=2))
+    for n_assets, interval in ((7, 3600.0), (30, 1800.0), (45, 3600.0)):
+        pool = [AvailabilityProfile(p.kind, series(p.series.values, interval=interval))
+                for p in _pool(n_assets, length=int(96 * 3600 / interval), seed=seed)]
+        dist = vf_subsample_mc(pool, price, subset_size=5, iterations=300, seed=seed)
+        aligned = [valuefactor.align(price, prof) for prof in pool]
+        p = aligned[0][0].values
+        stack = np.stack([prof.series.values for _, prof, _ in aligned])
+        weighted, totals = (stack * p).sum(axis=1), stack.sum(axis=1)
+        masks = subsample_masks(seed, n_assets, 5, 0, 300)
+        mean = np.where(masks, totals, 0.0).sum(axis=1) / len(p)
+        assert (dist.samples == np.where(masks, weighted, 0.0).sum(axis=1)
+                / (mean * p.sum())).all()
+
+
 def test_subsets_are_the_smallest_uniforms_of_each_iteration():
     n_assets, subset_size = 9, 4
     uniforms = philox_generator(3).random(50 * n_assets).reshape(50, n_assets)
