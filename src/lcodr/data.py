@@ -26,9 +26,11 @@ Timestamps are ISO 8601; naive timestamps are taken as UTC.
 Files are read once, in blocks of about 256 KiB cut after a line end, and
 each block's columns are parsed as it is read (a line longer than a block
 is read whole). A series file's blocks are joined into its arrays; a
-pool file's block is grouped by asset into per-asset chunks and dropped.
-So a load holds one block's strings plus the output arrays, and for a
-pool each asset's timestamps and file rows until its grid is checked.
+pool file's block is sorted by asset and kept as numbers, and at the end
+each asset's slices of the blocks are joined. So a load holds one block's
+strings plus the output arrays, and for a pool three numbers per row and
+two per asset in each block until its assets are joined, however the
+assets are laid out in the file.
 A block is split on its commas and LF line ends; from the first block
 holding a quote, a CR, a NUL or lines of differing field counts on, the
 rest of the file goes to csv.reader. Each file loader takes an optional
@@ -363,10 +365,10 @@ def _check_nonnegative(values: np.ndarray, rows, path: str) -> None:
                         path, int(rows[bad[0]]))
 
 
-def load_power_boundary_csv(path: str, unit: str = "kW", *, digest=None) -> AvailabilityProfile:
+def load_power_boundary_csv(path: str, *, digest=None) -> AvailabilityProfile:
     """Load a `timestamp,value` CSV of dischargeable power (values >= 0) into
     a V2G power-boundary profile."""
-    series = load_timeseries_csv(path, unit, digest=digest)
+    series = load_timeseries_csv(path, "kW", digest=digest)
     _check_nonnegative(series.values, range(2, len(series) + 2), path)
     return AvailabilityProfile(ProfileKind.V2G_POWER_BOUNDARY, series)
 
@@ -388,26 +390,43 @@ def load_profile_pool_csv(path: str, kind: ProfileKind = ProfileKind.UNIDIRECTIO
     per asset. Assets appear in first-occurrence order; each asset's rows
     must form a valid grid on its own, with values >= 0.
 
-    The file is taken block by block (_column_blocks): each block's rows are
-    grouped by asset, in file order, and appended to that asset's chunks of
-    timestamps, values and file rows, and the block is dropped. So a load
-    holds one block's strings plus the per-asset arrays. Every row error of
-    the file comes first; then, asset by asset, its grid, then its values."""
+    The file is taken block by block (_column_blocks): each block's
+    timestamps, values and file rows are sorted by asset, stably, so in
+    file order within an asset, and kept with the asset codes the block
+    holds and where each one's rows begin; the block's strings are dropped.
+    At the end each asset's slices of the blocks that hold it are joined,
+    and a block is released once its last asset is joined. So a load holds
+    one block's strings plus three numbers per row and two per asset in
+    each block, whether the file is grouped by asset or ordered by time.
+    Every row error of the file comes first; then, asset by asset, its
+    grid, then its values."""
     codes: Dict[str, int] = {}
-    chunks: List[list] = []   # per asset code: its blocks' (timestamps, values, rows)
+    held, bounds, blocks = [], [], []   # per block, its rows sorted by asset:
+    # the codes it holds and -1, where each one's rows begin and the end, and
+    # one array of its timestamps, values (as int64 bits) and file rows
     for row, (asset_index, us, values) in _column_blocks(
             path, [("asset_id", partial(_parse_codes, codes=codes)),
                    ("timestamp", partial(_parse_timestamps, parsed={})),
                    ("value", _parse_numbers)], digest=digest):
-        chunks += [[] for _ in range(len(codes) - len(chunks))]
-        order = np.argsort(asset_index, kind="stable")   # each asset's rows, in file order
-        held, starts = np.unique(asset_index[order], return_index=True)
-        for code, positions in zip(held.tolist(), np.split(order, starts[1:])):
-            chunks[code].append((us[positions], values[positions], positions + row))
+        order = np.argsort(asset_index, kind="stable")
+        block_held, starts = np.unique(asset_index[order], return_index=True)
+        held.append(np.append(block_held, -1))
+        bounds.append(np.append(starts, len(order)))
+        blocks.append(np.stack([us, values.view(np.int64),
+                                np.arange(row, row + len(order))])[:, order])
+    # Assets are joined in code order, which takes each block's assets front
+    # to back: at[b] indexes block b's next asset in held and bounds.
+    at = np.cumsum([0] + [len(h) for h in held[:-1]])
+    held, bounds = np.concatenate(held), np.concatenate(bounds)
     profiles = []
     for code, asset_id in enumerate(codes):
-        us, values, rows = map(np.concatenate, zip(*chunks[code]))
-        chunks[code] = None
+        hits = np.flatnonzero(held[at] == code)
+        us, bits, rows = np.concatenate([blocks[b][:, lo:hi] for b, lo, hi in zip(
+            hits.tolist(), bounds[at[hits]].tolist(), bounds[at[hits] + 1].tolist())], axis=1)
+        values = bits.view(np.float64).copy()
+        at[hits] += 1
+        for b in hits[held[at[hits]] < 0].tolist():
+            blocks[b] = None   # its last asset is joined
         start, interval = _grid(us, rows, path, f"asset {asset_id!r}")
         _check_nonnegative(values, rows, path)
         series = TimeSeries(start, interval, values, unit)

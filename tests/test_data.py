@@ -476,6 +476,29 @@ def test_pool_load_and_subsample_hold_one_block_and_per_asset_sums(tmp_path):
     assert subsample_peak < 4 * 2 ** 20
 
 
+def test_time_ordered_pool_of_many_assets_loads_without_per_asset_chunks(tmp_path):
+    # 1,000 assets over one day of quarter-hours, one time step after the
+    # other, so every block holds every asset; chunks kept per block and
+    # asset took the load's traced peak to 12 MiB, whole-file columns to 15
+    stamps = [(datetime(2023, 1, 1) + timedelta(minutes=15 * k)).isoformat() for k in range(96)]
+    values = np.random.default_rng(0).random((96, 1000)).tolist()
+    path = tmp_path / "pool.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("asset_id,timestamp,value\n")
+        for t, step in zip(stamps, values):
+            fh.writelines(f"ev_{a:04d},{t},{v!r}\n" for a, v in enumerate(step))
+    tracemalloc.start()
+    try:
+        pool = load_profile_pool_csv(str(path))
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.asset_id for p in pool] == [f"ev_{a:04d}" for a in range(1000)]
+    assert all(p.series.values.tolist() == [step[a] for step in values]
+               for a, p in enumerate(pool))
+    assert load_peak < 8 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # Column parsers against row-by-row parsing
 # ---------------------------------------------------------------------------
