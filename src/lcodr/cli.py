@@ -216,13 +216,27 @@ def _load_profile_data(args):
     return profiles, hashes
 
 
+def _value_factors(args, profiles) -> dict:
+    """profile_value_factors of the loaded profiles. A ValueFactorError is a
+    DataError on the file of the input it arose in, or on the price file
+    when that input has none."""
+    try:
+        return profile_value_factors(*profiles.values())
+    except ValueFactorError as exc:
+        paths = {source: getattr(args, flag) for flag, _, source in _PROFILE_INPUTS}
+        path = paths.get(exc.source) or paths["price"]
+        if not path:
+            raise
+        raise DataError(str(exc), path) from exc
+
+
 def _with_computed_value_factors(params, args):
     """With --compute-vf, params with value factors computed from the profile
     data, and the data hashes; otherwise params unchanged and no hashes."""
     if not args.compute_vf:
         return params, {}
     profiles, hashes = _load_profile_data(args)
-    table = ValueFactorTable(**profile_value_factors(*profiles.values()))
+    table = ValueFactorTable(**_value_factors(args, profiles))
     return replace(params, value_factors=table), hashes
 
 
@@ -284,7 +298,7 @@ def cmd_vf(args) -> int:
     profiles, hashes = _load_profile_data(args)
     if args.subsample:   # subsets are drawn from the whole pool
         profiles["ev_pool"] = list(profiles["ev_pool"])
-    factors = profile_value_factors(*profiles.values())
+    factors = _value_factors(args, profiles)
 
     # the subset selection scheme keys subsample runs only, so that runs
     # without --subsample keep their run id

@@ -25,12 +25,14 @@ Timestamps are ISO 8601; naive timestamps are taken as UTC.
 
 Files are read once, in blocks of about 256 KiB cut after a line end, and
 each block's columns are parsed as it is read (a line longer than a block
-is read whole). A series file's blocks are joined into its arrays; a
-pool file's block is sorted by asset and kept as numbers, and at the end
+is read whole). Each block's timestamps go through a running grid check
+per asset (_Grids; a series is a pool of one asset) and are dropped with
+the block. A series file's value blocks are joined into its arrays; a
+pool file's values are kept per block, sorted by asset, and at the end
 each asset's slices of the blocks are joined. So a load holds one block's
-strings plus the output arrays, and for a pool three numbers per row and
-two per asset in each block until its assets are joined, however the
-assets are laid out in the file.
+strings, the output values and, for a pool, two numbers per asset in each
+block until its assets are joined, however the assets are laid out in the
+file.
 A block is split on its commas and LF line ends; from the first block
 holding a quote, a CR, a NUL or lines of differing field counts on, the
 rest of the file goes to csv.reader. Each file loader takes an optional
@@ -54,8 +56,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .model import CSV_UNSAFE, LcodrError, SchemeKind, TimeSeries, ValueFactorTable
-from .valuefactor import (AvailabilityProfile, ProfileKind, ValueFactorError, align,
-                          v2g_value_factors, value_factor)
+from .valuefactor import AvailabilityProfile, ProfileKind, ValueFactorError, align, value_factor
 
 
 class DataError(LcodrError):
@@ -324,31 +325,101 @@ def _read_columns(path: str, columns, text: Optional[str] = None, digest=None) -
             for (_, parse), part in zip(columns, parts)]
 
 
-def _grid(us: np.ndarray, rows: np.ndarray, path: str, what: str = "a series"):
-    """(start, spacing in seconds) of strictly increasing, evenly spaced
-    timestamps given in microseconds since the epoch."""
-    if len(us) < 2:
-        raise DataError(f"{what} needs at least 2 data rows", path, int(rows[0]))
-    d = np.diff(us) / 1e6
-    bad = np.flatnonzero(d <= 0)
-    if bad.size:
-        raise NonMonotonicTimestamps(f"timestamp does not increase (delta {d[bad[0]]:.0f} s)",
-                                     path, int(rows[bad[0] + 1]))
-    bad = np.flatnonzero(np.abs(d - d[0]) > 1e-6)
-    if bad.size:
-        raise IrregularSpacing(f"spacing {d[bad[0]]:.0f} s differs from first spacing "
-                               f"{d[0]:.0f} s", path, int(rows[bad[0] + 1]))
-    return _EPOCH + timedelta(microseconds=int(us[0])), float(d[0])
+#: What _Grids keeps per asset code. A row of 0 means none yet.
+_GRID_STATE = np.dtype([
+    ("count", np.int64), ("first_row", np.int64), ("first_us", np.int64),
+    ("last_us", np.int64), ("spacing", np.float64),
+    ("step_row", np.int64), ("step", np.float64),           # first non-increasing step
+    ("gap_row", np.int64), ("gap", np.float64),             # first irregular spacing
+    ("negative_row", np.int64), ("negative", np.float64)])  # first negative value
 
 
-def _read_series(path: str, value_columns: Tuple[str, ...], unit: str,
-                 digest) -> List[TimeSeries]:
-    """One TimeSeries per value column of a `timestamp,<value columns>` CSV."""
-    us, *values = _read_columns(path, [("timestamp", partial(_parse_timestamps, parsed={}))]
-                                + [(name, _parse_numbers) for name in value_columns],
-                                digest=digest)
-    start, interval = _grid(us, np.arange(2, len(us) + 2), path)
-    return [TimeSeries(start, interval, v, unit) for v in values]
+class _Grids:
+    """The grid check of a file's assets, run block by block: each asset's
+    timestamps must strictly increase at an even spacing. Per asset code it
+    keeps its row count, first row, first and last timestamp (microseconds
+    since the epoch) and first spacing, and the first non-increasing step,
+    irregular spacing and negative value with their file rows. A block's
+    rows are taken in asset order, so an asset's steps are differences of
+    adjacent rows and, at its first row in the block, the step from its last
+    timestamp so far."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self.state = np.zeros(0, _GRID_STATE)
+
+    def add(self, row: int, codes: np.ndarray, us: np.ndarray, values: np.ndarray):
+        """Take in a block whose first data row is file row `row`: the asset
+        code, timestamp and value of each row. Returns the codes it holds, in
+        order, where each one's rows begin and the end, and its values sorted
+        by asset code, stably."""
+        order = np.argsort(codes, kind="stable")
+        codes, us, values, rows = codes[order], us[order], values[order], order + row
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        held, bounds = codes[starts], np.append(starts, len(codes))
+        if held.size and held[-1] >= len(self.state):
+            self.state = np.concatenate([self.state,
+                                         np.zeros(held[-1] + 1 - len(self.state), _GRID_STATE)])
+        s = self.state
+        seen = s["count"][held]
+        new = seen == 0
+        s["first_row"][held[new]] = rows[starts[new]]
+        s["first_us"][held[new]] = us[starts[new]]
+        delta = np.diff(us, prepend=0)
+        delta[starts] = us[starts] - s["last_us"][held]
+        d = delta / 1e6   # seconds from the asset's previous row; NaN at its first
+        d[starts[new]] = np.nan
+        second = starts + new   # the asset's second row, when in this block
+        first = (seen < 2) & (second < bounds[1:])
+        s["spacing"][held[first]] = d[second[first]]
+        self._first("step", d <= 0, codes, rows, d)
+        self._first("gap", np.abs(d - s["spacing"][codes]) > 1e-6, codes, rows, d)
+        self._first("negative", values < 0, codes, rows, values)
+        s["count"][held] += np.diff(bounds)
+        s["last_us"][held] = us[bounds[1:] - 1]
+        return held, bounds, values
+
+    def _first(self, name: str, mask, codes, rows, values) -> None:
+        """For each code with no `name` yet, keep the row and value of its
+        first row where mask holds."""
+        at = np.flatnonzero(mask)
+        code, first = np.unique(codes[at], return_index=True)
+        at, new = at[first], self.state[name + "_row"][code] == 0
+        self.state[name + "_row"][code[new]] = rows[at[new]]
+        self.state[name][code[new]] = values[at[new]]
+
+    def check(self, code: int, what: str, nonnegative: bool):
+        """(start, spacing in seconds) of an asset code's grid. Raises on its
+        row count, then its first non-increasing step, then its first
+        irregular spacing, then, if nonnegative, its first negative value."""
+        s, path = self.state[code], self.path
+        if s["count"] < 2:
+            raise DataError(f"{what} needs at least 2 data rows", path, int(s["first_row"]))
+        if s["step_row"]:
+            raise NonMonotonicTimestamps(f"timestamp does not increase (delta {s['step']:.0f} s)",
+                                         path, int(s["step_row"]))
+        if s["gap_row"]:
+            raise IrregularSpacing(f"spacing {s['gap']:.0f} s differs from first spacing "
+                                   f"{s['spacing']:.0f} s", path, int(s["gap_row"]))
+        if nonnegative and s["negative_row"]:
+            raise DataError(f"availability value {float(s['negative'])!r} is below 0",
+                            path, int(s["negative_row"]))
+        return _EPOCH + timedelta(microseconds=int(s["first_us"])), float(s["spacing"])
+
+
+def _read_series(path: str, value_columns: Tuple[str, ...], unit: str, digest,
+                 nonnegative: bool = False) -> List[TimeSeries]:
+    """One TimeSeries per value column of a `timestamp,<value columns>` CSV,
+    checked as a one-asset pool (_Grids) whose values are the first value
+    column's; `nonnegative` checks them too."""
+    grids, parts = _Grids(path), []
+    for row, (us, *values) in _column_blocks(
+            path, [("timestamp", partial(_parse_timestamps, parsed={}))]
+            + [(name, _parse_numbers) for name in value_columns], digest=digest):
+        grids.add(row, np.zeros(len(us), np.intp), us, values[0])
+        parts.append(values)
+    start, interval = grids.check(0, "a series", nonnegative)
+    return [TimeSeries(start, interval, np.concatenate(v), unit) for v in zip(*parts)]
 
 
 def load_timeseries_csv(path: str, unit: str = "", *, digest=None) -> TimeSeries:
@@ -356,20 +427,10 @@ def load_timeseries_csv(path: str, unit: str = "", *, digest=None) -> TimeSeries
     return _read_series(path, ("value",), unit, digest)[0]
 
 
-def _check_nonnegative(values: np.ndarray, rows, path: str) -> None:
-    """Raise a DataError on the file row (rows[i] of values[i]) of the first
-    negative availability value."""
-    bad = np.flatnonzero(values < 0)
-    if bad.size:
-        raise DataError(f"availability value {float(values[bad[0]])!r} is below 0",
-                        path, int(rows[bad[0]]))
-
-
 def load_power_boundary_csv(path: str, *, digest=None) -> AvailabilityProfile:
     """Load a `timestamp,value` CSV of dischargeable power (values >= 0) into
     a V2G power-boundary profile."""
-    series = load_timeseries_csv(path, "kW", digest=digest)
-    _check_nonnegative(series.values, range(2, len(series) + 2), path)
+    series = _read_series(path, ("value",), "kW", digest, nonnegative=True)[0]
     return AvailabilityProfile(ProfileKind.V2G_POWER_BOUNDARY, series)
 
 
@@ -390,45 +451,41 @@ def load_profile_pool_csv(path: str, kind: ProfileKind = ProfileKind.UNIDIRECTIO
     per asset. Assets appear in first-occurrence order; each asset's rows
     must form a valid grid on its own, with values >= 0.
 
-    The file is taken block by block (_column_blocks): each block's
-    timestamps, values and file rows are sorted by asset, stably, so in
-    file order within an asset, and kept with the asset codes the block
-    holds and where each one's rows begin; the block's strings are dropped.
-    At the end each asset's slices of the blocks that hold it are joined,
-    and a block is released once its last asset is joined. So a load holds
-    one block's strings plus three numbers per row and two per asset in
-    each block, whether the file is grouped by asset or ordered by time.
-    Every row error of the file comes first; then, asset by asset, its
-    grid, then its values."""
+    The file is taken block by block (_column_blocks): each block goes
+    through the running grid check (_Grids), and only its values, sorted by
+    asset, stably, so in file order within an asset, are kept, with the
+    asset codes the block holds and where each one's values begin; the
+    block's strings and timestamps are dropped. At the end each asset's
+    slices of the blocks that hold it are joined, and a block is released
+    once its last asset is joined. So a load holds one block's strings plus
+    one number per row and two per asset in each block, whether the file is
+    grouped by asset or ordered by time. Every row error of the file comes
+    first; then, asset by asset, its row count, grid and values."""
     codes: Dict[str, int] = {}
-    held, bounds, blocks = [], [], []   # per block, its rows sorted by asset:
-    # the codes it holds and -1, where each one's rows begin and the end, and
-    # one array of its timestamps, values (as int64 bits) and file rows
+    grids = _Grids(path)
+    held, bounds, blocks = [], [], []   # per block: the codes it holds and -1,
+    # where each one's values begin and the end, and its values sorted by asset
     for row, (asset_index, us, values) in _column_blocks(
             path, [("asset_id", partial(_parse_codes, codes=codes)),
                    ("timestamp", partial(_parse_timestamps, parsed={})),
                    ("value", _parse_numbers)], digest=digest):
-        order = np.argsort(asset_index, kind="stable")
-        block_held, starts = np.unique(asset_index[order], return_index=True)
+        block_held, block_bounds, values = grids.add(row, asset_index, us, values)
         held.append(np.append(block_held, -1))
-        bounds.append(np.append(starts, len(order)))
-        blocks.append(np.stack([us, values.view(np.int64),
-                                np.arange(row, row + len(order))])[:, order])
+        bounds.append(block_bounds)
+        blocks.append(values)
     # Assets are joined in code order, which takes each block's assets front
     # to back: at[b] indexes block b's next asset in held and bounds.
     at = np.cumsum([0] + [len(h) for h in held[:-1]])
     held, bounds = np.concatenate(held), np.concatenate(bounds)
     profiles = []
     for code, asset_id in enumerate(codes):
+        start, interval = grids.check(code, f"asset {asset_id!r}", nonnegative=True)
         hits = np.flatnonzero(held[at] == code)
-        us, bits, rows = np.concatenate([blocks[b][:, lo:hi] for b, lo, hi in zip(
-            hits.tolist(), bounds[at[hits]].tolist(), bounds[at[hits] + 1].tolist())], axis=1)
-        values = bits.view(np.float64).copy()
+        values = np.concatenate([blocks[b][lo:hi] for b, lo, hi in zip(
+            hits.tolist(), bounds[at[hits]].tolist(), bounds[at[hits] + 1].tolist())])
         at[hits] += 1
         for b in hits[held[at[hits]] < 0].tolist():
             blocks[b] = None   # its last asset is joined
-        start, interval = _grid(us, rows, path, f"asset {asset_id!r}")
-        _check_nonnegative(values, rows, path)
         series = TimeSeries(start, interval, values, unit)
         profiles.append(AvailabilityProfile(kind, series, asset_id=asset_id))
     return profiles
@@ -688,12 +745,21 @@ def profile_value_factors(price: TimeSeries, ev_pool: Iterable[AvailabilityProfi
                           hp_pool: Iterable[AvailabilityProfile], v2g_power: AvailabilityProfile,
                           v2g_energy: AvailabilityProfile) -> Dict[str, float]:
     """Value factor per ValueFactorTable field. The two heat-pump schemes share
-    one factor: their uncontrolled demand profile is the same."""
-    vf_power, vf_energy = v2g_value_factors(price, v2g_power, v2g_energy)
-    factors = {"v2g_power": vf_power, "v2g_energy": vf_energy}
-    for scheme, pool in (("smart_charging", ev_pool), ("heat_pump", hp_pool)):
-        price_pool, total, _ = align(price, _pool_total(pool))
-        factors[scheme] = value_factor(price_pool, total.series)
+    one factor: their uncontrolled demand profile is the same. A
+    ValueFactorError names in `source` the DataBundle field of the profile
+    it arose in."""
+    factors = {}
+    for scheme, source, profile in (
+            ("v2g_power", "v2g_power", lambda: v2g_power),
+            ("v2g_energy", "v2g_energy", lambda: v2g_energy),
+            ("smart_charging", "ev_charging_pool", lambda: _pool_total(ev_pool)),
+            ("heat_pump", "heating_pool", lambda: _pool_total(hp_pool))):
+        try:
+            price_aligned, aligned, _ = align(price, profile())
+            factors[scheme] = value_factor(price_aligned, aligned.series)
+        except ValueFactorError as exc:
+            exc.source = source
+            raise
     return factors
 
 

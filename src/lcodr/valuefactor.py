@@ -26,7 +26,8 @@ SUBSAMPLE_BLOCK = 1024
 
 
 class ValueFactorError(LcodrError):
-    pass
+    #: The data input the error arose in, when known (a DataBundle field).
+    source: Optional[str] = None
 
 
 class NoOverlap(ValueFactorError):

@@ -439,6 +439,35 @@ def test_an_lcos_technology_named_after_a_scheme_is_a_data_error(tmp_path, capsy
     assert errors == [f"error: data: {lcos}:{row}: technology 'v2g' is named after a scheme"]
 
 
+def hourly(prefix, year, hours):
+    return "".join(f"{prefix}{year}-01-01T{h:02d}:00:00,1\n" for h in range(hours))
+
+
+@pytest.mark.parametrize("command,flag,text,message", [
+    (["vf"], "--ev-pool", "asset_id,timestamp,value\n" + hourly("a,", 2023, 3)
+     + hourly("b,", 2023, 2), "asset 'b' is not on the first asset's grid"),
+    (["run", "--compute-vf"], "--hp-pool", "asset_id,timestamp,value\n" + hourly("a,", 2023, 3)
+     + hourly("b,", 2023, 2), "asset 'b' is not on the first asset's grid"),
+    (["vf"], "--v2g-power", "timestamp,value\n" + hourly("", 2030, 3),
+     "series do not overlap in time"),
+    (["mc", "--samples", "5", "--compute-vf"], "--v2g-boundaries",
+     "timestamp,lower,upper\n" + hourly("", 2030, 3).replace(",1\n", ",0,1\n"),
+     "series do not overlap in time"),
+    # the synthetic V2G profiles do not overlap the price: the price file is named
+    (["vf"], "--price", "timestamp,value\n" + hourly("", 2030, 3),
+     "series do not overlap in time"),
+], ids=["ev-pool-grid", "hp-pool-grid", "v2g-power-overlap", "v2g-boundaries-overlap",
+        "price-overlap"])
+def test_a_profile_that_does_not_fit_the_price_or_its_pool_names_its_file(
+        tmp_path, capsys, command, flag, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(command + [flag, str(path), "--out", str(tmp_path / "o")]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: data: {path}: {message}"]
+
+
 @pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
 def test_compute_vf_without_files_streams_the_bundled_pools(tmp_path, monkeypatch, command):
     _, expected = data.bundle_value_factors(data.default_bundle())

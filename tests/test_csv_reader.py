@@ -270,6 +270,17 @@ POOL = "asset_id,timestamp,value\n"
          "b,2023-01-01T00:00:00,1\nb,2023-01-01T02:00:00,1\nb,2023-01-01T03:00:00,1\n", 8)
 @example(POOL + "b,2023-01-01T00:00:00,1\na,2023-01-01T00:00:00,-1\n"
          "b,2023-01-01T00:00:00,2\na,2023-01-01T01:00:00,-2\n", data._BLOCK_BYTES)  # b first
+# blocks of 49 bytes: the header and one row, then two rows at a time
+@example(POOL + "a,2023-01-01T00:00:00,1\nb,2023-01-01T00:00:00,1\n"
+         "a,2023-01-01T01:00:00,1\na,2023-01-01T03:00:00,1\n", 49)   # first spacing spans blocks
+@example(POOL + "a,2023-01-01T01:00:00,1\na,2023-01-01T00:00:00,1\n"
+         "a,2023-01-01T02:00:00,1\n", 49)                           # step back at a block's start
+@example(POOL + "a,2023-01-01T00:00:00,1\na,2023-01-01T01:00:00,1\n"
+         "a,2023-01-01T03:00:00,1\nb,2023-01-01T00:00:00,1\n"
+         "a,2023-01-01T02:00:00,1\n", 49)   # a gap in block 2, a step back in block 3 wins
+@example(POOL + "a,2023-01-01T00:00:00,1\nb,2023-01-01T00:00:00,4\n"
+         "a,2023-01-01T01:00:00,2\nb,2023-01-01T01:00:00,5\n"
+         "a,2023-01-01T02:00:00,3\nb,2023-01-01T02:00:00,6\n", 48)   # one row per block
 def test_streamed_pool_loader_equals_the_whole_file_pool_loader(text, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "pool.csv")
@@ -285,3 +296,72 @@ def test_streamed_pool_loader_equals_the_whole_file_pool_loader(text, block_byte
     assert not isinstance(got, tuple), got
     assert [g[:3] for g in got] == [w[:3] for w in want]
     assert all(np.array_equal(g[3], w[3]) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# Series and boundary files against the whole-file reader and grid check
+# ---------------------------------------------------------------------------
+
+#: The series loaders' value columns, and whether their first must be >= 0.
+SERIES_LAYOUTS = {"series": (("value",), False), "power": (("value",), True),
+                  "boundaries": (("lower", "upper"), False)}
+
+
+@st.composite
+def series_files(draw):
+    """(layout, text) of a series file: 1 to 8 rows on an hourly or two-hourly
+    grid, sometimes with one timestamp moved off it or a blank line between
+    rows; values rarely negative or not a number."""
+    layout = draw(st.sampled_from(sorted(SERIES_LAYOUTS)))
+    names = SERIES_LAYOUTS[layout][0]
+    start, step = draw(st.integers(0, 3)), draw(st.sampled_from([1, 2]))
+    hours = [start + step * k for k in range(draw(st.integers(1, 8)))]
+    if draw(st.integers(0, 2)) == 0:
+        hours[draw(st.integers(0, len(hours) - 1))] = draw(st.integers(0, 18))
+    lines = [",".join(("timestamp",) + names)]
+    for h in hours:
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+        lines.append(",".join([f"2023-01-01T{h:02d}:00:00"] + [
+            draw(st.sampled_from(POOL_BAD_VALUES if draw(st.integers(0, 19)) == 0
+                                 else POOL_VALUES)) for _ in names]))
+    return layout, "".join(line + "\n" for line in lines)
+
+
+def reference_series(path, names, nonnegative):
+    """(start, spacing, values) per value column of a series file, by the
+    whole-file reader and grid check; with nonnegative, the first negative
+    value of the first value column is an error on its row."""
+    us, *values = reference.read_columns(path, [("timestamp", reference.parse_timestamps)]
+                                         + [(name, reference.parse_numbers) for name in names])
+    start, interval = reference.grid(us, np.arange(2, len(us) + 2), path, "a series")
+    bad = np.flatnonzero(values[0] < 0)
+    if nonnegative and bad.size:
+        raise DataError(f"availability value {float(values[0][bad[0]])!r} is below 0",
+                        path, int(bad[0]) + 2)
+    return [(start, interval, v) for v in values]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(series_files(), st.one_of(st.integers(1, 60), st.just(data._BLOCK_BYTES)))
+@example(("series", "timestamp,value\n2023-01-01T00:00:00,1\n2023-01-01T01:00:00,1\n"
+          "2023-01-01T03:00:00,1\n2023-01-01T02:00:00,1\n"), 40)   # a gap, then a step back
+@example(("power", "timestamp,value\n2023-01-01T00:00:00,-1\n"), 8)   # one row, negative
+@example(("series", "timestamp,value\n2023-01-01T00:00:00,1\n2023-01-01T01:00:00,1\n"
+          "2023-01-01T02:00:00.000002,1\n"), 8)   # a spacing 2 us off the first
+def test_series_loaders_equal_the_whole_file_reader_and_grid_check(case, block_bytes):
+    layout, text = case
+    names, nonnegative = SERIES_LAYOUTS[layout]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "series.csv")
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
+            got = outcome(lambda: [(s.start, s.interval_seconds, s.values) for s in
+                                   data._read_series(str(path), names, "", None, nonnegative)])
+        want = outcome(lambda: reference_series(str(path), names, nonnegative))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert [g[:2] for g in got] == [w[:2] for w in want] and len(got) == len(names)
+    assert all(np.array_equal(g[2], w[2]) for g, w in zip(got, want))
