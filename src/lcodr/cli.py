@@ -71,6 +71,10 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 
+class UsageError(Exception):
+    """A command line that argparse accepts but the command cannot carry out."""
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems via exit code 1."""
 
@@ -244,7 +248,11 @@ def _output(args, **key):
     """Create the output directory. Returns it and the run id: a hash of the
     command name and key, the effective inputs of the run."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a file in the way, no permission, ...
+        raise UsageError(f"--out {out}: cannot create the output directory "
+                         f"({exc.strerror or exc})") from None
     return out, _hash_dict({"command": args.command, **key})
 
 
@@ -517,6 +525,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: usage: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DataError as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA

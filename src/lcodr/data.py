@@ -108,8 +108,12 @@ def _parse_timestamps(column: List[str], name: str, path: str, row: int = 2,
     whose first text is on file row `row`; naive timestamps are UTC. Each
     distinct text is parsed once into `parsed` (shared by a file's blocks),
     in first-occurrence order, so the first text that fails is on the first
-    bad row."""
+    bad row. A block whose texts are all known is looked up in one pass."""
     parsed = {} if parsed is None else parsed
+    try:
+        return np.fromiter(map(parsed.__getitem__, column), np.int64, len(column))
+    except KeyError:
+        pass
     for text in dict.fromkeys(column):
         if text in parsed:
             continue
@@ -150,7 +154,12 @@ def _parse_numbers(column: List[str], name: str, path: str, row: int = 2) -> np.
 def _parse_codes(column: List[str], name: str, path: str, row: int,
                  codes: dict) -> np.ndarray:
     """The code of each text of a column; `codes` (shared by a file's blocks)
-    numbers the distinct texts in first-occurrence order."""
+    numbers the distinct texts in first-occurrence order. A block whose
+    texts are all known is looked up in one pass."""
+    try:
+        return np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
+    except KeyError:
+        pass
     for text in dict.fromkeys(column):
         codes.setdefault(text, len(codes))
     return np.fromiter(map(codes.__getitem__, column), np.intp, len(column))

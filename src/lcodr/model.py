@@ -18,11 +18,9 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from importlib import resources
 from typing import Optional
 
 import numpy as np
-import yaml
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -594,15 +592,30 @@ def _known_vf_key(key: str) -> bool:
 # Configuration files
 # ---------------------------------------------------------------------------
 
-#: The safe YAML loader, in C when PyYAML was built with libyaml. Only the
-#: bundled defaults use it: user config files go through yaml.safe_load,
-#: whose error texts are shown to users.
-_FAST_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_EVERY_SCHEME = tuple(kind.value for kind in SchemeKind)
 
-
-def _bundled_defaults() -> dict:
-    text = resources.files("lcodr").joinpath("defaults.yaml").read_text(encoding="utf-8")
-    return yaml.load(text, Loader=_FAST_SAFE_LOADER)
+#: The bundled defaults that the dataclasses do not carry, in config-file
+#: units: the golden value factors, computed from the bundled synthetic
+#: profiles at the bundled seed (`bundle_value_factors(default_bundle())`;
+#: replace them when supplying real profile data), and one row per storage
+#: application (name, MW, hours per activation, activations per year,
+#: suitable schemes). `defaults.yaml` writes the same values as a config file.
+_DEFAULT_VALUE_FACTORS = {"v2g_power": 0.9691660535997968, "v2g_energy": 0.9743345259373416,
+                          "smart_charging": 1.1990290134805588, "heat_pump": 1.1415170718967085}
+_DEFAULT_APPLICATIONS = (
+    ("Energy arbitrage", 100, 4, 300, _EVERY_SCHEME),
+    ("Primary response", 10, 0.5, 5000, _EVERY_SCHEME),
+    ("Secondary response", 100, 1, 1000, _EVERY_SCHEME),
+    ("Tertiary response", 100, 4, 10, _EVERY_SCHEME),
+    ("Peaker replacement", 100, 4, 50, _EVERY_SCHEME),
+    ("Black start", 10, 1, 10, ("v2g",)),
+    ("Seasonal storage", 100, 700, 3, ()),
+    ("T&D investment deferral", 100, 8, 300, _EVERY_SCHEME),
+    ("Congestion management", 100, 1, 300, _EVERY_SCHEME),
+    ("Bill management", 1, 4, 500, _EVERY_SCHEME),
+    ("Power quality", 1, 0.5, 100, ("v2g",)),
+    ("Power reliability", 1, 8, 50, ("v2g",)),
+)
 
 
 #: Characters that would split or quote a cell of an output CSV: no
@@ -652,11 +665,12 @@ def load_config_dict(overrides: Optional[dict]):
     ``parameters`` section or directly at the top level. Unknown keys
     anywhere are an error.
     """
-    base = _bundled_defaults()
     merged_params = {}
-    merged_vf = dict(base["value_factors"])
+    merged_vf = dict(_DEFAULT_VALUE_FACTORS)
     merged_assumptions = {}
-    app_entries = base["applications"]
+    app_entries = [{"name": name, "power_capacity_mw": mw, "discharge_duration_h": hours,
+                    "annual_cycles": cycles, "suitable_schemes": list(schemes)}
+                   for name, mw, hours, cycles, schemes in _DEFAULT_APPLICATIONS]
 
     overrides = overrides or {}
     if not isinstance(overrides, dict):
@@ -709,11 +723,17 @@ def load_config(path: Optional[str] = None):
     """
     overrides = None
     if path is not None:
+        import yaml   # only a config file needs PyYAML: it stays out of start-up
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 overrides = yaml.safe_load(fh)
         except FileNotFoundError:
             raise ParseError(f"configuration file not found: {path}") from None
+        except OSError as exc:   # a directory, no permission, ...
+            raise ParseError(f"unreadable configuration file {path}: "
+                             f"{exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"configuration file {path} is not UTF-8 text: {exc}") from None
         except yaml.YAMLError as exc:
             raise ParseError(f"malformed configuration file {path}: {exc}") from None
     return load_config_dict(overrides)

@@ -76,10 +76,33 @@ def test_missing_price_csv_is_data_error(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
-def test_malformed_config_is_config_error(tmp_path):
+@pytest.mark.parametrize("write,named", [
+    (lambda cfg: cfg.write_text("charger_power: -4\n", encoding="utf-8"), "charger_power"),
+    (lambda cfg: cfg.mkdir(), "path"),                                     # a directory
+    (lambda cfg: cfg.write_bytes(b"charger_power: 4\n# \xff\n"), "path"),  # not UTF-8
+], ids=["bad-value", "directory", "not-utf8"])
+def test_malformed_config_is_config_error(tmp_path, capsys, write, named):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text("charger_power: -4\n", encoding="utf-8")
+    write(cfg)
     assert main(["run", "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: config:")
+    assert (str(cfg) if named == "path" else named) in errors[0]
+
+
+@pytest.mark.parametrize("command", [["run"], ["vf"], ["mc", "--samples", "2"]])
+def test_out_that_cannot_be_created_is_usage_error(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n", encoding="utf-8")
+    for out in (taken, taken / "sub"):
+        assert main(command + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: usage: --out {out}:")
+    assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
 
 
 _APP = ("applications: [{name: X, power_capacity_mw: %s, discharge_duration_h: 1,"

@@ -222,6 +222,29 @@ def test_undecodable_bytes_are_an_unreadable_file(tmp_path):
     assert got[2].startswith(f"{path}: unreadable file ('utf-8' codec can't decode byte 0xff")
 
 
+@pytest.mark.parametrize("bad", [False, True])
+@pytest.mark.parametrize("block_bytes", [49, 97, 1 << 20])
+def test_later_block_with_known_then_new_then_bad_texts_reads_as_the_reference(bad,
+                                                                               block_bytes):
+    # 24-byte rows: with 97-byte blocks the header and rows 2-4 come first,
+    # then four rows a block
+    rows = ["b,2023-01-01T00:00:00,1", "a,2023-01-01T01:00:00,2", "b,2023-01-01T01:00:00,3",
+            # known texts, a new id and stamp, then (rows 7-8) a bad stamp and known texts
+            "a,2023-01-01T00:00:00,4", "c,2023-01-01T02:00:00,5",
+            "a,2023-01-01T01:00:0x,6" if bad else "a,2023-01-01T02:00:00,6",
+            "b,2023-01-01T00:00:00,7",
+            # every text known
+            "c,2023-01-01T01:00:00,8", "a,2023-01-01T00:00:00,9", "b,2023-01-01T02:00:00,1",
+            "c,2023-01-01T00:00:00,2"]
+    text = "asset_id,timestamp,value\n" + "".join(row + "\n" for row in rows)
+    got, want = read_both("pool", text, block_bytes)
+    assert_same(got, want)
+    if bad:
+        assert want[:2] == (data.NonNumericValue, 7)
+    else:
+        assert want[0] == [row.split(",")[0] for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # The streamed pool loader against the whole-file pool loader
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -21,6 +25,7 @@ from lcodr.model import (
     build_parameter_set,
     default_applications,
     default_parameters,
+    load_config,
     load_config_dict,
     parameter_set_to_dict,
     ParameterSet,
@@ -348,7 +353,31 @@ def test_non_numeric_config_value_names_its_key(text, field):
     assert info.value.field_path == field
 
 
-@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
-def test_c_and_python_safe_loaders_read_defaults_alike():
-    text = resources.files("lcodr").joinpath("defaults.yaml").read_text(encoding="utf-8")
-    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+def _defaults_yaml():
+    return str(resources.files("lcodr").joinpath("defaults.yaml"))
+
+
+def test_defaults_yaml_is_a_complete_config_of_the_bundled_defaults():
+    params, apps = load_config(None)
+    assert load_config(_defaults_yaml()) == (params, apps)
+    assert [app.name for app in apps] == \
+        [entry["name"] for entry in yaml.safe_load(Path(_defaults_yaml()).read_text(
+            encoding="utf-8"))["applications"]]
+    # overrides of every bundled section leave the bundled defaults as they were
+    load_config_dict({"value_factors": {"heat_pump": 2.0}, "applications": []})
+    assert load_config(None) == (params, apps)
+
+
+def test_startup_leaves_pyyaml_unimported(tmp_path):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("discount_rate: 0.06\n", encoding="utf-8")
+    script = ("import sys, lcodr.cli, lcodr.model\n"
+              "lcodr.model.load_config(None)\n"
+              "assert 'yaml' not in sys.modules, 'yaml imported at start-up'\n"
+              "params, _ = lcodr.model.load_config(sys.argv[1])\n"
+              "assert params.econ.discount_rate == 0.06 and 'yaml' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
