@@ -28,7 +28,7 @@ from .model import (
 )
 from .sizing import size_pairing
 from .costing import PairingEvaluation, evaluate_pairing
-from .valuefactor import AvailabilityProfile, ProfileKind, value_factor, vf_subsample_mc
+from .valuefactor import AvailabilityProfile, value_factor, vf_subsample_mc
 from .uncertainty import (
     McConfig,
     McDistribution,
@@ -44,7 +44,7 @@ __all__ = [
     "ApplicationSpec", "Assumptions", "AvailabilityProfile", "BindingConstraint",
     "CostBreakdown", "DataBundle", "EconomicParameters",
     "EvParameters", "HeatParameters", "LcodrError", "McConfig", "McDistribution",
-    "PairingEvaluation", "ParameterSet", "ParseError", "ProfileKind", "SchemeKind",
+    "PairingEvaluation", "ParameterSet", "ParseError", "SchemeKind",
     "SizingResult", "TimeSeries", "ValidationError", "ValueFactorTable",
     "__version__", "bundle_value_factors", "cheapest_probability",
     "default_applications", "default_bundle", "default_parameters",

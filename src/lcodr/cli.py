@@ -58,6 +58,7 @@ from .uncertainty import (
     LcosSampling,
     McConfig,
     RNG_SCHEME,
+    TRUNCATION_Z,
     UncertaintyError,
     cheapest_probability,
     run_monte_carlo,
@@ -100,12 +101,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _out_error(out: Path, what: str, exc: OSError) -> UsageError:
+    return UsageError(f"--out {out}: cannot {what} ({exc.strerror or exc})")
+
+
 def _write_lines(path: Path, header: List[str], chunks, run_id: str) -> None:
     """Write the run-id line, the header and then each chunk of formatted
     lines (any iterable of strings, consumed once)."""
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# run_id={run_id}\n{','.join(header)}\n")
-        fh.writelines(chunks)
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(f"# run_id={run_id}\n{','.join(header)}\n")
+            fh.writelines(chunks)
+    except OSError as exc:   # a directory in the way, a full disk, ...
+        raise _out_error(path.parent, f"write {path.name}", exc) from None
 
 
 def _write_csv(path: Path, header: List[str], rows, run_id: str) -> None:
@@ -126,8 +134,9 @@ def _sample_lines(dists, samples: int):
         yield "".join(f"{prefix}{i},{ok},{v}\n" for i, ok, v in zip(indices, flags, values))
 
 
-def _hash_dict(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _run_id(args, **key) -> str:
+    """A hash of the command name and key, the effective inputs of the run."""
+    blob = json.dumps({"command": args.command, **key}, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -150,8 +159,11 @@ def _write_manifest(out: Path, run_id: str, args, params, data_hashes: dict,
     }
     if extra:
         manifest.update(extra)
-    out.joinpath("manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        out.joinpath("manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise _out_error(out, "write manifest.json", exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +200,7 @@ def _load(args):
 #: their functions up at call time, so a wrapper installed on the module
 #: names sees every load.
 _PROFILE_INPUTS = (
-    ("price", lambda path, digest: load_timeseries_csv(path, unit="$/MWh", digest=digest),
-     "price"),
+    ("price", lambda path, digest: load_timeseries_csv(path, digest=digest), "price"),
     ("ev_pool", lambda path, digest: load_profile_pool_csv(path, digest=digest),
      "ev_charging_pool"),
     ("hp_pool", lambda path, digest: load_profile_pool_csv(path, digest=digest),
@@ -234,6 +245,14 @@ def _value_factors(args, profiles) -> dict:
         raise DataError(str(exc), path) from exc
 
 
+def _check_data_flags(args) -> None:
+    """A data flag of `run` or `mc` is read only with --compute-vf."""
+    if not args.compute_vf:
+        for flag, _, _ in _PROFILE_INPUTS:
+            if getattr(args, flag):
+                raise UsageError(f"--{flag.replace('_', '-')} is read only with --compute-vf")
+
+
 def _with_computed_value_factors(params, args):
     """With --compute-vf, params with value factors computed from the profile
     data, and the data hashes; otherwise params unchanged and no hashes."""
@@ -244,16 +263,14 @@ def _with_computed_value_factors(params, args):
     return replace(params, value_factors=table), hashes
 
 
-def _output(args, **key):
-    """Create the output directory. Returns it and the run id: a hash of the
-    command name and key, the effective inputs of the run."""
+def _out_dir(args) -> Path:
+    """Create the output directory, before any data is loaded."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:   # a file in the way, no permission, ...
-        raise UsageError(f"--out {out}: cannot create the output directory "
-                         f"({exc.strerror or exc})") from None
-    return out, _hash_dict({"command": args.command, **key})
+        raise _out_error(out, "create the output directory", exc) from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +296,12 @@ _RUN_KEYS = (
 
 
 def cmd_run(args) -> int:
+    _check_data_flags(args)
     params, apps, schemes = _load(args)
+    out = _out_dir(args)
     params, data_hashes = _with_computed_value_factors(params, args)
-    out, run_id = _output(args, config=parameter_set_to_dict(params),
-                          apps=[app.name for app in apps],
-                          schemes=[s.value for s in schemes])
+    run_id = _run_id(args, config=parameter_set_to_dict(params),
+                     apps=[app.name for app in apps], schemes=[s.value for s in schemes])
     columns = batch_columns(np.array([batch_row(params)]))
     rows = []
     for scheme in schemes:
@@ -303,6 +321,7 @@ def cmd_run(args) -> int:
 
 def cmd_vf(args) -> int:
     params, _, _ = _load(args)
+    out = _out_dir(args)
     profiles, hashes = _load_profile_data(args)
     if args.subsample:   # subsets are drawn from the whole pool
         profiles["ev_pool"] = list(profiles["ev_pool"])
@@ -311,8 +330,8 @@ def cmd_vf(args) -> int:
     # the subset selection scheme keys subsample runs only, so that runs
     # without --subsample keep their run id
     scheme = {"vf_rng_scheme": VF_RNG_SCHEME} if args.subsample else {}
-    out, run_id = _output(args, data=hashes, seed=args.seed,
-                          subsample=args.subsample, iterations=args.iterations, **scheme)
+    run_id = _run_id(args, data=hashes, seed=args.seed,
+                     subsample=args.subsample, iterations=args.iterations, **scheme)
     _write_csv(out / "value_factors.csv", ["scheme", "value_factor"], factors.items(), run_id)
     written = [out / "value_factors.csv"]
 
@@ -339,7 +358,9 @@ def cmd_vf(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_mc(args) -> int:
+    _check_data_flags(args)
     params, apps, schemes = _load(args)
+    out = _out_dir(args)
     params, data_hashes = _with_computed_value_factors(params, args)
     digest = hashlib.sha256()
     lcos = load_lcos_reference(args.lcos, digest=digest)
@@ -369,13 +390,11 @@ def cmd_mc(args) -> int:
         for order, (tech, prob) in enumerate(probs.items()):
             prob_rows.append([app.name, tech, order, prob])
 
-    out, run_id = _output(args, config=parameter_set_to_dict(params),
-                          apps=[app.name for app in apps],
-                          schemes=[s.value for s in schemes],
-                          mc=[cfg.samples, cfg.sigma_inputs, cfg.sigma_vf,
-                              cfg.truncation_z, cfg.seed, cfg.lcos_sampling.value,
-                              RNG_SCHEME],
-                          data=data_hashes)
+    run_id = _run_id(args, config=parameter_set_to_dict(params),
+                     apps=[app.name for app in apps], schemes=[s.value for s in schemes],
+                     mc=[cfg.samples, cfg.sigma_inputs, cfg.sigma_vf, TRUNCATION_Z, cfg.seed,
+                         cfg.lcos_sampling.value, RNG_SCHEME],
+                     data=data_hashes)
 
     summary_rows = [[d.technology, d.application, d.feasible_fraction,
                      d.mean, d.median, d.p5, d.p95] for d in dists]
@@ -419,7 +438,7 @@ def cmd_mc(args) -> int:
                     extra={"mc": {"samples": cfg.samples,
                                   "sigma_inputs": cfg.sigma_inputs,
                                   "sigma_vf": cfg.sigma_vf,
-                                  "truncation_z": cfg.truncation_z,
+                                  "truncation_z": TRUNCATION_Z,
                                   "lcos_sampling": cfg.lcos_sampling.value,
                                   "rng_scheme": RNG_SCHEME,
                                   "skipped_applications": skipped}})

@@ -21,7 +21,9 @@ CSV layouts:
   energy boundaries  timestamp,lower,upper
   profile pool       asset_id,timestamp,value         (long format)
   storage reference  application,technology,lcos_usd_per_mwh
-Timestamps are ISO 8601; naive timestamps are taken as UTC.
+Timestamps are ISO 8601; naive timestamps are taken as UTC. Values carry
+no unit: a price is taken as read (the bundled one in $/MWh), pools and
+V2G power in kW, energy boundaries in kWh.
 
 Files are read once, in blocks of about 256 KiB cut after a line end, and
 each block's columns are parsed as it is read (a line longer than a block
@@ -47,7 +49,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cache, partial
 from importlib import resources
@@ -56,7 +58,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .model import CSV_UNSAFE, LcodrError, SchemeKind, TimeSeries, ValueFactorTable
-from .valuefactor import AvailabilityProfile, ProfileKind, ValueFactorError, align, value_factor
+from .valuefactor import AvailabilityProfile, ValueFactorError, align, value_factor
 
 
 class DataError(LcodrError):
@@ -416,7 +418,7 @@ class _Grids:
         return _EPOCH + timedelta(microseconds=int(s["first_us"])), float(s["spacing"])
 
 
-def _read_series(path: str, value_columns: Tuple[str, ...], unit: str, digest,
+def _read_series(path: str, value_columns: Tuple[str, ...], digest,
                  nonnegative: bool = False) -> List[TimeSeries]:
     """One TimeSeries per value column of a `timestamp,<value columns>` CSV,
     checked as a one-asset pool (_Grids) whose values are the first value
@@ -428,34 +430,32 @@ def _read_series(path: str, value_columns: Tuple[str, ...], unit: str, digest,
         grids.add(row, np.zeros(len(us), np.intp), us, values[0])
         parts.append(values)
     start, interval = grids.check(0, "a series", nonnegative)
-    return [TimeSeries(start, interval, np.concatenate(v), unit) for v in zip(*parts)]
+    return [TimeSeries(start, interval, np.concatenate(v)) for v in zip(*parts)]
 
 
-def load_timeseries_csv(path: str, unit: str = "", *, digest=None) -> TimeSeries:
+def load_timeseries_csv(path: str, *, digest=None) -> TimeSeries:
     """Load a `timestamp,value` CSV into a validated TimeSeries."""
-    return _read_series(path, ("value",), unit, digest)[0]
+    return _read_series(path, ("value",), digest)[0]
 
 
 def load_power_boundary_csv(path: str, *, digest=None) -> AvailabilityProfile:
     """Load a `timestamp,value` CSV of dischargeable power (values >= 0) into
     a V2G power-boundary profile."""
-    series = _read_series(path, ("value",), "kW", digest, nonnegative=True)[0]
-    return AvailabilityProfile(ProfileKind.V2G_POWER_BOUNDARY, series)
+    return AvailabilityProfile(_read_series(path, ("value",), digest, nonnegative=True)[0])
 
 
-def load_boundary_csv(path: str, unit: str = "kWh", *, digest=None) -> AvailabilityProfile:
+def load_boundary_csv(path: str, *, digest=None) -> AvailabilityProfile:
     """Load a `timestamp,lower,upper` CSV into an energy-boundary profile;
     upper may not fall below lower (by more than 1e-9)."""
-    lower, upper = _read_series(path, ("lower", "upper"), unit, digest)
+    lower, upper = _read_series(path, ("lower", "upper"), digest)
     bad = np.flatnonzero(upper.values < lower.values - 1e-9)
     if bad.size:
         raise DataError(f"upper energy boundary {float(upper.values[bad[0]])!r} below lower "
                         f"boundary {float(lower.values[bad[0]])!r}", path, int(bad[0]) + 2)
-    return AvailabilityProfile(ProfileKind.V2G_ENERGY_BOUNDARIES, lower, upper=upper)
+    return AvailabilityProfile(lower, upper=upper)
 
 
-def load_profile_pool_csv(path: str, kind: ProfileKind = ProfileKind.UNIDIRECTIONAL_LOAD,
-                          unit: str = "kW", *, digest=None) -> List[AvailabilityProfile]:
+def load_profile_pool_csv(path: str, *, digest=None) -> List[AvailabilityProfile]:
     """Load a long-format `asset_id,timestamp,value` CSV into one profile
     per asset. Assets appear in first-occurrence order; each asset's rows
     must form a valid grid on its own, with values >= 0.
@@ -495,8 +495,8 @@ def load_profile_pool_csv(path: str, kind: ProfileKind = ProfileKind.UNIDIRECTIO
         at[hits] += 1
         for b in hits[held[at[hits]] < 0].tolist():
             blocks[b] = None   # its last asset is joined
-        series = TimeSeries(start, interval, values, unit)
-        profiles.append(AvailabilityProfile(kind, series, asset_id=asset_id))
+        profiles.append(AvailabilityProfile(TimeSeries(start, interval, values),
+                                            asset_id=asset_id))
     return profiles
 
 
@@ -561,10 +561,10 @@ def _hour_axis(days: int) -> np.ndarray:
     return np.arange(days * 24) % 24.0
 
 
-def synthetic_price(days: int = 365, seed: int = 0,
-                    mean_usd_per_mwh: float = 50.0) -> TimeSeries:
-    """Hourly electricity price with morning and evening peaks, an overnight
-    trough, mild seasonality and seeded noise; mean normalized exactly."""
+def synthetic_price(days: int = 365, seed: int = 0) -> TimeSeries:
+    """Hourly electricity price, $/MWh, with morning and evening peaks, an
+    overnight trough, mild seasonality and seeded noise; mean normalized to
+    exactly 50."""
     hours = _hour_axis(days)
     day = np.arange(days * 24) / 24.0
     shape = (1.0
@@ -575,8 +575,8 @@ def synthetic_price(days: int = 365, seed: int = 0,
     rng = np.random.default_rng((seed, 0))
     noise = 1.0 + 0.08 * rng.standard_normal(days * 24)
     values = np.clip(shape * seasonal * noise, 0.05, None)
-    values *= mean_usd_per_mwh / values.mean()
-    return TimeSeries(_START, _HOUR, values, "$/MWh")
+    values *= 50.0 / values.mean()
+    return TimeSeries(_START, _HOUR, values)
 
 
 def synthetic_ev_charging_profiles(n_assets: int = 200, days: int = 365,
@@ -594,9 +594,8 @@ def synthetic_ev_charging_profiles(n_assets: int = 200, days: int = 365,
         day_noise = np.repeat(np.clip(1.0 + 0.25 * rng.standard_normal(days),
                                       0.0, None), 24)
         values = base * day_noise
-        series = TimeSeries(_START, _HOUR, values, "kW")
-        yield AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD,
-                                  series, asset_id=f"synthetic-ev-{a:03d}")
+        yield AvailabilityProfile(TimeSeries(_START, _HOUR, values),
+                                  asset_id=f"synthetic-ev-{a:03d}")
 
 
 def synthetic_ev_charging_pool(n_assets: int = 200, days: int = 365,
@@ -623,9 +622,8 @@ def synthetic_heating_profiles(n_assets: int = 60, days: int = 365,
         day_noise = np.repeat(np.clip(1.0 + 0.15 * rng.standard_normal(days),
                                       0.0, None), 24)
         values = shape * winter * day_noise
-        series = TimeSeries(_START, _HOUR, values, "kW")
-        yield AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD,
-                                  series, asset_id=f"synthetic-hp-{a:03d}")
+        yield AvailabilityProfile(TimeSeries(_START, _HOUR, values),
+                                  asset_id=f"synthetic-hp-{a:03d}")
 
 
 def synthetic_heating_pool(n_assets: int = 60, days: int = 365,
@@ -634,11 +632,10 @@ def synthetic_heating_pool(n_assets: int = 60, days: int = 365,
     return list(synthetic_heating_profiles(n_assets, days, seed))
 
 
-def synthetic_v2g_profiles(days: int = 365, seed: int = 0,
-                           battery_band_kwh: float = 42.0,
-                           charger_power_kw: float = 6.8):
+def synthetic_v2g_profiles(days: int = 365, seed: int = 0):
     """Aggregate V2G availability: dischargeable power and battery-energy
-    boundaries for an overnight-plugged fleet, per vehicle.
+    boundaries for an overnight-plugged fleet, per vehicle with a 6.8 kW
+    charger and a 42 kWh dischargeable battery band.
 
     Plug-in probability is high from late afternoon through the morning
     commute and low at midday, so availability overlaps the evening price
@@ -655,21 +652,17 @@ def synthetic_v2g_profiles(days: int = 365, seed: int = 0,
     # Not all plugged-in vehicles can discharge: some are replacing driving
     # energy, concentrated right after the evening arrival.
     charging = 0.30 * _daily_gauss(hours, 18.5, 1.5)
-    discharge_power = charger_power_kw * np.clip(plugged - charging, 0.0, None)
-    power = AvailabilityProfile(
-        ProfileKind.V2G_POWER_BOUNDARY,
-        TimeSeries(_START, _HOUR, discharge_power, "kW"),
-        asset_id="synthetic-v2g-power")
+    discharge_power = 6.8 * np.clip(plugged - charging, 0.0, None)
+    power = AvailabilityProfile(TimeSeries(_START, _HOUR, discharge_power),
+                                asset_id="synthetic-v2g-power")
 
     # Energy band: plugged-in share of the dischargeable battery band; the
     # band narrows while driving energy is being replaced.
-    upper = battery_band_kwh * plugged
-    lower = battery_band_kwh * np.clip(charging, 0.0, None) * plugged
-    energy = AvailabilityProfile(
-        ProfileKind.V2G_ENERGY_BOUNDARIES,
-        TimeSeries(_START, _HOUR, lower, "kWh"),
-        upper=TimeSeries(_START, _HOUR, upper, "kWh"),
-        asset_id="synthetic-v2g-energy")
+    upper = 42.0 * plugged
+    lower = 42.0 * np.clip(charging, 0.0, None) * plugged
+    energy = AvailabilityProfile(TimeSeries(_START, _HOUR, lower),
+                                 upper=TimeSeries(_START, _HOUR, upper),
+                                 asset_id="synthetic-v2g-energy")
     return power, energy
 
 
@@ -679,18 +672,13 @@ def synthetic_v2g_profiles(days: int = 365, seed: int = 0,
 
 @dataclass(frozen=True)
 class DataBundle:
-    """Everything the pipeline consumes, loaded and validated.
-
-    provenance distinguishes transcribed constants from synthetic series.
-    """
+    """The price and availability profiles value factors are computed from."""
 
     price: TimeSeries
     ev_charging_pool: List[AvailabilityProfile]
     heating_pool: List[AvailabilityProfile]
     v2g_power: AvailabilityProfile
     v2g_energy: AvailabilityProfile
-    lcos_reference: List[LcosEntry]
-    provenance: Dict[str, str] = field(default_factory=dict)
 
 
 #: Seed of the bundled dataset, for default_bundle and for the CLI's inputs
@@ -718,19 +706,7 @@ def default_bundle(seed: int = BUNDLE_SEED, days: int = 365) -> DataBundle:
     inputs = {name: source() for name, source in bundle_sources(seed, days).items()}
     for pool in ("ev_charging_pool", "heating_pool"):
         inputs[pool] = list(inputs[pool])
-    return DataBundle(
-        **inputs,
-        lcos_reference=load_lcos_reference(),
-        provenance={
-            "price": "synthetic: two-peak daily shape, seasonal modulation, "
-                     "seeded noise, mean normalized to 50 $/MWh",
-            "ev_charging_pool": "synthetic: evening-peaked per-vehicle load",
-            "heating_pool": "synthetic: bimodal morning/evening heating demand",
-            "v2g_power": "synthetic: overnight-plugged dischargeable power",
-            "v2g_energy": "synthetic: battery-energy boundaries",
-            "lcos_reference": "approximate published lifetime-cost projections "
-                              "for storage technologies; user-replaceable",
-        })
+    return DataBundle(**inputs)
 
 
 def _pool_total(pool: Iterable[AvailabilityProfile]) -> AvailabilityProfile:
@@ -738,8 +714,7 @@ def _pool_total(pool: Iterable[AvailabilityProfile]) -> AvailabilityProfile:
     first's grid. Only the first profile and the running total are kept, so a
     pool given as an iterator is never held whole."""
     profiles = iter(pool)
-    head = next(profiles)
-    first = head.series
+    first = next(profiles).series
     total = first.values.copy()
     for prof in profiles:
         s = prof.series
@@ -747,7 +722,7 @@ def _pool_total(pool: Iterable[AvailabilityProfile]) -> AvailabilityProfile:
                                                      len(first)):
             raise ValueFactorError(f"asset {prof.asset_id!r} is not on the first asset's grid")
         total += s.values
-    return AvailabilityProfile(head.kind, first.with_values(total), asset_id="pool-total")
+    return AvailabilityProfile(first.with_values(total), asset_id="pool-total")
 
 
 def profile_value_factors(price: TimeSeries, ev_pool: Iterable[AvailabilityProfile],

@@ -372,7 +372,7 @@ class ApplicationSpec:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A regularly spaced series of numbers with a declared unit.
+    """A regularly spaced series of numbers.
 
     Gaps are a load-time error; a TimeSeries that exists has no missing
     values. The value buffer is frozen so instances can be shared safely.
@@ -381,7 +381,6 @@ class TimeSeries:
     start: datetime
     interval_seconds: float
     values: np.ndarray
-    unit: str = ""
 
     def __post_init__(self):
         _check(self.start.tzinfo is not None, "start timestamp must be timezone-aware",
@@ -405,9 +404,8 @@ class TimeSeries:
         from datetime import timedelta
         return self.start + timedelta(seconds=self.interval_seconds * len(self.values))
 
-    def with_values(self, values: np.ndarray, unit: Optional[str] = None) -> "TimeSeries":
-        return TimeSeries(self.start, self.interval_seconds, values,
-                          self.unit if unit is None else unit)
+    def with_values(self, values: np.ndarray) -> "TimeSeries":
+        return TimeSeries(self.start, self.interval_seconds, values)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ keys one Philox4x64 generator. Sample i takes PROPOSALS uniform words of
 that stream, starting at word i * PROPOSALS: a range of samples is drawn
 at once by starting the generator's counter at the range's first sample.
 Each pair of words gives two Box-Muller normals, and the first of the
-PROPOSALS normals inside +/- truncation_z is the sample's draw. So the
+PROPOSALS normals inside +/- TRUNCATION_Z is the sample's draw. So the
 draws are bit-identical for a fixed seed however the samples are split
 into ranges. A sample with no accepted proposal (about 7e-12 of cells at
 z = 1.285) draws on from its own generator, keyed by the sample index,
@@ -66,6 +66,10 @@ RNG_SCHEME = "philox4x64-boxmuller-v1"
 #: Attempts at a row that meets every parameter invariant.
 MAX_ATTEMPTS = 100
 
+#: Draws are truncated at this many standard deviations either side of the
+#: mean. Recorded in the manifest and the run id.
+TRUNCATION_Z = 1.285
+
 
 class UncertaintyError(LcodrError):
     pass
@@ -90,13 +94,12 @@ class McConfig:
     """Monte-Carlo settings.
 
     sigma_inputs and sigma_vf are relative standard deviations; draws are
-    truncated at truncation_z standard deviations either side of the mean.
+    truncated at TRUNCATION_Z standard deviations either side of the mean.
     """
 
     samples: int = 1000
     sigma_inputs: float = 0.33
     sigma_vf: float = 0.10
-    truncation_z: float = 1.285
     seed: int = 0
     lcos_sampling: LcosSampling = LcosSampling.POINT
 
@@ -107,25 +110,6 @@ class McConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise ValidationError(f"must be a finite number >= 0, got {value!r}", name)
-        if not (np.isfinite(self.truncation_z) and self.truncation_z > 0):
-            raise ValidationError(
-                f"must be a finite number > 0 sigma, got {self.truncation_z!r}", "truncation_z")
-
-
-def sample_truncated_normal(mean: float, sigma: float, z: float,
-                            rng: np.random.Generator) -> float:
-    """One draw from Normal(mean, sigma) conditioned on +/- z sigma.
-
-    Rejection sampling; at z = 1.285 roughly 80 % of proposals are
-    accepted. sigma = 0 returns the mean exactly.
-    """
-    if sigma == 0.0:
-        return mean
-    bound = z * sigma
-    while True:
-        x = rng.normal(mean, sigma)
-        if abs(x - mean) <= bound:
-            return x
 
 
 def _first_accepted(uniforms: np.ndarray, z: float) -> np.ndarray:
@@ -180,10 +164,10 @@ def _drawn_columns(cfg: McConfig) -> list:
 def _spread(value: float, cfg: McConfig, sigma: str) -> float:
     """The standard deviation of the draws around `value`: the McConfig field
     `sigma` times |value|. A ValidationError naming that field where the
-    widest draw, |value| + spread * truncation_z, is beyond the float range."""
+    widest draw, |value| + spread * TRUNCATION_Z, is beyond the float range."""
     value, relative = float(value), float(getattr(cfg, sigma))
     spread = relative * abs(value)
-    if not math.isfinite(abs(value) + spread * cfg.truncation_z):
+    if not math.isfinite(abs(value) + spread * TRUNCATION_Z):
         raise ValidationError(f"{relative!r} would overflow the draws around {value!r}", sigma)
     return spread
 
@@ -210,7 +194,7 @@ def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> 
         for column, spec, sigma in _drawn_columns(cfg):
             value = base_row[column]
             drawn = value + _spread(value, cfg, sigma) * truncated_normals(
-                cfg.seed, column, attempt, start + lo, start + hi, cfg.truncation_z)
+                cfg.seed, column, attempt, start + lo, start + hi, TRUNCATION_Z)
             if spec.lower is not None:
                 drawn = np.maximum(spec.lower, drawn)
             if spec.upper is not None:
@@ -331,7 +315,7 @@ def lcos_sample_matrix(lcos_entries: Sequence[Tuple[str, float]],
             matrix[e, :] = value
             continue
         drawn = value + _spread(value, cfg, "sigma_inputs") * truncated_normals(
-            cfg.seed, LCOS_ID_OFFSET + e, 0, 0, cfg.samples, cfg.truncation_z)
+            cfg.seed, LCOS_ID_OFFSET + e, 0, 0, cfg.samples, TRUNCATION_Z)
         matrix[e, :] = np.maximum(0.0, drawn)
     return matrix
 

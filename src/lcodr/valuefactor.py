@@ -8,7 +8,6 @@ available when electricity is expensive.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from datetime import timedelta
 from typing import Optional, Sequence
@@ -50,42 +49,31 @@ class TooFewAssets(ValueFactorError):
     pass
 
 
-class ProfileKind(enum.Enum):
-    UNIDIRECTIONAL_LOAD = "unidirectional_load"
-    V2G_POWER_BOUNDARY = "v2g_power_boundary"
-    V2G_ENERGY_BOUNDARIES = "v2g_energy_boundaries"
-
-
 @dataclass(frozen=True)
 class AvailabilityProfile:
-    """A DR availability series: uncontrolled load, dischargeable power, or a
-    pair of battery-energy boundaries (lower/upper)."""
+    """A DR availability series: uncontrolled load or dischargeable power, or,
+    with `upper`, the lower and upper battery-energy boundaries."""
 
-    kind: ProfileKind
     series: TimeSeries
-    upper: Optional[TimeSeries] = None   # energy-boundary kind only
+    upper: Optional[TimeSeries] = None
     asset_id: str = ""
 
     def __post_init__(self):
-        if self.kind is ProfileKind.V2G_ENERGY_BOUNDARIES:
-            if self.upper is None:
-                raise ValueFactorError("energy boundaries need lower and upper series")
-            if (len(self.upper) != len(self.series)
-                    or self.upper.start != self.series.start
-                    or self.upper.interval_seconds != self.series.interval_seconds):
-                raise ValueFactorError("energy boundary series must share one grid")
-            if np.any(self.upper.values < self.series.values - 1e-9):
-                raise ValueFactorError("upper energy boundary below lower boundary")
-        else:
-            if self.upper is not None:
-                raise ValueFactorError(f"{self.kind.value} takes a single series")
+        if self.upper is None:
             if np.any(self.series.values < 0):
                 raise ValueFactorError("availability values must be >= 0")
+            return
+        if (len(self.upper) != len(self.series)
+                or self.upper.start != self.series.start
+                or self.upper.interval_seconds != self.series.interval_seconds):
+            raise ValueFactorError("energy boundary series must share one grid")
+        if np.any(self.upper.values < self.series.values - 1e-9):
+            raise ValueFactorError("upper energy boundary below lower boundary")
 
     def band(self) -> TimeSeries:
-        """Usable series: the boundary difference for energy kinds, the
+        """Usable series: the boundary difference for energy boundaries, the
         series itself otherwise."""
-        if self.kind is ProfileKind.V2G_ENERGY_BOUNDARIES:
+        if self.upper is not None:
             return self.series.with_values(self.upper.values - self.series.values)
         return self.series
 
@@ -104,7 +92,7 @@ def _coarsen(series: TimeSeries, ratio: int) -> TimeSeries:
         return series
     n = (len(series) // ratio) * ratio
     vals = series.values[:n].reshape(-1, ratio).mean(axis=1)
-    return TimeSeries(series.start, series.interval_seconds * ratio, vals, series.unit)
+    return TimeSeries(series.start, series.interval_seconds * ratio, vals)
 
 
 def align_series(a: TimeSeries, b: TimeSeries):
@@ -149,8 +137,8 @@ def align_series(a: TimeSeries, b: TimeSeries):
 
     va, head_a, tail_a = crop(a)
     vb, head_b, tail_b = crop(b)
-    a2 = TimeSeries(start, ia, va, a.unit)
-    b2 = TimeSeries(start, ib, vb, b.unit)
+    a2 = TimeSeries(start, ia, va)
+    b2 = TimeSeries(start, ib, vb)
     if ia < coarse:
         a2 = _coarsen(a2, ratio)
     if ib < coarse:
@@ -158,8 +146,8 @@ def align_series(a: TimeSeries, b: TimeSeries):
     n = min(len(a2), len(b2))
     if n < 2:
         raise NoOverlap("fewer than two common intervals after alignment")
-    a2 = TimeSeries(a2.start, coarse, a2.values[:n], a2.unit)
-    b2 = TimeSeries(b2.start, coarse, b2.values[:n], b2.unit)
+    a2 = TimeSeries(a2.start, coarse, a2.values[:n])
+    b2 = TimeSeries(b2.start, coarse, b2.values[:n])
     report = AlignmentReport(head_a, tail_a, head_b, tail_b)
     return a2, b2, report
 
@@ -169,10 +157,7 @@ def align(price: TimeSeries, profile: AvailabilityProfile):
     (price, profile) on the common grid plus the alignment report."""
     band = profile.band()
     price2, band2, report = align_series(price, band)
-    aligned = AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD
-                                  if profile.kind is ProfileKind.V2G_ENERGY_BOUNDARIES
-                                  else profile.kind,
-                                  band2, asset_id=profile.asset_id)
+    aligned = AvailabilityProfile(band2, asset_id=profile.asset_id)
     return price2, aligned, report
 
 

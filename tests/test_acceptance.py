@@ -219,7 +219,8 @@ def test_criterion_08_value_factor_properties():
 def test_criterion_09_monte_carlo_contract(tmp_path):
     from lcodr.costing import batch_row
     from lcodr.model import PARAMETERS, VALUE_FACTOR_SPECS
-    from lcodr.uncertainty import perturb_matrix, sample_truncated_normal, truncated_normals
+    from lcodr.uncertainty import perturb_matrix, truncated_normals
+    from truncated_normal import sample_truncated_normal
     rng = np.random.default_rng(909)
     bound = 1.285 * 0.33
     draws = np.array([sample_truncated_normal(1.0, 0.33, 1.285, rng)

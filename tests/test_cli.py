@@ -93,7 +93,11 @@ def test_malformed_config_is_config_error(tmp_path, capsys, write, named):
 
 
 @pytest.mark.parametrize("command", [["run"], ["vf"], ["mc", "--samples", "2"]])
-def test_out_that_cannot_be_created_is_usage_error(tmp_path, capsys, command):
+def test_out_that_cannot_be_created_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("--out is checked after the Monte-Carlo run")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", never)
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n", encoding="utf-8")
     for out in (taken, taken / "sub"):
@@ -103,6 +107,36 @@ def test_out_that_cannot_be_created_is_usage_error(tmp_path, capsys, command):
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].startswith(f"error: usage: --out {out}:")
     assert taken.read_text(encoding="utf-8") == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize("command,written", [
+    (["run"], "lcodr_deterministic.csv"), (["run"], "manifest.json"),
+    (["vf"], "value_factors.csv"), (["vf"], "manifest.json"),
+    (["mc", "--samples", "2"], "lcodr_mc.csv"), (["mc", "--samples", "2"], "manifest.json"),
+])
+def test_an_output_file_that_cannot_be_written_is_usage_error(tmp_path, capsys, command,
+                                                              written):
+    (tmp_path / written).mkdir()   # a directory where the file goes
+    assert main(command + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(
+        f"error: usage: --out {tmp_path}: cannot write {written}")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--price", "/nonexistent.csv"], "--price"),
+    (["mc", "--samples", "2", "--ev-pool", "/nope.csv"], "--ev-pool"),
+    (["mc", "--samples", "2", "--v2g-boundaries", "b.csv"], "--v2g-boundaries"),
+])
+def test_a_data_flag_without_compute_vf_is_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: usage: {flag} is read only with --compute-vf"]
+    assert not out.exists()
 
 
 _APP = ("applications: [{name: X, power_capacity_mw: %s, discharge_duration_h: 1,"
@@ -438,7 +472,7 @@ def test_a_sigma_whose_draws_overflow_is_a_config_error(tmp_path, capsys, flags,
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith(f"error: config: {field}:")
-    assert not out.exists()
+    assert not any(out.iterdir())   # --out is created first, but no file is written
 
 
 def test_a_wide_sigma_that_stays_in_range_runs_without_warnings(tmp_path):

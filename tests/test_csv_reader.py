@@ -380,7 +380,7 @@ def test_series_loaders_equal_the_whole_file_reader_and_grid_check(case, block_b
         path.write_bytes(text.encode("utf-8"))
         with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
             got = outcome(lambda: [(s.start, s.interval_seconds, s.values) for s in
-                                   data._read_series(str(path), names, "", None, nonnegative)])
+                                   data._read_series(str(path), names, None, nonnegative)])
         want = outcome(lambda: reference_series(str(path), names, nonnegative))
     if isinstance(want, tuple):
         assert got == want

@@ -176,8 +176,8 @@ def test_a_pool_total_over_a_generator_is_bitwise_the_total_over_its_list(profil
     assert not isinstance(streamed, list)
     a, b = data._pool_total(streamed), data._pool_total(listed)
     assert a.series.values.tobytes() == b.series.values.tobytes()
-    assert (a.kind, a.asset_id, a.series.start, a.series.interval_seconds, a.series.unit) == \
-        (b.kind, b.asset_id, b.series.start, b.series.interval_seconds, b.series.unit)
+    assert (a.upper, a.asset_id, a.series.start, a.series.interval_seconds) == \
+        (b.upper, b.asset_id, b.series.start, b.series.interval_seconds)
 
 
 def test_bundled_value_factors_are_the_config_goldens():
@@ -206,7 +206,7 @@ def test_loaders_round_trip_synthetic_data(tmp_path):
     stamps = _stamps(price)
     path = write(tmp_path, "timestamp,value\n" + "".join(
         f"{t},{v!r}\n" for t, v in zip(stamps, price.values.tolist())))
-    loaded = load_timeseries_csv(path, unit="$/MWh")
+    loaded = load_timeseries_csv(path)
     assert np.array_equal(loaded.values, price.values)
     assert (loaded.start, loaded.interval_seconds) == (price.start, price.interval_seconds)
     path = write(tmp_path, "timestamp,lower,upper\n" + "".join(

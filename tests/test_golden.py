@@ -9,9 +9,11 @@ updates them and says why in CHANGES.md.
 
 import hashlib
 import json
+from datetime import timedelta
 
 import pytest
 
+from lcodr import data
 from lcodr.cli import main
 
 GOLDEN = {
@@ -89,3 +91,55 @@ def test_outputs_are_byte_identical_to_golden(tmp_path, name):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     written = {p.name: _digest(p) for p in tmp_path.iterdir()}
     assert written == expected
+
+
+def _write_vf_inputs(directory, seed: int = 7, days: int = 14) -> list:
+    """The five `vf` data files, written from the synthetic generators with
+    repr() floats; returns their command-line flags and paths."""
+    price = data.synthetic_price(days=days, seed=seed)
+    ev = data.synthetic_ev_charging_pool(n_assets=60, days=days, seed=seed)
+    hp = data.synthetic_heating_pool(n_assets=8, days=days, seed=seed)
+    power, energy = data.synthetic_v2g_profiles(days=days, seed=seed)
+    stamps = [(price.start + k * timedelta(seconds=price.interval_seconds)).isoformat()
+              for k in range(len(price))]
+
+    def write(name, header, rows):
+        path = directory / name
+        path.write_text(header + "\n" + "".join(",".join(row) + "\n" for row in rows),
+                        encoding="utf-8")
+        return str(path)
+
+    def series(*columns):
+        return zip(stamps, *([repr(v) for v in c.tolist()] for c in columns))
+
+    def pool(profiles):
+        return ((p.asset_id, t, v) for p in profiles for t, v in series(p.series.values))
+
+    return ["--price", write("price.csv", "timestamp,value", series(price.values)),
+            "--ev-pool", write("ev_pool.csv", "asset_id,timestamp,value", pool(ev)),
+            "--hp-pool", write("hp_pool.csv", "asset_id,timestamp,value", pool(hp)),
+            "--v2g-power", write("v2g_power.csv", "timestamp,value",
+                                 series(power.series.values)),
+            "--v2g-boundaries", write("v2g_boundaries.csv", "timestamp,lower,upper",
+                                      series(energy.series.values, energy.upper.values))]
+
+
+def test_vf_on_files_is_byte_identical_to_golden(tmp_path):
+    # the loaders' path: every input from a file, the EV pool over several
+    # read blocks
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    argv = ["vf", *_write_vf_inputs(inputs), "--subsample", "50", "--iterations", "200",
+            "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    written = {p.name: _digest(p) for p in out.iterdir()}
+    assert written == {
+        "value_factors.csv":
+            "57ce2b2cdee77d6218bcf39bafd9eddbbe611cde2ec7775aa8b13660335d0dc8",
+        "vf_distribution.csv":
+            "7e7ae7b94f4da473cf0cfb2aa3c9af81c6fb49627ea268ab0c8c6802c60f2a1c",
+        "vf_distribution_summary.csv":
+            "4fb2e5f472374bcc811ba786f6ef90b00cc941b614fb1557f95fd76338a95325",
+        "manifest.json":
+            "5fe3051d222dc1e1ef45307e19677078ee9552e05d63e6ae205e602641062037",
+    }

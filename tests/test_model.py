@@ -101,7 +101,7 @@ def test_application_spec():
 
 def test_timeseries_invariants():
     start = datetime(2023, 1, 1, tzinfo=timezone.utc)
-    ts = TimeSeries(start, 3600.0, [1.0, 2.0, 3.0], "kW")
+    ts = TimeSeries(start, 3600.0, [1.0, 2.0, 3.0])
     assert len(ts) == 3
     assert ts.end.hour == 3
     with pytest.raises(ValidationError):

@@ -9,7 +9,6 @@ from lcodr.valuefactor import (
     AvailabilityProfile,
     IncompatibleIntervals,
     NoOverlap,
-    ProfileKind,
     TooFewAssets,
     ValueFactorError,
     ZeroAvailabilityMean,
@@ -24,8 +23,8 @@ from lcodr.valuefactor import (
 START = datetime(2023, 1, 1, tzinfo=timezone.utc)
 
 
-def series(values, interval=3600.0, start=START, unit=""):
-    return TimeSeries(start, interval, np.array(values, dtype=float), unit)
+def series(values, interval=3600.0, start=START):
+    return TimeSeries(start, interval, np.array(values, dtype=float))
 
 
 def test_two_point_fixture():
@@ -100,22 +99,19 @@ def test_align_rejects_disjoint_ranges():
 
 
 def test_energy_boundary_profile_band():
-    lower = series([0.0, 10.0, 5.0], unit="kWh")
-    upper = series([20.0, 30.0, 5.0], unit="kWh")
-    prof = AvailabilityProfile(ProfileKind.V2G_ENERGY_BOUNDARIES, lower, upper=upper)
+    lower = series([0.0, 10.0, 5.0])
+    upper = series([20.0, 30.0, 5.0])
+    prof = AvailabilityProfile(lower, upper=upper)
     assert list(prof.band().values) == [20.0, 20.0, 0.0]
     with pytest.raises(Exception):
-        AvailabilityProfile(ProfileKind.V2G_ENERGY_BOUNDARIES, upper, upper=lower)
+        AvailabilityProfile(upper, upper=lower)
 
 
 def test_v2g_value_factors_power_vs_energy():
     price = series([10.0, 50.0, 90.0, 50.0])
-    power = AvailabilityProfile(ProfileKind.V2G_POWER_BOUNDARY,
-                                series([1.0, 1.0, 1.0, 1.0], unit="kW"))
-    energy = AvailabilityProfile(
-        ProfileKind.V2G_ENERGY_BOUNDARIES,
-        series([0.0, 0.0, 0.0, 0.0], unit="kWh"),
-        upper=series([0.0, 10.0, 20.0, 10.0], unit="kWh"))
+    power = AvailabilityProfile(series([1.0, 1.0, 1.0, 1.0]))
+    energy = AvailabilityProfile(series([0.0, 0.0, 0.0, 0.0]),
+                                 upper=series([0.0, 10.0, 20.0, 10.0]))
     vf_p, vf_e = v2g_value_factors(price, power, energy)
     assert vf_p == pytest.approx(1.0, abs=1e-15)
     # band [0,10,20,10]: sum(p*b) = 500+1800+500 = 2800; mean 10; sum(p) 200
@@ -126,9 +122,7 @@ def _pool(n, length=48, seed=3):
     pool = []
     for i in range(n):
         rng = np.random.default_rng((seed, i))
-        pool.append(AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD,
-                                        series(rng.uniform(0, 2, length), unit="kW"),
-                                        asset_id=f"a{i}"))
+        pool.append(AvailabilityProfile(series(rng.uniform(0, 2, length)), asset_id=f"a{i}"))
     return pool
 
 
@@ -177,7 +171,7 @@ def test_subsample_mc_equals_the_stacked_formula_bit_for_bit(seed):
     price = series(np.random.default_rng(seed).uniform(5, 95, 102),
                    start=START - timedelta(hours=2))
     for n_assets, interval in ((7, 3600.0), (30, 1800.0), (45, 3600.0)):
-        pool = [AvailabilityProfile(p.kind, series(p.series.values, interval=interval))
+        pool = [AvailabilityProfile(series(p.series.values, interval=interval))
                 for p in _pool(n_assets, length=int(96 * 3600 / interval), seed=seed)]
         dist = vf_subsample_mc(pool, price, subset_size=5, iterations=300, seed=seed)
         aligned = [valuefactor.align(price, prof) for prof in pool]
@@ -231,7 +225,7 @@ def test_subsample_mc_block_size_changes_nothing(monkeypatch):
 def test_subsample_mc_raises_value_factor_errors():
     price = series(np.linspace(10, 90, 48))
     pool = _pool(3)
-    pool[1] = AvailabilityProfile(ProfileKind.UNIDIRECTIONAL_LOAD, series(np.zeros(48)))
+    pool[1] = AvailabilityProfile(series(np.zeros(48)))
     with pytest.raises(ZeroAvailabilityMean, match="non-positive mean"):
         vf_subsample_mc(pool, price, subset_size=1, iterations=200)
     zero_sum = series(np.tile([-1.0, 1.0], 24))
