@@ -6,6 +6,18 @@ from time series, and propagates input uncertainty by Monte-Carlo — as a
 deterministic library plus a batch CLI (``lcodr``).
 """
 
+import os
+import sys
+# lcodr makes no BLAS call and an idle OpenBLAS worker only spins: load numpy
+# with one BLAS thread unless the caller set a thread count or loaded numpy.
+if "numpy" not in sys.modules and not os.environ.keys() & {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]  # child processes see the caller's
+
 from .model import (
     ApplicationSpec,
     Assumptions,

@@ -37,7 +37,9 @@ block until its assets are joined, however the assets are laid out in the
 file.
 A block is split on its commas and LF line ends; from the first block
 holding a quote, a CR, a NUL or lines of differing field counts on, the
-rest of the file goes to csv.reader. Each file loader takes an optional
+rest of the file goes to csv.reader. A UTF-8 byte-order mark at the
+start of a file is dropped from the text; a U+FEFF anywhere later is
+data. Each file loader takes an optional
 `digest` (a hashlib object) that every byte read goes to. A negative
 availability value, or an upper energy boundary below the lower one, is
 a DataError on its row.
@@ -171,8 +173,10 @@ def _blocks(fh, digest):
     """(bytes, text) of each block of the binary file fh: about _BLOCK_BYTES,
     cut after the last LF or CR (a longer line is read whole). A cut between
     the CR and LF of a CRLF is exact, since a block with a CR goes to
-    csv.reader. Every read also goes to digest, when given."""
-    pieces = []
+    csv.reader. Every read also goes to digest, when given. The first block
+    is decoded as utf-8-sig, so a leading byte-order mark is dropped from
+    the text (not from the bytes or the digest)."""
+    pieces, encoding = [], "utf-8-sig"
     while raw := fh.read(_BLOCK_BYTES):
         if digest is not None:
             digest.update(raw)
@@ -180,12 +184,13 @@ def _blocks(fh, digest):
         if cut:
             block = b"".join(pieces + [raw[:cut]])
             pieces = [raw[cut:]]
-            yield block, block.decode("utf-8")
+            yield block, block.decode(encoding)
+            encoding = "utf-8"
         else:
             pieces.append(raw)
     block = b"".join(pieces)
     if block:
-        yield block, block.decode("utf-8")
+        yield block, block.decode(encoding)
 
 
 def _lines_within(raw: bytes, limit: int) -> bool:

@@ -1,3 +1,6 @@
+import codecs
+import hashlib
+import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
@@ -225,6 +228,68 @@ def test_loaders_round_trip_synthetic_data(tmp_path):
         assert np.array_equal(got.series.values, want.series.values)
         assert got.series.start == want.series.start
         assert got.series.interval_seconds == want.series.interval_seconds
+
+
+#: A small file of each loader's layout, as lines.
+LAYOUT_LINES = {
+    "series": ["timestamp,value", "2023-01-01T00:00:00,1.5", "2023-01-01T01:00:00,2"],
+    "boundaries": ["timestamp,lower,upper", "2023-01-01T00:00:00,0,3",
+                   "2023-01-01T01:00:00,1,4"],
+    "pool": ["asset_id,timestamp,value", "a,2023-01-01T00:00:00,1", "a,2023-01-01T01:00:00,2",
+             "b,2023-01-01T00:00:00,3", "b,2023-01-01T01:00:00,4"],
+    "lcos": ["application,technology,lcos_usd_per_mwh", "Peaker replacement,lithium_ion,150",
+             "Peaker replacement,flow battery,175.5"],
+}
+
+
+def _loaded(layout, path):
+    """What the loader of a layout (the one --lcos uses for "lcos") reads from path."""
+    def series(s):
+        return s.start, s.interval_seconds, s.values.tolist()
+    if layout == "series":
+        return series(load_timeseries_csv(path))
+    if layout == "boundaries":
+        band = load_boundary_csv(path)
+        return series(band.series), series(band.upper)
+    if layout == "pool":
+        return [(p.asset_id, series(p.series)) for p in load_profile_pool_csv(path)]
+    return load_lcos_reference(path)
+
+
+@pytest.mark.parametrize("block_bytes", [1, data._BLOCK_BYTES])
+@pytest.mark.parametrize("form", ["split", "quoted", "crlf"])
+@pytest.mark.parametrize("layout", LAYOUT_LINES)
+def test_a_leading_byte_order_mark_loads_as_the_plain_file(tmp_path, monkeypatch, layout, form,
+                                                           block_bytes):
+    lines = LAYOUT_LINES[layout]
+    if form == "quoted":   # read by csv.reader
+        lines = ['"' + '","'.join(line.split(",")) + '"' for line in lines]
+    end = "\r\n" if form == "crlf" else "\n"
+    text = (end.join(lines) + end).encode("utf-8")
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    assert _loaded(layout, str(marked)) == _loaded(layout, str(plain))
+
+
+def test_only_a_leading_byte_order_mark_is_dropped_and_the_digest_keeps_it(tmp_path,
+                                                                          monkeypatch):
+    bom, rows = codecs.BOM_UTF8, b"2023-01-01T00:00:00,1\n2023-01-01T01:00:00,2\n"
+    path = tmp_path / "p.csv"
+    path.write_bytes(bom + b"timestamp,value\n" + rows)
+    digest = hashlib.sha256()
+    load_timeseries_csv(str(path), digest=digest)
+    assert digest.digest() == hashlib.sha256(path.read_bytes()).digest()
+    path.write_bytes(bom + bom + b"timestamp,value\n" + rows)
+    with pytest.raises(MissingColumn, match=re.escape("found ['\\ufefftimestamp', 'value']")):
+        load_timeseries_csv(str(path))
+    # a mark at the start of a later block is data as well
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 16)
+    path.write_bytes(bom + b"timestamp,value\n" + bom + rows)
+    with pytest.raises(NonNumericValue, match=re.escape("'\\ufeff2023-01-01T00:00:00'")) as err:
+        load_timeseries_csv(str(path))
+    assert err.value.row == 2
 
 
 def test_offset_timestamps_give_the_utc_start(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -381,3 +382,81 @@ def test_startup_leaves_pyyaml_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, str(cfg)],
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: The environment variables that OpenBLAS reads its thread count from.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _numpy_uses_openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+needs_openblas_threads = pytest.mark.skipif(
+    not (os.path.isdir("/proc/self/task") and _numpy_uses_openblas()),
+    reason="counts OpenBLAS threads in /proc/self/task")
+
+
+def _threads_after(imports: str, **variables: str):
+    """(threads, whether os.environ is unchanged) in a fresh interpreter after
+    `imports`, started with no BLAS thread variable but `variables`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    script = ("import os\nbefore = dict(os.environ)\n" + imports + "\n"
+              "print(len(os.listdir('/proc/self/task')), before == dict(os.environ))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    threads, unchanged = proc.stdout.split()
+    return int(threads), unchanged == "True"
+
+
+@needs_openblas_threads
+def test_import_loads_numpy_with_one_blas_thread_and_restores_the_environment():
+    assert _threads_after("import lcodr") == (1, True)
+
+
+@needs_openblas_threads
+@pytest.mark.skipif(CORES < 2, reason="OpenBLAS caps its threads at the cores")
+@pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
+def test_a_blas_thread_count_set_by_the_caller_is_kept(variable):
+    assert _threads_after("import lcodr", **{variable: "2"}) == (2, True)
+
+
+@needs_openblas_threads
+def test_numpy_imported_before_lcodr_keeps_its_blas_threads():
+    alone, _ = _threads_after("import numpy")
+    assert _threads_after("import numpy\nimport lcodr") == (alone, True)
+
+
+#: numpy functions and methods that go to BLAS.
+BLAS_NAMES = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+
+
+def test_lcodr_makes_no_blas_call():
+    """lcodr/__init__.py loads numpy with one OpenBLAS thread because no lcodr
+    module calls BLAS; a matrix product or any use of linalg breaks that."""
+    found = []
+    for path in sorted((SRC / "lcodr").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                what = "@"
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                what = node.func.id if node.func.id in BLAS_NAMES else None
+            elif isinstance(node, ast.Attribute):
+                what = node.attr if node.attr in BLAS_NAMES | {"linalg"} else None
+            elif isinstance(node, ast.Name):
+                what = node.id if node.id == "linalg" else None
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names] + [getattr(node, "module", "") or ""]
+                what = next((n for n in names if "linalg" in n.split(".")
+                             or n.split(".")[-1] in BLAS_NAMES), None)
+            else:
+                what = None
+            if what:
+                found.append(f"{path.name}:{node.lineno}: {what}")
+    assert not found, (f"BLAS use in lcodr: {found}; the one-thread numpy start-up in "
+                       "lcodr/__init__.py assumes none and must be reconsidered")
