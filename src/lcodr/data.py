@@ -39,8 +39,18 @@ A block is split on its commas and LF line ends; from the first block
 holding a quote, a CR, a NUL or lines of differing field counts on, the
 rest of the file goes to csv.reader. A UTF-8 byte-order mark at the
 start of a file is dropped from the text; a U+FEFF anywhere later is
-data. Each file loader takes an optional
-`digest` (a hashlib object) that every byte read goes to. A negative
+data.
+A file of more than two blocks is parsed in two processes where this
+process may fork (_split_offset): a forked child parses the blocks after
+the first LF at or after the middle while the parent reads the rest
+(_ForkedHalf, _column_blocks). The child stops before the first block
+that would go to csv.reader, has a short record or fails to parse, and
+the parent reads on from there, so the results, errors with their rows
+and the digest of a load that finishes are those of the serial read. A
+quoted or CRLF file gains nothing: from its first such block on, it goes
+to csv.reader in the parent. Text input and smaller files are read
+serially. Each file loader takes an optional `digest` (a hashlib object)
+that every byte read goes to. A negative
 availability value, or an upper energy boundary below the lower one, is
 a DataError on its row.
 """
@@ -51,6 +61,8 @@ import csv
 import io
 import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cache, partial
@@ -169,15 +181,18 @@ def _parse_codes(column: List[str], name: str, path: str, row: int,
     return np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
 
 
-def _blocks(fh, digest):
-    """(bytes, text) of each block of the binary file fh: about _BLOCK_BYTES,
-    cut after the last LF or CR (a longer line is read whole). A cut between
-    the CR and LF of a CRLF is exact, since a block with a CR goes to
-    csv.reader. Every read also goes to digest, when given. The first block
-    is decoded as utf-8-sig, so a leading byte-order mark is dropped from
-    the text (not from the bytes or the digest)."""
-    pieces, encoding = [], "utf-8-sig"
-    while raw := fh.read(_BLOCK_BYTES):
+def _blocks(fh, digest, split: int = 0, encoding: str = "utf-8-sig"):
+    """(bytes, text) of each block of the binary file fh from where it stands:
+    about _BLOCK_BYTES, cut after the last LF or CR (a longer line is read
+    whole). A cut between the CR and LF of a CRLF is exact, since a block
+    with a CR goes to csv.reader. A read that would cross file byte `split`
+    ends there, so a block ends there too when the byte before it is a LF.
+    Every read also goes to digest, when given. The first block is decoded
+    as `encoding`; utf-8-sig drops a leading byte-order mark from the text
+    (not from the bytes or the digest)."""
+    pieces, at = [], fh.tell()
+    while raw := fh.read(split - at if at < split < at + _BLOCK_BYTES else _BLOCK_BYTES):
+        at += len(raw)
         if digest is not None:
             digest.update(raw)
         cut = max(raw.rfind(b"\n"), raw.rfind(b"\r")) + 1
@@ -279,6 +294,142 @@ def _columns(table, n: int, index: List[int]):
     return [[record[i] for record in records[:full]] for i in index], short
 
 
+def _split_offset(fh) -> int:
+    """The file byte at which a forked child (_ForkedHalf) takes over the
+    file of fh from the parent: the one after the first LF at or after the
+    middle of the file. 0, for none, when the file is at most two blocks
+    long or has no such LF before its last byte, or when this process cannot
+    fork a child (no os.fork or os.memfd_create) or must not (it runs a
+    second thread, or /proc/self/task, which shows that, is missing)."""
+    size = os.fstat(fh.fileno()).st_size
+    if size <= 2 * _BLOCK_BYTES or not (hasattr(os, "fork") and hasattr(os, "memfd_create")):
+        return 0
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 0
+    except OSError:
+        return 0
+    split = fh.seek(size // 2)
+    while chunk := fh.read(_BLOCK_BYTES):
+        at = chunk.find(b"\n")
+        if at >= 0:
+            split += at + 1
+            break
+        split += len(chunk)
+    fh.seek(0)
+    return split if split < size else 0
+
+
+def _code_dicts(columns) -> list:
+    """The `codes` dict of each _parse_codes column parser, else None."""
+    return [parse.keywords["codes"] if getattr(parse, "func", None) is _parse_codes else None
+            for _, parse in columns]
+
+
+def _parse_half(fh, start: int, columns, index: List[int], path: str, out: int) -> None:
+    """The work of a _ForkedHalf child: read the file of fh (through a file
+    description of its own, as fh's offset is the parent's) from byte
+    `start` on, block by block, and write each block's (bytes, data rows,
+    parsed columns, asset-code texts new in the block per column) to the
+    file descriptor `out`, one pickle each. Stop before the first block that
+    _split cannot model, that has a short record, or that fails to decode or
+    to parse."""
+    codes = _code_dicts(columns)
+    with open(f"/proc/self/fd/{fh.fileno()}", "rb") as own, \
+            open(out, "wb", closefd=False) as sink:
+        own.seek(start)
+        try:
+            for raw, text in _blocks(own, None, encoding="utf-8"):
+                table = _split(raw, text)
+                if table is None:
+                    return
+                texts, short = _columns(*table, index)
+                if short is not None:
+                    return
+                known = [None if c is None else len(c) for c in codes]
+                parsed = [column if parse is None else parse(column, name, path, 2)
+                          for (name, parse), column in zip(columns, texts)]
+                new = [None if c is None else list(itertools.islice(c, k, None))
+                       for c, k in zip(codes, known)]
+                pickle.dump((len(raw), len(texts[0]), parsed, new), sink,
+                            pickle.HIGHEST_PROTOCOL)
+        except (DataError, UnicodeDecodeError):
+            return
+
+
+class _ForkedHalf:
+    """A forked child that parses a file from byte `start`, just after a LF,
+    to its end (_parse_half) while the parent reads the bytes before it.
+    Its blocks are the ones the serial reader would read without an error
+    and without csv.reader, so the parent reads the rest itself, from the
+    end of the child's last block: the serial reader gives every error, its
+    row, and every record that csv.reader reads. Each block goes through an
+    anonymous file (os.memfd_create), not a pipe, so that the child never
+    waits for the parent. A child that fails or cannot be forked gives no
+    blocks."""
+
+    def __init__(self, fh, start: int, columns, index: List[int], path: str):
+        self.codes = _code_dicts(columns)
+        # the parent's code of each child code: the two number alike up to the fork
+        self.remap = [None if c is None else np.arange(len(c)) for c in self.codes]
+        self.out = self.pid = None
+        try:
+            self.out = os.memfd_create("lcodr-csv")
+            self.pid = os.fork()
+        except OSError:
+            return
+        if self.pid == 0:
+            status = 1
+            try:
+                _parse_half(fh, start, columns, index, path, self.out)
+                status = 0
+            finally:
+                os._exit(status)
+
+    def blocks(self):
+        """Wait for the child, then yield its blocks one at a time: (bytes,
+        data rows, parsed columns), each asset code renumbered to the
+        parent's codes, which take the child's new texts in file order."""
+        if self.pid is None:
+            return
+        try:
+            _, status = os.waitpid(self.pid, 0)
+        except ChildProcessError:   # reaped elsewhere, as when SIGCHLD is ignored
+            status = -1
+        self.pid = None
+        if status != 0:
+            return
+        with open(self.out, "rb") as src:
+            self.out = None
+            src.seek(0)
+            while True:
+                try:
+                    size, rows, parsed, new = pickle.load(src)
+                except EOFError:
+                    return
+                for k, (codes, texts) in enumerate(zip(self.codes, new)):
+                    if texts:
+                        self.remap[k] = np.append(self.remap[k], np.fromiter(
+                            (codes.setdefault(t, len(codes)) for t in texts), np.intp))
+                    if codes is not None:
+                        parsed[k] = self.remap[k][parsed[k]]
+                yield size, rows, parsed
+
+    def close(self) -> None:
+        """Kill and reap the child if it was not waited for; close the file."""
+        if self.pid is not None:
+            import signal
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+            self.pid = None
+        if self.out is not None:
+            os.close(self.out)
+            self.out = None
+
+
 def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
     """Read a CSV (the file at path, or text) one block of _BLOCK_BYTES at a
     time, and yield each block's (file row of its first data row, columns):
@@ -291,13 +442,40 @@ def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
     lines skipped. A repeated header name means its last occurrence; extra
     trailing fields are ignored; a short row ends the read. The first bad row
     is reported, within a row the leftmost column. A block with an error is
-    not yielded, so an earlier block's error wins."""
+    not yielded, so an earlier block's error wins.
+
+    A file that _split_offset splits is read in two processes: once the
+    header is read, a forked child (_ForkedHalf) parses the blocks from the
+    split on, while this process reads up to the split. If it gets there on
+    the _split path, it takes the child's blocks, hashes their bytes and
+    reads on from their end; else it reads on from where it is. So the
+    blocks, rows and errors, and the digest of a read that finishes, are
+    those of the serial read."""
     names = [name for name, _ in columns]
-    header, rows = None, 0   # data rows read so far
+    header, rows, half = None, 0, None   # data rows read so far
+
+    def parse_block(table, n):
+        nonlocal rows
+        texts, short = _columns(table, n, index)
+        parsed, errors = [], []
+        for (name, parse), column in zip(columns, texts):
+            try:
+                parsed.append(column if parse is None else parse(column, name, path, rows + 2))
+            except DataError as exc:
+                errors.append(exc)
+        first, rows = rows + 2, rows + len(texts[0])
+        if short is not None:
+            errors.append(DataError(f"missing field {names[short]!r}", path, rows + 2))
+        if errors:
+            raise min(errors, key=lambda e: e.row)
+        return first, parsed
+
     try:
         with (open(path, "rb") if text is None
               else io.BytesIO(text.encode("utf-8"))) as fh:
-            for table, n in _tables(_blocks(fh, digest)):
+            split = 0 if text is not None else _split_offset(fh)
+            tables = _tables(_blocks(fh, digest, split))
+            for table, n in tables:
                 if header is None:
                     if not table:
                         continue
@@ -307,26 +485,36 @@ def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
                             raise MissingColumn(f"missing column {name!r} (found {header})",
                                                 path, 1)
                     index = [len(header) - 1 - header[::-1].index(name) for name in names]
-                texts, short = _columns(table, n, index)
-                parsed, errors = [], []
-                for (name, parse), column in zip(columns, texts):
-                    try:
-                        parsed.append(column if parse is None
-                                      else parse(column, name, path, rows + 2))
-                    except DataError as exc:
-                        errors.append(exc)
-                first, rows = rows + 2, rows + len(texts[0])
-                if short is not None:
-                    errors.append(DataError(f"missing field {names[short]!r}", path, rows + 2))
-                if errors:
-                    raise min(errors, key=lambda e: e.row)
-                yield first, parsed
+                    if n and split:
+                        half = _ForkedHalf(fh, split, columns, index, path)
+                yield parse_block(table, n)
+                if half is not None and (not n or fh.tell() == split):
+                    break
+            if half is not None and n:   # at the split, on the _split path
+                end = split
+                for size, count, parsed in half.blocks():
+                    end += size
+                    first, rows = rows + 2, rows + count
+                    yield first, parsed
+                fh.seek(split)
+                while digest is not None and (raw := fh.read(min(_BLOCK_BYTES,
+                                                                 end - fh.tell()))):
+                    digest.update(raw)
+                fh.seek(end)
+                tables = _tables(_blocks(fh, digest, encoding="utf-8"))
+            if half is not None:
+                half.close()
+            for table, n in tables:
+                yield parse_block(table, n)
     except FileNotFoundError:
         raise DataError("file not found", path) from None
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"unreadable file ({exc})", path) from None
     except csv.Error as exc:
         raise DataError(f"unreadable CSV ({exc})", path, rows + 2) from None
+    finally:
+        if half is not None:
+            half.close()
     if header is None:
         raise MissingColumn(f"missing column {names[0]!r} (found [])", path, 1)
     if not rows:

@@ -301,6 +301,24 @@ def test_offset_timestamps_give_the_utc_start(tmp_path):
     assert ts.start.tzinfo is timezone.utc
 
 
+@pytest.mark.parametrize("short,long", [
+    ("%Y-%m-%dT%H:%M:%SZ", "%Y-%m-%dT%H:%M:%S+00:00"),
+    ("%Y-%m-%dT%H:%M:%S.5", "%Y-%m-%dT%H:%M:%S.500000"),
+    ("%Y%m%dT%H%M%S", "%Y-%m-%dT%H:%M:%S"),
+])
+def test_timestamp_forms_that_python_3_10_rejects_load_as_their_long_forms(tmp_path, short,
+                                                                           long):
+    # datetime.fromisoformat takes the short forms from Python 3.11 on
+    stamps = [datetime(2023, 1, 1) + timedelta(hours=h) for h in range(3)]
+
+    def loaded(form, name):
+        s = load_timeseries_csv(write(tmp_path, "timestamp,value\n" + "".join(
+            f"{t.strftime(form)},{k}\n" for k, t in enumerate(stamps)), name))
+        return s.start, s.interval_seconds, s.values.tolist()
+
+    assert loaded(short, "short.csv") == loaded(long, "long.csv")
+
+
 def test_one_data_row_names_the_row(tmp_path):
     path = write(tmp_path, "timestamp,value\n2023-01-01T00:00:00,1\n")
     with pytest.raises(DataError) as err:
