@@ -490,7 +490,7 @@ def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
                 yield parse_block(table, n)
                 if half is not None and (not n or fh.tell() == split):
                     break
-            if half is not None and n:   # at the split, on the _split path
+            if half is not None and n and fh.tell() == split:   # on the _split path
                 end = split
                 for size, count, parsed in half.blocks():
                     end += size
@@ -502,7 +502,7 @@ def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
                     digest.update(raw)
                 fh.seek(end)
                 tables = _tables(_blocks(fh, digest, encoding="utf-8"))
-            if half is not None:
+            if half is not None:   # reaped, or killed as the parent left the _split path
                 half.close()
             for table, n in tables:
                 yield parse_block(table, n)
