@@ -309,13 +309,8 @@ def _split_offset(fh) -> int:
             return 0
     except OSError:
         return 0
-    split = fh.seek(size // 2)
-    while chunk := fh.read(_BLOCK_BYTES):
-        at = chunk.find(b"\n")
-        if at >= 0:
-            split += at + 1
-            break
-        split += len(chunk)
+    fh.seek(size // 2)
+    split = size // 2 + len(fh.readline())
     fh.seek(0)
     return split if split < size else 0
 
