@@ -216,7 +216,7 @@ def _load_profile_data(args):
     """Price and availability profiles, from files when given, otherwise each
     from its own data.bundle_sources builder (a pool as an iterator).
     Returns ({flag: profile}, {flag: data hash}), both in _PROFILE_INPUTS
-    order; a file is hashed from the bytes its loader reads."""
+    order; a file is hashed whole, in one pass after its loader parsed it."""
     profiles, hashes = {}, {}
     sources = bundle_sources()
     for flag, load, source in _PROFILE_INPUTS:

@@ -43,16 +43,17 @@ data.
 A file of more than two blocks is parsed in two processes where this
 process may fork (_split_offset): a forked child parses the blocks after
 the first LF at or after the middle while the parent reads the rest
-(_ForkedHalf, _column_blocks). The child stops before the first block
+(_forked_half, _column_blocks). The child stops before the first block
 that would go to csv.reader, has a short record or fails to parse, and
-the parent reads on from there, so the results, errors with their rows
-and the digest of a load that finishes are those of the serial read. A
-quoted or CRLF file gains nothing: from its first such block on, it goes
-to csv.reader in the parent. Text input and smaller files are read
-serially. Each file loader takes an optional `digest` (a hashlib object)
-that every byte read goes to. A negative
-availability value, or an upper energy boundary below the lower one, is
-a DataError on its row.
+the parent reads on from there, so the results and the errors with their
+rows are those of the serial read. A quoted or CRLF file gains nothing:
+from its first such block on, it goes to csv.reader in the parent.
+Smaller files are read serially. A block's asset codes are numbered in
+the block (_parse_codes); the pool loader numbers the file's assets.
+Each file loader takes an optional `digest` (a hashlib object): a read
+that finishes hashes the whole file into it in one pass from its first
+byte, once the blocks are parsed. A negative availability value, or an
+upper energy boundary below the lower one, is a DataError on its row.
 """
 
 from __future__ import annotations
@@ -167,34 +168,24 @@ def _parse_numbers(column: List[str], name: str, path: str, row: int = 2) -> np.
     return np.array([_parse_number(t, name, path, r) for r, t in enumerate(column, start=row)])
 
 
-def _parse_codes(column: List[str], name: str, path: str, row: int,
-                 codes: dict) -> np.ndarray:
-    """The code of each text of a column; `codes` (shared by a file's blocks)
-    numbers the distinct texts in first-occurrence order. A block whose
-    texts are all known is looked up in one pass."""
-    try:
-        return np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
-    except KeyError:
-        pass
-    for text in dict.fromkeys(column):
-        codes.setdefault(text, len(codes))
-    return np.fromiter(map(codes.__getitem__, column), np.intp, len(column))
+def _parse_codes(column: List[str], name: str, path: str, row: int):
+    """(the code of each text of a column, the column's distinct texts):
+    the codes number the distinct texts in first-occurrence order."""
+    codes = {text: code for code, text in enumerate(dict.fromkeys(column))}
+    return np.fromiter(map(codes.__getitem__, column), np.intp, len(column)), list(codes)
 
 
-def _blocks(fh, digest, split: int = 0, encoding: str = "utf-8-sig"):
+def _blocks(fh, split: int = 0, encoding: str = "utf-8-sig"):
     """(bytes, text) of each block of the binary file fh from where it stands:
     about _BLOCK_BYTES, cut after the last LF or CR (a longer line is read
     whole). A cut between the CR and LF of a CRLF is exact, since a block
     with a CR goes to csv.reader. A read that would cross file byte `split`
     ends there, so a block ends there too when the byte before it is a LF.
-    Every read also goes to digest, when given. The first block is decoded
-    as `encoding`; utf-8-sig drops a leading byte-order mark from the text
-    (not from the bytes or the digest)."""
+    The first block is decoded as `encoding`; utf-8-sig drops a leading
+    byte-order mark from the text (not from the file's digest)."""
     pieces, at = [], fh.tell()
     while raw := fh.read(split - at if at < split < at + _BLOCK_BYTES else _BLOCK_BYTES):
         at += len(raw)
-        if digest is not None:
-            digest.update(raw)
         cut = max(raw.rfind(b"\n"), raw.rfind(b"\r")) + 1
         if cut:
             block = b"".join(pieces + [raw[:cut]])
@@ -294,8 +285,29 @@ def _columns(table, n: int, index: List[int]):
     return [[record[i] for record in records[:full]] for i in index], short
 
 
+def _parse_block(table, n: int, index: List[int], columns, path: str, row: int):
+    """(data rows, parsed columns) of a block's table (_columns) whose first
+    data row is file row `row`: each (name, column_parser) pair's texts
+    parsed by column_parser(texts, name, path, row) (None: the strings).
+    Raises the error of the block's first bad row, within a row the
+    leftmost column's; a short record is an error on its row."""
+    texts, short = _columns(table, n, index)
+    parsed, errors = [], []
+    for (name, parse), column in zip(columns, texts):
+        try:
+            parsed.append(column if parse is None else parse(column, name, path, row))
+        except DataError as exc:
+            errors.append(exc)
+    if short is not None:
+        errors.append(DataError(f"missing field {columns[short][0]!r}", path,
+                                row + len(texts[0])))
+    if errors:
+        raise min(errors, key=lambda e: e.row)
+    return len(texts[0]), parsed
+
+
 def _split_offset(fh) -> int:
-    """The file byte at which a forked child (_ForkedHalf) takes over the
+    """The file byte at which a forked child (_forked_half) takes over the
     file of fh from the parent: the one after the first LF at or after the
     middle of the file. 0, for none, when the file is at most two blocks
     long or has no such LF before its last byte, or when this process cannot
@@ -315,123 +327,92 @@ def _split_offset(fh) -> int:
     return split if split < size else 0
 
 
-def _code_dicts(columns) -> list:
-    """The `codes` dict of each _parse_codes column parser, else None."""
-    return [parse.keywords["codes"] if getattr(parse, "func", None) is _parse_codes else None
-            for _, parse in columns]
-
-
 def _parse_half(fh, start: int, columns, index: List[int], path: str, out: int) -> None:
-    """The work of a _ForkedHalf child: read the file of fh (through a file
+    """The work of a _forked_half child: read the file of fh (through a file
     description of its own, as fh's offset is the parent's) from byte
     `start` on, block by block, and write each block's (bytes, data rows,
-    parsed columns, asset-code texts new in the block per column) to the
-    file descriptor `out`, one pickle each. Stop before the first block that
-    _split cannot model, that has a short record, or that fails to decode or
-    to parse."""
-    codes = _code_dicts(columns)
+    parsed columns) to the file descriptor `out`, one pickle each. Stop
+    before the first block that _split cannot model or that fails to decode
+    or to parse (_parse_block, which takes a short record as an error)."""
     with open(f"/proc/self/fd/{fh.fileno()}", "rb") as own, \
             open(out, "wb", closefd=False) as sink:
         own.seek(start)
         try:
-            for raw, text in _blocks(own, None, encoding="utf-8"):
+            for raw, text in _blocks(own, encoding="utf-8"):
                 table = _split(raw, text)
                 if table is None:
                     return
-                texts, short = _columns(*table, index)
-                if short is not None:
-                    return
-                known = [None if c is None else len(c) for c in codes]
-                parsed = [column if parse is None else parse(column, name, path, 2)
-                          for (name, parse), column in zip(columns, texts)]
-                new = [None if c is None else list(itertools.islice(c, k, None))
-                       for c, k in zip(codes, known)]
-                pickle.dump((len(raw), len(texts[0]), parsed, new), sink,
+                pickle.dump((len(raw), *_parse_block(*table, index, columns, path, 2)), sink,
                             pickle.HIGHEST_PROTOCOL)
         except (DataError, UnicodeDecodeError):
             return
 
 
-class _ForkedHalf:
+def _forked_half(fh, start: int, columns, index: List[int], path: str):
     """A forked child that parses a file from byte `start`, just after a LF,
     to its end (_parse_half) while the parent reads the bytes before it.
-    Its blocks are the ones the serial reader would read without an error
-    and without csv.reader, so the parent reads the rest itself, from the
-    end of the child's last block: the serial reader gives every error, its
-    row, and every record that csv.reader reads. Each block goes through an
+    The first next() forks it; the blocks that follow, each (bytes, data
+    rows, parsed columns), are taken once the child has exited. They are
+    the ones the serial reader would read without an error and without
+    csv.reader, so the parent reads the rest itself, from the end of the
+    child's last block: the serial reader gives every error, its row, and
+    every record that csv.reader reads. Each block goes through an
     anonymous file (os.memfd_create), not a pipe, so that the child never
     waits for the parent. A child that fails or cannot be forked gives no
-    blocks."""
-
-    def __init__(self, fh, start: int, columns, index: List[int], path: str):
-        self.codes = _code_dicts(columns)
-        # the parent's code of each child code: the two number alike up to the fork
-        self.remap = [None if c is None else np.arange(len(c)) for c in self.codes]
-        self.out = self.pid = None
+    blocks. Closing the generator kills and reaps a child not yet waited
+    for, and closes the file."""
+    out = pid = None
+    try:
         try:
-            self.out = os.memfd_create("lcodr-csv")
-            self.pid = os.fork()
+            out = os.memfd_create("lcodr-csv")
+            pid = os.fork()
         except OSError:
-            return
-        if self.pid == 0:
+            pass
+        if pid == 0:
             status = 1
             try:
-                _parse_half(fh, start, columns, index, path, self.out)
+                _parse_half(fh, start, columns, index, path, out)
                 status = 0
             finally:
                 os._exit(status)
-
-    def blocks(self):
-        """Wait for the child, then yield its blocks one at a time: (bytes,
-        data rows, parsed columns), each asset code renumbered to the
-        parent's codes, which take the child's new texts in file order."""
-        if self.pid is None:
+        yield
+        if pid is None:
             return
         try:
-            _, status = os.waitpid(self.pid, 0)
+            _, status = os.waitpid(pid, 0)
         except ChildProcessError:   # reaped elsewhere, as when SIGCHLD is ignored
             status = -1
-        self.pid = None
+        pid = None
         if status != 0:
             return
-        with open(self.out, "rb") as src:
-            self.out = None
+        with open(out, "rb", closefd=False) as src:
             src.seek(0)
             while True:
                 try:
-                    size, rows, parsed, new = pickle.load(src)
+                    block = pickle.load(src)
                 except EOFError:
                     return
-                for k, (codes, texts) in enumerate(zip(self.codes, new)):
-                    if texts:
-                        self.remap[k] = np.append(self.remap[k], np.fromiter(
-                            (codes.setdefault(t, len(codes)) for t in texts), np.intp))
-                    if codes is not None:
-                        parsed[k] = self.remap[k][parsed[k]]
-                yield size, rows, parsed
-
-    def close(self) -> None:
-        """Kill and reap the child if it was not waited for; close the file."""
-        if self.pid is not None:
+                yield block
+    finally:
+        if pid is not None:
             import signal
             try:
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):
                 pass
-            self.pid = None
-        if self.out is not None:
-            os.close(self.out)
-            self.out = None
+        if out is not None:
+            os.close(out)
 
 
-def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
-    """Read a CSV (the file at path, or text) one block of _BLOCK_BYTES at a
-    time, and yield each block's (file row of its first data row, columns):
-    each (name, column_parser) pair's texts of the block parsed by
+def _column_blocks(path: str, columns, digest=None):
+    """Read the CSV file at path one block of _BLOCK_BYTES at a time, and
+    yield each block's (file row of its first data row, columns): each
+    (name, column_parser) pair's texts of the block parsed by
     column_parser(texts, name, path, row of texts[0]) (None: the strings).
-    Only one block's strings are held at a time. Every byte read also goes to
-    digest.
+    Only one block's strings are held at a time. A read that finishes
+    hashes the file into digest, when given, in one pass from its first
+    byte.
 
     Rows are numbered as csv.DictReader yields them: header row 1, blank
     lines skipped. A repeated header name means its last occurrence; extra
@@ -440,36 +421,17 @@ def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
     not yielded, so an earlier block's error wins.
 
     A file that _split_offset splits is read in two processes: once the
-    header is read, a forked child (_ForkedHalf) parses the blocks from the
+    header is read, a forked child (_forked_half) parses the blocks from the
     split on, while this process reads up to the split. If it gets there on
-    the _split path, it takes the child's blocks, hashes their bytes and
-    reads on from their end; else it reads on from where it is. So the
-    blocks, rows and errors, and the digest of a read that finishes, are
-    those of the serial read."""
+    the _split path, it takes the child's blocks and reads on from their
+    end; else it reads on from where it is. So the blocks, rows and errors
+    are those of the serial read."""
     names = [name for name, _ in columns]
     header, rows, half = None, 0, None   # data rows read so far
-
-    def parse_block(table, n):
-        nonlocal rows
-        texts, short = _columns(table, n, index)
-        parsed, errors = [], []
-        for (name, parse), column in zip(columns, texts):
-            try:
-                parsed.append(column if parse is None else parse(column, name, path, rows + 2))
-            except DataError as exc:
-                errors.append(exc)
-        first, rows = rows + 2, rows + len(texts[0])
-        if short is not None:
-            errors.append(DataError(f"missing field {names[short]!r}", path, rows + 2))
-        if errors:
-            raise min(errors, key=lambda e: e.row)
-        return first, parsed
-
     try:
-        with (open(path, "rb") if text is None
-              else io.BytesIO(text.encode("utf-8"))) as fh:
-            split = 0 if text is not None else _split_offset(fh)
-            tables = _tables(_blocks(fh, digest, split))
+        with open(path, "rb") as fh:
+            split = _split_offset(fh)
+            tables = _tables(_blocks(fh, split))
             for table, n in tables:
                 if header is None:
                     if not table:
@@ -481,26 +443,32 @@ def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
                                                 path, 1)
                     index = [len(header) - 1 - header[::-1].index(name) for name in names]
                     if n and split:
-                        half = _ForkedHalf(fh, split, columns, index, path)
-                yield parse_block(table, n)
+                        half = _forked_half(fh, split, columns, index, path)
+                        next(half)
+                count, parsed = _parse_block(table, n, index, columns, path, rows + 2)
+                yield rows + 2, parsed
+                rows += count
                 if half is not None and (not n or fh.tell() == split):
                     break
             if half is not None and n and fh.tell() == split:   # on the _split path
-                end = split
-                for size, count, parsed in half.blocks():
-                    end += size
-                    first, rows = rows + 2, rows + count
-                    yield first, parsed
-                fh.seek(split)
-                while digest is not None and (raw := fh.read(min(_BLOCK_BYTES,
-                                                                 end - fh.tell()))):
-                    digest.update(raw)
-                fh.seek(end)
-                tables = _tables(_blocks(fh, digest, encoding="utf-8"))
+                for size, count, parsed in half:
+                    yield rows + 2, parsed
+                    rows += count
+                    fh.seek(size, os.SEEK_CUR)
+                tables = _tables(_blocks(fh, encoding="utf-8"))
             if half is not None:   # reaped, or killed as the parent left the _split path
                 half.close()
             for table, n in tables:
-                yield parse_block(table, n)
+                count, parsed = _parse_block(table, n, index, columns, path, rows + 2)
+                yield rows + 2, parsed
+                rows += count
+            if header is None:
+                raise MissingColumn(f"missing column {names[0]!r} (found [])", path, 1)
+            if not rows:
+                raise DataError("file has a header but no data rows", path)
+            fh.seek(0)
+            while digest is not None and (raw := fh.read(_BLOCK_BYTES)):
+                digest.update(raw)
     except FileNotFoundError:
         raise DataError("file not found", path) from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -510,16 +478,12 @@ def _column_blocks(path: str, columns, text: Optional[str] = None, digest=None):
     finally:
         if half is not None:
             half.close()
-    if header is None:
-        raise MissingColumn(f"missing column {names[0]!r} (found [])", path, 1)
-    if not rows:
-        raise DataError("file has a header but no data rows", path)
 
 
-def _read_columns(path: str, columns, text: Optional[str] = None, digest=None) -> list:
+def _read_columns(path: str, columns, digest=None) -> list:
     """Each column of _column_blocks over the whole file, its blocks' parts
     joined: a list of strings for a column without a parser, else an array."""
-    parts = zip(*(parsed for _, parsed in _column_blocks(path, columns, text, digest)))
+    parts = zip(*(parsed for _, parsed in _column_blocks(path, columns, digest)))
     return [list(itertools.chain.from_iterable(part)) if parse is None else np.concatenate(part)
             for (_, parse), part in zip(columns, parts)]
 
@@ -658,15 +622,16 @@ def load_profile_pool_csv(path: str, *, digest=None) -> List[AvailabilityProfile
     one number per row and two per asset in each block, whether the file is
     grouped by asset or ordered by time. Every row error of the file comes
     first; then, asset by asset, its row count, grid and values."""
-    codes: Dict[str, int] = {}
+    codes: Dict[str, int] = {}   # the file's asset codes, in first-occurrence order
     grids = _Grids(path)
     held, bounds, blocks = [], [], []   # per block: the codes it holds and -1,
     # where each one's values begin and the end, and its values sorted by asset
-    for row, (asset_index, us, values) in _column_blocks(
-            path, [("asset_id", partial(_parse_codes, codes=codes)),
+    for row, ((block_codes, ids), us, values) in _column_blocks(
+            path, [("asset_id", _parse_codes),
                    ("timestamp", partial(_parse_timestamps, parsed={})),
                    ("value", _parse_numbers)], digest=digest):
-        block_held, block_bounds, values = grids.add(row, asset_index, us, values)
+        file_codes = np.fromiter((codes.setdefault(i, len(codes)) for i in ids), np.intp, len(ids))
+        block_held, block_bounds, values = grids.add(row, file_codes[block_codes], us, values)
         held.append(np.append(block_held, -1))
         bounds.append(block_bounds)
         blocks.append(values)
@@ -705,13 +670,11 @@ def load_lcos_reference(path: Optional[str] = None, *, digest=None) -> List[Lcos
     hold a CSV_UNSAFE character, a technology may not be named after a
     scheme, and an (application, technology) pair may not repeat.
     """
-    text = None
     if path is None:
-        text = resources.files("lcodr").joinpath("lcos_reference.csv") \
-            .read_text(encoding="utf-8")
-        path = "<bundled lcos_reference.csv>"
+        with resources.as_file(resources.files("lcodr") / "lcos_reference.csv") as bundled:
+            return load_lcos_reference(str(bundled), digest=digest)
     apps, techs, costs = _read_columns(path, [("application", None), ("technology", None),
-                                              ("lcos_usd_per_mwh", _parse_numbers)], text, digest)
+                                              ("lcos_usd_per_mwh", _parse_numbers)], digest)
     entries = [LcosEntry(a.strip(), t.strip(), c)
                for a, t, c in zip(apps, techs, costs.tolist())]
     # a technology is labelled by its name in cheapest_probability.csv, next

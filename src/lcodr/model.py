@@ -258,12 +258,15 @@ _GROUPS = (("ev", EvParameters), ("heat", HeatParameters), ("econ", EconomicPara
 class ValueFactorTable:
     """Per-scheme value factors. V2G carries a power and an energy variant;
     the two heat-pump schemes share a single value because their
-    uncontrolled demand profile is the same."""
+    uncontrolled demand profile is the same. The defaults are the golden
+    value factors, computed from the bundled synthetic profiles at the
+    bundled seed (`bundle_value_factors(default_bundle())`); replace them
+    when supplying real profile data."""
 
-    v2g_power: float = _param(1.0, gt=0.0)
-    v2g_energy: float = _param(1.0, gt=0.0)
-    smart_charging: float = _param(1.0, gt=0.0)
-    heat_pump: float = _param(1.0, gt=0.0)
+    v2g_power: float = _param(0.9691660535997968, gt=0.0)
+    v2g_energy: float = _param(0.9743345259373416, gt=0.0)
+    smart_charging: float = _param(1.1990290134805588, gt=0.0)
+    heat_pump: float = _param(1.1415170718967085, gt=0.0)
 
     def __post_init__(self):
         _check_fields(self)
@@ -593,13 +596,9 @@ def _known_vf_key(key: str) -> bool:
 _EVERY_SCHEME = tuple(kind.value for kind in SchemeKind)
 
 #: The bundled defaults that the dataclasses do not carry, in config-file
-#: units: the golden value factors, computed from the bundled synthetic
-#: profiles at the bundled seed (`bundle_value_factors(default_bundle())`;
-#: replace them when supplying real profile data), and one row per storage
-#: application (name, MW, hours per activation, activations per year,
-#: suitable schemes). `defaults.yaml` writes the same values as a config file.
-_DEFAULT_VALUE_FACTORS = {"v2g_power": 0.9691660535997968, "v2g_energy": 0.9743345259373416,
-                          "smart_charging": 1.1990290134805588, "heat_pump": 1.1415170718967085}
+#: units: one row per storage application (name, MW, hours per activation,
+#: activations per year, suitable schemes). `defaults.yaml` writes them, and
+#: the golden value factors of ValueFactorTable, as a config file.
 _DEFAULT_APPLICATIONS = (
     ("Energy arbitrage", 100, 4, 300, _EVERY_SCHEME),
     ("Primary response", 10, 0.5, 5000, _EVERY_SCHEME),
@@ -657,14 +656,14 @@ def _applications_from_config(entries: list) -> list:
 def load_config_dict(overrides: Optional[dict]):
     """Merge an override mapping onto the bundled defaults.
 
-    The defaults are the dataclass field defaults plus the bundled value
-    factors and applications. Returns (ParameterSet, list of
-    ApplicationSpec). Parameter overrides may appear either under a
+    The defaults are the dataclass field defaults, the golden value factors
+    among them, plus the bundled applications. Returns (ParameterSet, list
+    of ApplicationSpec). Parameter overrides may appear either under a
     ``parameters`` section or directly at the top level. Unknown keys
     anywhere are an error.
     """
     merged_params = {}
-    merged_vf = dict(_DEFAULT_VALUE_FACTORS)
+    merged_vf = {}
     merged_assumptions = {}
     app_entries = [{"name": name, "power_capacity_mw": mw, "discharge_duration_h": hours,
                     "annual_cycles": cycles, "suitable_schemes": list(schemes)}

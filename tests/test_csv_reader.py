@@ -104,17 +104,16 @@ def csv_files(draw):
 
 
 def column_specs(layout):
-    """(block reader columns, reference columns, asset codes) of a layout."""
-    codes = {}
+    """(block reader columns, reference columns) of a layout."""
     block = {"timestamp": lambda: partial(data._parse_timestamps, parsed={}),
              "number": lambda: data._parse_numbers,
-             "id": lambda: partial(data._parse_codes, codes=codes),
+             "id": lambda: None,
              "text": lambda: None}
     frozen = {"timestamp": reference.parse_timestamps, "number": reference.parse_numbers,
               "id": None, "text": None}
     kinds = LAYOUTS[layout].items()
     return ([(name, block[kind]()) for name, kind in kinds],
-            [(name, frozen[kind]) for name, kind in kinds], codes)
+            [(name, frozen[kind]) for name, kind in kinds])
 
 
 def outcome(read):
@@ -125,18 +124,15 @@ def outcome(read):
 
 
 def read_both(layout, text, block_bytes, digest=None):
-    """(block reader's outcome, with asset codes turned back into ids;
-    the reference's outcome) on text written to a file."""
-    columns, frozen, codes = column_specs(layout)
+    """(block reader's outcome, the reference's outcome) on text written to
+    a file."""
+    columns, frozen = column_specs(layout)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "data.csv")
         path.write_bytes(text.encode("utf-8"))
         with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
             got = outcome(lambda: data._read_columns(str(path), columns, digest=digest))
         want = outcome(lambda: reference.read_columns(str(path), frozen))
-    if layout == "pool" and not isinstance(got, tuple):
-        ids = list(codes)
-        got[0] = [ids[c] for c in got[0].tolist()]
     return got, want
 
 
@@ -186,7 +182,7 @@ def test_split_takes_only_blocks_that_csv_reader_reads_the_same(monkeypatch, tex
 
 def test_blocks_are_cut_after_a_cr_too(monkeypatch):
     monkeypatch.setattr(data, "_BLOCK_BYTES", 4)
-    blocks = [raw for raw, _ in data._blocks(io.BytesIO(b"a,b\r1,2\r3,4\r\n5,6"), None)]
+    blocks = [raw for raw, _ in data._blocks(io.BytesIO(b"a,b\r1,2\r3,4\r\n5,6"))]
     assert blocks == [b"a,b\r", b"1,2\r", b"3,4\r", b"\n", b"5,6"]
 
 
@@ -215,7 +211,7 @@ def test_field_over_the_size_limit_names_its_row():
 def test_undecodable_bytes_are_an_unreadable_file(tmp_path):
     path = tmp_path / "data.csv"
     path.write_bytes(b"timestamp,value\n2023-01-01T00:00:00,1\n\xff,2\n")
-    columns, frozen, _ = column_specs("series")
+    columns, frozen = column_specs("series")
     got = outcome(lambda: data._read_columns(str(path), columns))
     want = outcome(lambda: reference.read_columns(str(path), frozen))
     assert got[:2] == want[:2] == (DataError, None)

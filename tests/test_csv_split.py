@@ -11,6 +11,7 @@ that a load forks only where it may.
 They need a process that runs one thread, as tests/conftest.py makes it.
 """
 
+import contextlib
 import hashlib
 import os
 import pickle
@@ -139,9 +140,16 @@ def test_a_split_load_gives_the_serial_result(tmp_path, monkeypatch, forks, faul
     assert split_row(path) == first
 
     taken = []   # the child's blocks that the parent took
-    blocks = data._ForkedHalf.blocks
-    monkeypatch.setattr(data._ForkedHalf, "blocks",
-                        lambda half: (taken.append(b) or b for b in blocks(half)))
+    forked = data._forked_half
+
+    def spy(*args):
+        with contextlib.closing(forked(*args)) as half:
+            yield next(half)   # the fork
+            for block in half:
+                taken.append(block)
+                yield block
+
+    monkeypatch.setattr(data, "_forked_half", spy)
     split = load_pool(path)
     assert forks[0] == 1
     assert_no_child()
@@ -152,7 +160,7 @@ def test_a_split_load_gives_the_serial_result(tmp_path, monkeypatch, forks, faul
     want = outcome(lambda: reference.load_profile_pool_csv(path))
     assert_same_pool(split[0], want)
     assert_same_pool(serial[0], want)
-    if fault in (None, "quote", "cr", "negative", "grid step"):   # every byte was read
+    if fault in (None, "quote", "cr", "negative", "grid step"):   # the read finished: all hashed
         assert split[1] == serial[1] == hashlib.sha256(text.encode("utf-8")).hexdigest()
     if fault in ("negative", "grid step"):
         assert want[:2] == ((DataError if fault == "negative" else data.NonMonotonicTimestamps),
@@ -235,8 +243,8 @@ def test_no_child_outlives_a_load_an_error_or_an_early_close(tmp_path, monkeypat
 def test_a_child_that_dies_leaves_the_parent_the_serial_read(tmp_path, monkeypatch, forks):
     def dies(fh, start, columns, index, path, out):
         # a block of one row of a new asset, as the child writes them
-        os.write(out, pickle.dumps((28, 1, [np.zeros(1, np.intp), np.zeros(1, np.int64),
-                                            np.ones(1)], [["new"], None, None])))
+        os.write(out, pickle.dumps((28, 1, [(np.zeros(1, np.intp), ["new"]),
+                                            np.zeros(1, np.int64), np.ones(1)])))
         os._exit(1)
 
     monkeypatch.setattr(data, "_BLOCK_BYTES", BLOCK)
@@ -252,11 +260,11 @@ def test_a_child_that_dies_leaves_the_parent_the_serial_read(tmp_path, monkeypat
 
 def test_a_load_forks_only_a_file_of_more_than_two_blocks_in_a_one_thread_process(
         tmp_path, monkeypatch, forks):
+    data.load_lcos_reference()   # the bundled table is at most two blocks
+    assert forks[0] == 0
     monkeypatch.setattr(data, "_BLOCK_BYTES", BLOCK)
     text = HEADER + "".join(line + "\n" for line in pool_lines())
     columns = [("asset_id", None), ("timestamp", None), ("value", None)]
-    data._read_columns("<text>", columns, text=text)
-    assert forks[0] == 0
     two = (len(text) + 1) // 2
     monkeypatch.setattr(data, "_BLOCK_BYTES", two)   # the file is two blocks
     path = tmp_path / "pool.csv"

@@ -301,6 +301,11 @@ def test_default_parameters_are_the_dataclass_defaults():
     assert default_parameters() == ParameterSet(value_factors=ValueFactorTable(**goldens))
 
 
+def test_a_default_parameter_set_is_the_bundled_default_parameterization():
+    # the golden value factors are ValueFactorTable's field defaults
+    assert ParameterSet() == default_parameters()
+
+
 def _random_columns(rng, n):
     """Columns around the defaults, clamped to the registry bounds except
     for a few cells pushed out of their domain (NaN included), with the
