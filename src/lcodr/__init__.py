@@ -48,7 +48,7 @@ from .uncertainty import (
     perturb_parameters,
     run_monte_carlo,
 )
-from .data import DataBundle, bundle_value_factors, default_bundle, load_lcos_reference
+from .data import DataBundle, default_bundle, load_lcos_reference
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,7 @@ __all__ = [
     "EvParameters", "HeatParameters", "LcodrError", "McConfig", "McDistribution",
     "PairingEvaluation", "ParameterSet", "ParseError", "SchemeKind",
     "SizingResult", "TimeSeries", "ValidationError", "ValueFactorTable",
-    "__version__", "bundle_value_factors", "cheapest_probability",
+    "__version__", "cheapest_probability",
     "default_applications", "default_bundle", "default_parameters",
     "evaluate_pairing", "load_config",
     "load_lcos_reference", "perturb_parameters", "run_monte_carlo", "size_pairing",

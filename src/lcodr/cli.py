@@ -195,20 +195,17 @@ def _load(args):
     return params, apps, schemes
 
 
-#: Profile inputs: (flag dest, loader of a file that also feeds a digest,
-#: data.bundle_sources key used when the flag is not given). The loaders look
-#: their functions up at call time, so a wrapper installed on the module
-#: names sees every load.
+#: Profile inputs: (flag dest, loader of a file that also feeds a digest).
+#: The dest also names the input as a data.bundle_sources key, as a
+#: profile_value_factors parameter and as a ValueFactorError's `source`. The
+#: loaders look their functions up at call time, so a wrapper installed on
+#: the module names sees every load.
 _PROFILE_INPUTS = (
-    ("price", lambda path, digest: load_timeseries_csv(path, digest=digest), "price"),
-    ("ev_pool", lambda path, digest: load_profile_pool_csv(path, digest=digest),
-     "ev_charging_pool"),
-    ("hp_pool", lambda path, digest: load_profile_pool_csv(path, digest=digest),
-     "heating_pool"),
-    ("v2g_power", lambda path, digest: load_power_boundary_csv(path, digest=digest),
-     "v2g_power"),
-    ("v2g_boundaries", lambda path, digest: load_boundary_csv(path, digest=digest),
-     "v2g_energy"),
+    ("price", lambda path, digest: load_timeseries_csv(path, digest=digest)),
+    ("ev_pool", lambda path, digest: load_profile_pool_csv(path, digest=digest)),
+    ("hp_pool", lambda path, digest: load_profile_pool_csv(path, digest=digest)),
+    ("v2g_power", lambda path, digest: load_power_boundary_csv(path, digest=digest)),
+    ("v2g_boundaries", lambda path, digest: load_boundary_csv(path, digest=digest)),
 )
 
 
@@ -219,27 +216,26 @@ def _load_profile_data(args):
     order; a file is hashed whole, in one pass after its loader parsed it."""
     profiles, hashes = {}, {}
     sources = bundle_sources()
-    for flag, load, source in _PROFILE_INPUTS:
+    for flag, load in _PROFILE_INPUTS:
         path = getattr(args, flag)
         if path:
             digest = hashlib.sha256()
             profiles[flag] = load(path, digest)
             hashes[flag] = digest.hexdigest()[:16]
         else:
-            profiles[flag] = sources[source]()
+            profiles[flag] = sources[flag]()
             hashes[flag] = "synthetic"
     return profiles, hashes
 
 
-def _value_factors(args, profiles) -> dict:
-    """profile_value_factors of the loaded profiles. A ValueFactorError is a
-    DataError on the file of the input it arose in, or on the price file
-    when that input has none."""
+def _on_data_files(args, compute, *inputs, fallback: str = "price"):
+    """compute(*inputs), a value-factor computation. A ValueFactorError is a
+    DataError on the file of the input its `source` names, or else on the
+    file of the `fallback` input; with neither file it is raised as it is."""
     try:
-        return profile_value_factors(*profiles.values())
+        return compute(*inputs)
     except ValueFactorError as exc:
-        paths = {source: getattr(args, flag) for flag, _, source in _PROFILE_INPUTS}
-        path = paths.get(exc.source) or paths["price"]
+        path = getattr(args, exc.source or fallback) or getattr(args, fallback)
         if not path:
             raise
         raise DataError(str(exc), path) from exc
@@ -248,7 +244,7 @@ def _value_factors(args, profiles) -> dict:
 def _check_data_flags(args) -> None:
     """A data flag of `run` or `mc` is read only with --compute-vf."""
     if not args.compute_vf:
-        for flag, _, _ in _PROFILE_INPUTS:
+        for flag, _ in _PROFILE_INPUTS:
             if getattr(args, flag):
                 raise UsageError(f"--{flag.replace('_', '-')} is read only with --compute-vf")
 
@@ -259,7 +255,7 @@ def _with_computed_value_factors(params, args):
     if not args.compute_vf:
         return params, {}
     profiles, hashes = _load_profile_data(args)
-    table = ValueFactorTable(**_value_factors(args, profiles))
+    table = ValueFactorTable(**_on_data_files(args, profile_value_factors, *profiles.values()))
     return replace(params, value_factors=table), hashes
 
 
@@ -325,7 +321,11 @@ def cmd_vf(args) -> int:
     profiles, hashes = _load_profile_data(args)
     if args.subsample:   # subsets are drawn from the whole pool
         profiles["ev_pool"] = list(profiles["ev_pool"])
-    factors = _value_factors(args, profiles)
+    factors = _on_data_files(args, profile_value_factors, *profiles.values())
+    dist = None
+    if args.subsample:   # before anything is written: a subsample can still fail
+        dist = _on_data_files(args, vf_subsample_mc, profiles["ev_pool"], profiles["price"],
+                              args.subsample, args.iterations, args.seed, fallback="ev_pool")
 
     # the subset selection scheme keys subsample runs only, so that runs
     # without --subsample keep their run id
@@ -335,10 +335,7 @@ def cmd_vf(args) -> int:
     _write_csv(out / "value_factors.csv", ["scheme", "value_factor"], factors.items(), run_id)
     written = [out / "value_factors.csv"]
 
-    if args.subsample:
-        dist = vf_subsample_mc(profiles["ev_pool"], profiles["price"],
-                               subset_size=args.subsample, iterations=args.iterations,
-                               seed=args.seed)
+    if dist is not None:
         sample_rows = [[i, float(v)] for i, v in enumerate(dist.samples)]
         _write_csv(out / "vf_distribution.csv",
                    ["iteration", "value_factor"], sample_rows, run_id)

@@ -10,11 +10,11 @@ evening heating peaks, overnight vehicle plug-in — and are deterministic
 for a fixed seed.
 
 `bundle_sources` builds each input of the bundled dataset on its own, a
-pool as an iterator of its profiles; `default_bundle` is made from it. So
-`--compute-vf` without files streams each synthetic pool into its total,
-one asset at a time, and gives the same numbers as
-`bundle_value_factors(default_bundle())` without holding the 260 asset
-profiles at once.
+pool as an iterator of its profiles, under the name of its CLI flag dest;
+`default_bundle` is made from it. So `--compute-vf` without files streams
+each synthetic pool into its total, one asset at a time, and gives the same
+numbers as `profile_value_factors(*vars(default_bundle()).values())`
+without holding the 260 asset profiles at once.
 
 CSV layouts:
   single series      timestamp,value
@@ -72,8 +72,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .model import CSV_UNSAFE, LcodrError, SchemeKind, TimeSeries, ValueFactorTable
-from .valuefactor import AvailabilityProfile, ValueFactorError, align, value_factor
+from .model import CSV_UNSAFE, LcodrError, SchemeKind, TimeSeries
+from .valuefactor import AvailabilityProfile, ValueFactorError, profile_factor
 
 
 class DataError(LcodrError):
@@ -838,26 +838,26 @@ BUNDLE_SEED = 2024
 
 
 def bundle_sources(seed: int = BUNDLE_SEED, days: int = 365) -> Dict[str, Callable[[], object]]:
-    """A builder of each DataBundle profile input, by field name: the price
-    and the V2G profiles as values (the V2G pair built once, on first use),
-    each pool as an iterator that builds its profiles one at a time."""
+    """A builder of each profile input of the bundled dataset, by its CLI flag
+    dest, in DataBundle field order: the price and the V2G profiles as values
+    (the V2G pair built once, on first use), each pool as an iterator that
+    builds its profiles one at a time."""
     v2g = cache(lambda: synthetic_v2g_profiles(days=days, seed=seed))
     return {
         "price": lambda: synthetic_price(days=days, seed=seed),
-        "ev_charging_pool": lambda: synthetic_ev_charging_profiles(days=days, seed=seed),
-        "heating_pool": lambda: synthetic_heating_profiles(days=days, seed=seed),
+        "ev_pool": lambda: synthetic_ev_charging_profiles(days=days, seed=seed),
+        "hp_pool": lambda: synthetic_heating_profiles(days=days, seed=seed),
         "v2g_power": lambda: v2g()[0],
-        "v2g_energy": lambda: v2g()[1],
+        "v2g_boundaries": lambda: v2g()[1],
     }
 
 
 def default_bundle(seed: int = BUNDLE_SEED, days: int = 365) -> DataBundle:
     """The deterministic bundled dataset, from bundle_sources with each pool
     made a list. Same seed, same bundle."""
-    inputs = {name: source() for name, source in bundle_sources(seed, days).items()}
-    for pool in ("ev_charging_pool", "heating_pool"):
-        inputs[pool] = list(inputs[pool])
-    return DataBundle(**inputs)
+    price, ev_pool, hp_pool, v2g_power, v2g_boundaries = (
+        source() for source in bundle_sources(seed, days).values())
+    return DataBundle(price, list(ev_pool), list(hp_pool), v2g_power, v2g_boundaries)
 
 
 def _pool_total(pool: Iterable[AvailabilityProfile]) -> AvailabilityProfile:
@@ -878,28 +878,20 @@ def _pool_total(pool: Iterable[AvailabilityProfile]) -> AvailabilityProfile:
 
 def profile_value_factors(price: TimeSeries, ev_pool: Iterable[AvailabilityProfile],
                           hp_pool: Iterable[AvailabilityProfile], v2g_power: AvailabilityProfile,
-                          v2g_energy: AvailabilityProfile) -> Dict[str, float]:
-    """Value factor per ValueFactorTable field. The two heat-pump schemes share
-    one factor: their uncontrolled demand profile is the same. A
-    ValueFactorError names in `source` the DataBundle field of the profile
-    it arose in."""
+                          v2g_boundaries: AvailabilityProfile) -> Dict[str, float]:
+    """Value factor per ValueFactorTable field, each pool's from its
+    _pool_total. The two heat-pump schemes share one factor: their
+    uncontrolled demand profile is the same. A ValueFactorError names in
+    `source` the parameter of the profile it arose in."""
     factors = {}
     for scheme, source, profile in (
             ("v2g_power", "v2g_power", lambda: v2g_power),
-            ("v2g_energy", "v2g_energy", lambda: v2g_energy),
-            ("smart_charging", "ev_charging_pool", lambda: _pool_total(ev_pool)),
-            ("heat_pump", "heating_pool", lambda: _pool_total(hp_pool))):
+            ("v2g_energy", "v2g_boundaries", lambda: v2g_boundaries),
+            ("smart_charging", "ev_pool", lambda: _pool_total(ev_pool)),
+            ("heat_pump", "hp_pool", lambda: _pool_total(hp_pool))):
         try:
-            price_aligned, aligned, _ = align(price, profile())
-            factors[scheme] = value_factor(price_aligned, aligned.series)
+            factors[scheme] = profile_factor(price, profile())
         except ValueFactorError as exc:
             exc.source = source
             raise
     return factors
-
-
-def bundle_value_factors(bundle: DataBundle):
-    """Value factors of a data bundle: (ValueFactorTable, dict of its fields)."""
-    details = profile_value_factors(bundle.price, bundle.ev_charging_pool, bundle.heating_pool,
-                                    bundle.v2g_power, bundle.v2g_energy)
-    return ValueFactorTable(**details), details

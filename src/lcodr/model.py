@@ -259,9 +259,9 @@ class ValueFactorTable:
     """Per-scheme value factors. V2G carries a power and an energy variant;
     the two heat-pump schemes share a single value because their
     uncontrolled demand profile is the same. The defaults are the golden
-    value factors, computed from the bundled synthetic profiles at the
-    bundled seed (`bundle_value_factors(default_bundle())`); replace them
-    when supplying real profile data."""
+    value factors; they agree to 1e-12 relative, not bit for bit, with those
+    of the bundled synthetic profiles at the bundled seed (see
+    `data.profile_value_factors`); replace them when supplying real data."""
 
     v2g_power: float = _param(0.9691660535997968, gt=0.0)
     v2g_energy: float = _param(0.9743345259373416, gt=0.0)

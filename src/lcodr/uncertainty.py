@@ -50,6 +50,7 @@ from .model import (
     philox_generator,
     valid_rows,
 )
+from .valuefactor import summary_statistics
 
 #: Substream ids: scalar parameters take their registry position, value
 #: factors and LCOS reference entries follow in fixed blocks. Append-only.
@@ -266,12 +267,7 @@ class McDistribution:
         for arr in (samples, feasible, *components.values()):
             arr.flags.writeable = False
         ok = samples[feasible]
-        if len(ok):
-            median, p5, p95 = np.percentile(ok, [50, 5, 95]).tolist()
-            stats = dict(mean=float(ok.mean()), median=median, p5=p5, p95=p95)
-        else:
-            nan = float("nan")
-            stats = dict(mean=nan, median=nan, p5=nan, p95=nan)
+        stats = summary_statistics(ok) if len(ok) else {}
         return cls(technology=technology, application=application,
                    samples=samples, feasible=feasible, components=components,
                    feasible_fraction=float(feasible.mean()), **stats)

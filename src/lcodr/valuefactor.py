@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ SUBSAMPLE_BLOCK = 1024
 
 
 class ValueFactorError(LcodrError):
-    #: The data input the error arose in, when known (a DataBundle field).
+    #: The profile input the error arose in, when known, by its CLI flag dest.
     source: Optional[str] = None
 
 
@@ -153,12 +153,9 @@ def align_series(a: TimeSeries, b: TimeSeries):
 
 
 def align(price: TimeSeries, profile: AvailabilityProfile):
-    """Align a price series with an availability profile. Returns the pair
-    (price, profile) on the common grid plus the alignment report."""
-    band = profile.band()
-    price2, band2, report = align_series(price, band)
-    aligned = AvailabilityProfile(band2, asset_id=profile.asset_id)
-    return price2, aligned, report
+    """Align a price series with the band of an availability profile. Returns
+    (price, band) on the common grid plus the alignment report."""
+    return align_series(price, profile.band())
 
 
 def value_factor(price: TimeSeries, availability: TimeSeries) -> float:
@@ -180,6 +177,13 @@ def value_factor(price: TimeSeries, availability: TimeSeries) -> float:
     return float((p * a).sum() / (mean_avail * price_sum))
 
 
+def profile_factor(price: TimeSeries, profile: AvailabilityProfile) -> float:
+    """The value factor of a profile's band against the price, on their common
+    grid (align, then value_factor)."""
+    price_aligned, band, _ = align(price, profile)
+    return value_factor(price_aligned, band)
+
+
 def v2g_value_factors(price: TimeSeries, power_boundary: AvailabilityProfile,
                       energy_boundaries: AvailabilityProfile):
     """Separate value factors for V2G power and energy availability.
@@ -187,11 +191,7 @@ def v2g_value_factors(price: TimeSeries, power_boundary: AvailabilityProfile,
     Returns (vf_power, vf_energy); the energy variant weights the width of
     the battery-energy band.
     """
-    price_p, power, _ = align(price, power_boundary)
-    vf_power = value_factor(price_p, power.series)
-    price_e, band, _ = align(price, energy_boundaries)
-    vf_energy = value_factor(price_e, band.series)
-    return vf_power, vf_energy
+    return profile_factor(price, power_boundary), profile_factor(price, energy_boundaries)
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,13 @@ class VfDistribution:
     def from_samples(cls, samples: np.ndarray) -> "VfDistribution":
         samples = np.asarray(samples, dtype=np.float64)
         samples.flags.writeable = False
-        return cls(samples=samples,
-                   mean=float(samples.mean()),
-                   median=float(np.percentile(samples, 50)),
-                   p5=float(np.percentile(samples, 5)),
-                   p95=float(np.percentile(samples, 95)))
+        return cls(samples=samples, **summary_statistics(samples))
+
+
+def summary_statistics(samples: np.ndarray) -> Dict[str, float]:
+    """Mean, median, p5 and p95 of samples, percentiles by linear interpolation."""
+    median, p5, p95 = np.percentile(samples, [50, 5, 95]).tolist()
+    return dict(mean=float(samples.mean()), median=median, p5=p5, p95=p95)
 
 
 def subsample_masks(seed: int, n_assets: int, subset_size: int, start: int,
@@ -259,12 +261,12 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
     weighted, totals = np.empty(len(profiles)), np.empty(len(profiles))
     price0 = None
     for j, prof in enumerate(profiles):
-        price_j, prof_j, _ = align(price, prof)
+        price_j, band, _ = align(price, prof)
         price0 = price_j if price0 is None else price0
         if len(price_j) != len(price0) or price_j.start != price0.start:
             raise ValueFactorError("asset profiles must share one grid")
-        weighted[j] = (prof_j.series.values * price0.values).sum()
-        totals[j] = prof_j.series.values.sum()
+        weighted[j] = (band.values * price0.values).sum()
+        totals[j] = band.values.sum()
     price_sum = price0.values.sum()
 
     samples = np.empty(iterations)
@@ -276,6 +278,6 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
         if failed.size:   # value_factor's own error for the first failing subset
             subset = np.flatnonzero(mask[failed[0]])
             value_factor(price0, price0.with_values(
-                sum(align(price, profiles[j])[1].series.values for j in subset)))
+                sum(align(price, profiles[j])[1].values for j in subset)))
         samples[start:stop] = np.where(mask, weighted, 0.0).sum(axis=1) / (mean * price_sum)
     return VfDistribution.from_samples(samples)

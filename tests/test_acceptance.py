@@ -15,6 +15,7 @@ from lcodr.model import (
     HeatParameters,
     ParameterSet,
     SchemeKind,
+    ValueFactorTable,
     default_applications,
     default_parameters,
     load_config_dict,
@@ -30,7 +31,7 @@ from lcodr.sizing import (
 )
 from lcodr.uncertainty import McConfig, cheapest_probability, run_monte_carlo
 from lcodr.valuefactor import value_factor
-from lcodr.data import bundle_value_factors, default_bundle, load_lcos_reference
+from lcodr.data import default_bundle, load_lcos_reference, profile_value_factors
 from lcodr.model import TimeSeries
 from datetime import datetime, timezone
 
@@ -117,7 +118,7 @@ def test_criterion_03_thermal_storage_dominance(full_mc):
 
 
 def test_criterion_04_value_factor_ordering():
-    table, _ = bundle_value_factors(default_bundle())
+    table = ValueFactorTable(**profile_value_factors(*vars(default_bundle()).values()))
     ok = (table.smart_charging > table.heat_pump + 0.01
           and table.heat_pump > 1.01
           and 0.95 <= table.v2g_power <= 1.05

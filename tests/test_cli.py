@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib.resources
+import inspect
 import json
 import tracemalloc
 from pathlib import Path
@@ -525,9 +526,40 @@ def test_a_profile_that_does_not_fit_the_price_or_its_pool_names_its_file(
     assert errors == [f"error: data: {path}: {message}"]
 
 
+@pytest.mark.parametrize("subsample,message", [
+    ("2", "availability series has non-positive mean"),   # the two all-zero assets
+    ("5", "need at least 5 asset profiles, got 3"),
+], ids=["all-zero-subset", "too-few-assets"])
+def test_a_vf_subsample_that_cannot_be_drawn_names_the_pool_and_writes_nothing(
+        tmp_path, capsys, subsample, message):
+    pool = tmp_path / "pool.csv"
+    zero = hourly("z,", 2023, 3) + hourly("y,", 2023, 3)
+    pool.write_text("asset_id,timestamp,value\n" + hourly("a,", 2023, 3)
+                    + zero.replace(",1\n", ",0\n"), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["vf", "--ev-pool", str(pool), "--subsample", subsample,
+                 "--out", str(out)]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: data: {pool}: {message}"]
+    assert list(out.iterdir()) == []
+
+
+def test_a_vf_subsample_of_the_bundled_pool_blames_no_file(tmp_path, capsys):
+    price = tmp_path / "price.csv"
+    price.write_text("timestamp,value\n" + hourly("", 2023, 24), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["vf", "--price", str(price), "--subsample", "201", "--iterations", "2",
+                 "--out", str(out)]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: data: need at least 201 asset profiles, got 200"]
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
 def test_compute_vf_without_files_streams_the_bundled_pools(tmp_path, monkeypatch, command):
-    _, expected = data.bundle_value_factors(data.default_bundle())
+    expected = data.profile_value_factors(*vars(data.default_bundle()).values())
 
     def unused(*args, **kwargs):
         raise AssertionError("the whole bundled pool was built")
@@ -543,6 +575,17 @@ def test_compute_vf_without_files_streams_the_bundled_pools(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "profile_value_factors", recording)
     assert main(command + ["--compute-vf", "--out", str(tmp_path / "o")]) == 0
     assert computed == [expected]
+
+
+def test_each_profile_input_has_one_name():
+    # the flag dest is the bundle_sources key and the profile_value_factors
+    # parameter, in one order
+    names = [name for name, _ in cli._PROFILE_INPUTS]
+    args = vars(cli.build_parser().parse_args(
+        ["vf"] + [arg for name in names for arg in (f"--{name.replace('_', '-')}", name)]))
+    assert [args[name] for name in names] == names
+    assert list(data.bundle_sources()) == names
+    assert list(inspect.signature(data.profile_value_factors).parameters) == names
 
 
 def test_compute_vf_without_files_holds_one_asset_at_a_time():

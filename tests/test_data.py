@@ -17,7 +17,6 @@ from lcodr.data import (
     MissingColumn,
     NonMonotonicTimestamps,
     NonNumericValue,
-    bundle_value_factors,
     default_bundle,
     load_boundary_csv,
     load_lcos_reference,
@@ -184,8 +183,8 @@ def test_a_pool_total_over_a_generator_is_bitwise_the_total_over_its_list(profil
 
 
 def test_bundled_value_factors_are_the_config_goldens():
-    from lcodr.model import default_parameters
-    table, _ = bundle_value_factors(default_bundle())
+    from lcodr.model import ValueFactorTable, default_parameters
+    table = ValueFactorTable(**profile_value_factors(*vars(default_bundle()).values()))
     configured = default_parameters().value_factors
     assert table.smart_charging == pytest.approx(configured.smart_charging, rel=1e-12)
     assert table.heat_pump == pytest.approx(configured.heat_pump, rel=1e-12)

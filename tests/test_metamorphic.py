@@ -1,0 +1,165 @@
+"""Metamorphic relations of the value factor and of the pairing kernel.
+
+`tests/oracle.py` is a frozen copy of the formulas: it catches a refactor
+that moves a number, not a formula that was wrong from the start. These
+properties check what must hold between two runs without knowing either
+result:
+
+- the value factor is scale-invariant in the price and in the
+  availability, and a flat availability is worth exactly its average;
+- a pool's factor is that of its summed profile;
+- the levelised cost is intensive: scaling an application's power leaves
+  it unchanged;
+- the value factor divides the cost: scaling it by c divides the cost by c.
+"""
+
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from lcodr.costing import BATCH_COLUMNS, batch_columns, evaluate_batch
+from lcodr.data import _pool_total, profile_value_factors
+from lcodr.model import (
+    VALUE_FACTOR_KEYS,
+    Assumptions,
+    SchemeKind,
+    TimeSeries,
+    default_applications,
+    default_parameters,
+    valid_rows,
+)
+from lcodr.uncertainty import McConfig, perturb_matrix
+from lcodr.valuefactor import AvailabilityProfile, profile_factor
+
+START = datetime(2023, 1, 1, tzinfo=timezone.utc)
+APPS = default_applications()
+BASE = default_parameters()
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+PRICES = st.floats(1e-2, 1e3)
+AVAILABILITY = st.one_of(st.just(0.0), st.floats(1e-3, 1e2))
+SCALES = st.floats(1e-3, 1e3)
+
+
+def series(values, start=START):
+    return TimeSeries(start, 3600.0, np.asarray(values, dtype=float))
+
+
+@st.composite
+def price_and_profile(draw, availability=AVAILABILITY):
+    """A positive hourly price and a profile of `availability` values that
+    starts 0 to 3 hours later and ends 0 to 3 hours earlier, so that
+    aligning crops the price; the profile's mean is positive."""
+    n = draw(st.integers(2, 200))
+    head, tail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    price = draw(arrays(np.float64, n + head + tail, elements=PRICES))
+    values = draw(arrays(np.float64, n, elements=availability))
+    if not values.any():
+        values[draw(st.integers(0, n - 1))] = draw(st.floats(1e-3, 1e2))
+    return (series(price, START - timedelta(hours=head)),
+            AvailabilityProfile(series(values)))
+
+
+def close(a, b, rel=1e-12) -> bool:
+    return abs(a - b) <= rel * abs(b)
+
+
+@SETTINGS
+@given(price_and_profile(), SCALES)
+def test_value_factor_is_scale_invariant_in_price_and_availability(inputs, c):
+    price, profile = inputs
+    vf = profile_factor(price, profile)
+    scaled_profile = AvailabilityProfile(profile.series.with_values(profile.series.values * c))
+    assert close(profile_factor(price.with_values(price.values * c), profile), vf)
+    assert close(profile_factor(price, scaled_profile), vf)
+
+
+@SETTINGS
+@given(price_and_profile(availability=st.just(1.0)), st.floats(1e-3, 1e3))
+def test_a_flat_availability_is_worth_its_average(inputs, level):
+    price, ones = inputs
+    assert profile_factor(price, ones) == 1.0
+    flat = AvailabilityProfile(ones.series.with_values(ones.series.values * level))
+    assert close(profile_factor(price, flat), 1.0)
+
+
+@SETTINGS
+@given(st.data())
+def test_a_pool_has_the_factor_of_its_total(data):
+    n = data.draw(st.integers(2, 100))
+    price = series(data.draw(arrays(np.float64, n, elements=PRICES)))
+    assets = [data.draw(arrays(np.float64, n, elements=AVAILABILITY))
+              for _ in range(data.draw(st.integers(1, 5)))]
+    assets[0][0] = 1.0   # a positive total
+    pool = [AvailabilityProfile(series(values), asset_id=f"a{i}")
+            for i, values in enumerate(assets)]
+    power = AvailabilityProfile(series(np.ones(n)))
+    energy = AvailabilityProfile(series(np.zeros(n)), upper=series(np.ones(n)))
+    total = [_pool_total(pool)]
+    pooled = profile_value_factors(price, pool, pool, power, energy)
+    summed = profile_value_factors(price, total, total, power, energy)
+    for scheme in ("smart_charging", "heat_pump"):
+        assert pooled[scheme] == summed[scheme]
+
+
+ASSUMPTIONS = st.builds(
+    Assumptions,
+    rpt_floor_at_base=st.booleans(),
+    v2g_rebound_roundtrip=st.booleans(),
+    cycle_constraint_direction=st.sampled_from(("scale_up", "as_printed")),
+)
+
+
+def valid_matrix(seed: int, sigma: float, samples: int = 64) -> np.ndarray:
+    """Perturbed rows around the defaults that pass model.valid_rows."""
+    matrix = perturb_matrix(BASE, McConfig(samples=samples, seed=seed, sigma_inputs=sigma,
+                                           sigma_vf=sigma), 0, samples)
+    return matrix[valid_rows(batch_columns(matrix))]
+
+
+def pairings():
+    return [(scheme, app) for scheme in SchemeKind for app in APPS
+            if scheme in app.suitable_schemes]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.5), st.floats(1e-3, 1e3), ASSUMPTIONS)
+def test_the_cost_is_intensive_in_the_application_power(seed, sigma, c, assumptions):
+    columns = batch_columns(valid_matrix(seed, sigma))
+    feasible = 0
+    for scheme, app in pairings():
+        base = evaluate_batch(scheme, app, columns, assumptions)
+        scaled = evaluate_batch(scheme, replace(app, power_capacity=app.power_capacity * c),
+                                columns, assumptions)
+        assert np.array_equal(scaled.feasible, base.feasible), (scheme, app.name)
+        ok = base.feasible
+        feasible += ok.sum()
+        np.testing.assert_allclose(scaled.lcodr_vf[ok], base.lcodr_vf[ok], rtol=1e-12, atol=0,
+                                   err_msg=f"{scheme} {app.name}")
+    assert feasible > 0
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.5), st.floats(1e-3, 1e3), ASSUMPTIONS)
+def test_the_value_factor_divides_the_cost(seed, sigma, c, assumptions):
+    matrix = valid_matrix(seed, sigma)
+    scaled_matrix = matrix.copy()
+    scaled_matrix[:, [BATCH_COLUMNS.index(key) for key in VALUE_FACTOR_KEYS]] *= c
+    columns, scaled_columns = batch_columns(matrix), batch_columns(scaled_matrix)
+    feasible = 0
+    for scheme, app in pairings():
+        base = evaluate_batch(scheme, app, columns, assumptions)
+        scaled = evaluate_batch(scheme, app, scaled_columns, assumptions)
+        assert np.array_equal(scaled.feasible, base.feasible), (scheme, app.name)
+        ok = base.feasible
+        feasible += ok.sum()
+        np.testing.assert_allclose(scaled.lcodr_vf[ok] * c, base.lcodr_vf[ok], rtol=1e-12,
+                                   atol=0, err_msg=f"{scheme} {app.name}")
+    assert feasible > 0

@@ -176,7 +176,7 @@ def test_subsample_mc_equals_the_stacked_formula_bit_for_bit(seed):
         dist = vf_subsample_mc(pool, price, subset_size=5, iterations=300, seed=seed)
         aligned = [valuefactor.align(price, prof) for prof in pool]
         p = aligned[0][0].values
-        stack = np.stack([prof.series.values for _, prof, _ in aligned])
+        stack = np.stack([band.values for _, band, _ in aligned])
         weighted, totals = (stack * p).sum(axis=1), stack.sum(axis=1)
         masks = subsample_masks(seed, n_assets, 5, 0, 300)
         mean = np.where(masks, totals, 0.0).sum(axis=1) / len(p)
