@@ -34,6 +34,7 @@ from . import __version__
 from .costing import (COST_COMPONENTS, batch_columns, batch_row, evaluate_batch,
                       left_to_right_sum, sample_values)
 from .data import (
+    BUNDLED_EV_ASSETS,
     DataError,
     bundle_sources,
     load_boundary_csv,
@@ -316,6 +317,9 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_vf(args) -> int:
+    if not args.ev_pool and (args.subsample or 0) > BUNDLED_EV_ASSETS:
+        raise UsageError(f"--subsample {args.subsample} exceeds the bundled EV pool's "
+                         f"{BUNDLED_EV_ASSETS} assets; give a larger pool with --ev-pool")
     params, _, _ = _load(args)
     out = _out_dir(args)
     profiles, hashes = _load_profile_data(args)

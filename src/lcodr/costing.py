@@ -154,7 +154,10 @@ class BatchEvaluation:
     Each float column holds one value per sample: NaN where the sample is
     infeasible or the pairing unsuitable, and in the sizing columns that do
     not apply to the scheme. The exception is sizing["required_plugin_time"],
-    which also holds the hours that the PLUGIN_OVER_24H reason quotes.
+    which also holds the hours that the PLUGIN_OVER_24H reason quotes. A
+    column that the evaluation did not compute (every float column of an
+    unsuitable pairing, a sizing field of another scheme) is a read-only
+    all-NaN view that such columns share.
     """
 
     lcodr_vf: np.ndarray
@@ -281,12 +284,14 @@ def _first_failure(n: int, failures) -> np.ndarray:
 
 def _result(reason: np.ndarray, values: dict) -> BatchEvaluation:
     """The BatchEvaluation of per-sample reason codes and the unmasked
-    columns in `values` (a missing one is NaN)."""
+    columns in `values`. Every missing column is one shared read-only NaN
+    view, so an unsuitable pairing holds no per-sample floats."""
     ok = reason == FEASIBLE
     quoted = ok | (reason == PLUGIN_OVER_24H)
+    absent = np.broadcast_to(np.nan, len(reason))
 
     def column(name, keep=ok):
-        return np.where(keep, values.get(name, np.nan), np.nan)
+        return np.where(keep, values[name], np.nan) if name in values else absent
 
     return BatchEvaluation(
         lcodr_vf=column("lcodr_vf"), feasible=ok,

@@ -730,7 +730,11 @@ def synthetic_price(days: int = 365, seed: int = 0) -> TimeSeries:
     return TimeSeries(_START, _HOUR, values)
 
 
-def synthetic_ev_charging_profiles(n_assets: int = 200, days: int = 365,
+#: Vehicles in the bundled EV charging pool.
+BUNDLED_EV_ASSETS = 200
+
+
+def synthetic_ev_charging_profiles(n_assets: int = BUNDLED_EV_ASSETS, days: int = 365,
                                    seed: int = 0) -> Iterator[AvailabilityProfile]:
     """Per-vehicle home-charging load, one vehicle at a time: a single
     evening peak, heterogeneous in timing, width and magnitude, with
@@ -749,7 +753,7 @@ def synthetic_ev_charging_profiles(n_assets: int = 200, days: int = 365,
                                   asset_id=f"synthetic-ev-{a:03d}")
 
 
-def synthetic_ev_charging_pool(n_assets: int = 200, days: int = 365,
+def synthetic_ev_charging_pool(n_assets: int = BUNDLED_EV_ASSETS, days: int = 365,
                                seed: int = 0) -> List[AvailabilityProfile]:
     """The profiles of synthetic_ev_charging_profiles, as a list."""
     return list(synthetic_ev_charging_profiles(n_assets, days, seed))

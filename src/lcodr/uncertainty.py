@@ -243,7 +243,8 @@ class McDistribution:
 
     samples holds the value-factor-adjusted levelised cost per sample, NaN
     where that sample was infeasible; components holds the matching absolute
-    cost terms. Summary statistics are over the feasible subset only, with
+    cost terms; for an unsuitable pairing all of them are one shared NaN
+    view. Summary statistics are over the feasible subset only, with
     percentiles by linear interpolation; feasible_fraction exposes how much
     of the sample survived.
     """

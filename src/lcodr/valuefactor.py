@@ -212,8 +212,30 @@ class VfDistribution:
 
 
 def summary_statistics(samples: np.ndarray) -> Dict[str, float]:
-    """Mean, median, p5 and p95 of samples, percentiles by linear interpolation."""
-    median, p5, p95 = np.percentile(samples, [50, 5, 95]).tolist()
+    """Mean, median, p5 and p95 of a 1-D array of samples.
+
+    The percentiles are `np.percentile(samples, [50, 5, 95])` (the linear
+    method) bit for bit, by numpy's own arithmetic: the same partition on
+    the same kth set, the same two-sided lerp, and NaN wherever the
+    partitioned array ends in NaN. np.percentile itself dedupes that kth
+    set with np.unique, which imports numpy.ma, 1.2 MiB and 10 to 15 ms
+    that a command otherwise never loads.
+    """
+    n = len(samples)
+    virtual = (n - 1) * (np.array([50, 5, 95]) / 100)
+    previous = np.floor(virtual)
+    following = previous + 1
+    last = virtual >= n - 1   # take the maximum
+    previous[last] = following[last] = -1
+    previous, following = previous.astype(np.intp), following.astype(np.intp)
+    arr = np.partition(samples, sorted({0, -1, *previous.tolist(), *following.tolist()}))
+    a, b, t = arr[previous], arr[following], virtual - previous
+    diff = b - a
+    lerp = a + diff * t
+    np.subtract(b, diff * (1 - t), out=lerp, where=t >= 0.5)
+    if np.isnan(arr[-1]):   # NaN sorts last
+        lerp[:] = arr[-1]
+    median, p5, p95 = lerp.tolist()
     return dict(mean=float(samples.mean()), median=median, p5=p5, p95=p95)
 
 

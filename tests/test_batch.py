@@ -153,6 +153,33 @@ def test_unsuitable_pairing_is_infeasible_everywhere():
     assert (batch.reason == UNSUITABLE).all()
 
 
+def _float_columns(batch):
+    return {"lcodr_vf": batch.lcodr_vf, **batch.components, **batch.sizing,
+            "energy_pv": batch.energy_pv, "lcodr_energy": batch.lcodr_energy,
+            "lcodr_power": batch.lcodr_power, "value_factor": batch.value_factor}
+
+
+def test_an_unsuitable_pairing_holds_one_shared_read_only_nan_column():
+    app = next(a for a in APPS if SchemeKind.SMART_CHARGING not in a.suitable_schemes)
+    columns = batch_columns(np.array([batch_row(BASE)] * 4))
+    batch = evaluate_batch(SchemeKind.SMART_CHARGING, app, columns, BASE.assumptions)
+    for name, column in _float_columns(batch).items():
+        assert column.shape == (4,) and np.isnan(column).all(), name
+        assert not column.flags.writeable, name
+        assert np.shares_memory(column, batch.lcodr_vf), name
+
+
+def test_the_sizing_fields_of_other_schemes_share_one_nan_column():
+    columns = batch_columns(np.array([batch_row(BASE)] * 4))
+    sizing = evaluate_batch(SchemeKind.V2G, APPS[0], columns, BASE.assumptions).sizing
+    absent = [sizing[name] for name in ("power_reduction", "tank_area", "tank_volume",
+                                        "tank_mass")]
+    assert all(not column.flags.writeable and np.shares_memory(column, absent[0])
+               for column in absent)
+    assert np.isnan(absent).all()
+    assert sizing["contracted_assets"].flags.writeable
+
+
 def _value_strategy(spec):
     """Values at or near the registry bounds, with the default in the mix so
     that most drawn sets stay valid."""

@@ -529,7 +529,8 @@ def test_a_profile_that_does_not_fit_the_price_or_its_pool_names_its_file(
 @pytest.mark.parametrize("subsample,message", [
     ("2", "availability series has non-positive mean"),   # the two all-zero assets
     ("5", "need at least 5 asset profiles, got 3"),
-], ids=["all-zero-subset", "too-few-assets"])
+    ("201", "need at least 201 asset profiles, got 3"),   # more than the bundled pool
+], ids=["all-zero-subset", "too-few-assets", "more-than-the-bundled-pool"])
 def test_a_vf_subsample_that_cannot_be_drawn_names_the_pool_and_writes_nothing(
         tmp_path, capsys, subsample, message):
     pool = tmp_path / "pool.csv"
@@ -545,16 +546,22 @@ def test_a_vf_subsample_that_cannot_be_drawn_names_the_pool_and_writes_nothing(
     assert list(out.iterdir()) == []
 
 
-def test_a_vf_subsample_of_the_bundled_pool_blames_no_file(tmp_path, capsys):
+def test_a_vf_subsample_of_the_bundled_pool_blames_no_file(tmp_path, capsys, monkeypatch):
     price = tmp_path / "price.csv"
     price.write_text("timestamp,value\n" + hourly("", 2023, 24), encoding="utf-8")
     out = tmp_path / "o"
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a profile was built")
+
+    monkeypatch.setattr(data, "synthetic_ev_charging_profiles", unused)
+    monkeypatch.setattr(data, "synthetic_price", unused)
     assert main(["vf", "--price", str(price), "--subsample", "201", "--iterations", "2",
-                 "--out", str(out)]) == 3
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert errors == ["error: data: need at least 201 asset profiles, got 200"]
-    assert list(out.iterdir()) == []
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: usage: --subsample 201 exceeds the bundled EV pool's 200 assets; "
+        "give a larger pool with --ev-pool"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])

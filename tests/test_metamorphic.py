@@ -10,7 +10,11 @@ result:
 - a pool's factor is that of its summed profile;
 - the levelised cost is intensive: scaling an application's power leaves
   it unchanged;
-- the value factor divides the cost: scaling it by c divides the cost by c.
+- the value factor divides the cost: scaling it by c divides the cost by c;
+- the cost is homogeneous in money: scaling every monetary input by c
+  scales it by c;
+- the cost is monotone: a rise of a cost input never lowers it, and a rise
+  of a value factor never raises it.
 """
 
 from dataclasses import replace
@@ -163,3 +167,64 @@ def test_the_value_factor_divides_the_cost(seed, sigma, c, assumptions):
         np.testing.assert_allclose(scaled.lcodr_vf[ok] * c, base.lcodr_vf[ok], rtol=1e-12,
                                    atol=0, err_msg=f"{scheme} {app.name}")
     assert feasible > 0
+
+
+#: The monetary inputs: capex, rewards, end-of-life costs, the electricity
+#: price and the reward floor.
+MONEY = ("v2g_reward_base", "v2g_reward_per_hour", "smart_reward_base", "smart_reward_per_hour",
+         "hp_reward_monthly", "tank_area_reward_monthly", "electricity_price",
+         "v2g_charger_capex", "smart_charger_capex", "thermostat_capex", "tank_capex_per_m3",
+         "v2g_eol_per_charger", "tank_eol_per_m2", "reward_floor")
+
+#: Inputs that only add to a cost: capex, base and flat rewards, end-of-life
+#: costs, O&M, the electricity price, the discount rate and the reward floor.
+COST_INPUTS = ("v2g_charger_capex", "smart_charger_capex", "thermostat_capex",
+               "tank_capex_per_m3", "v2g_reward_base", "smart_reward_base",
+               "hp_reward_monthly", "tank_area_reward_monthly", "v2g_eol_per_charger",
+               "tank_eol_per_m2", "om_fraction", "electricity_price", "discount_rate",
+               "reward_floor")
+
+
+def scaled(matrix: np.ndarray, keys, c: float) -> np.ndarray:
+    """`matrix` with the columns of `keys` multiplied by c."""
+    out = matrix.copy()
+    out[:, [BATCH_COLUMNS.index(key) for key in keys]] *= c
+    return out
+
+
+def evaluations(matrix: np.ndarray, assumptions):
+    columns = batch_columns(matrix)
+    return [evaluate_batch(scheme, app, columns, assumptions) for scheme, app in pairings()]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.5), ASSUMPTIONS)
+def test_the_cost_is_homogeneous_in_money(seed, sigma, assumptions):
+    matrix = valid_matrix(seed, sigma)
+    base = evaluations(matrix, assumptions)
+    assert sum(b.feasible.sum() for b in base) > 0
+    # times 2 is exact; times 3.7 rounds each scaled input and every step
+    # after it (8 ulps at most over 61,440 perturbed rows)
+    for c, rtol in ((2.0, 0.0), (3.7, 4e-15)):
+        for (scheme, app), b, s in zip(pairings(), base,
+                                       evaluations(scaled(matrix, MONEY, c), assumptions)):
+            assert np.array_equal(s.feasible, b.feasible), (scheme, app.name, c)
+            ok = b.feasible
+            np.testing.assert_allclose(s.lcodr_vf[ok], c * b.lcodr_vf[ok], rtol=rtol, atol=0,
+                                       err_msg=f"{scheme} {app.name} x{c}")
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.5), ASSUMPTIONS)
+def test_a_cost_input_never_lowers_and_a_value_factor_never_raises_the_cost(
+        seed, sigma, assumptions):
+    matrix = valid_matrix(seed, sigma)
+    base = evaluations(matrix, assumptions)
+    for key, sign in [(key, 1) for key in COST_INPUTS] + [(key, -1) for key in VALUE_FACTOR_KEYS]:
+        for (scheme, app), b, r in zip(pairings(), base,
+                                       evaluations(scaled(matrix, [key], 1.05), assumptions)):
+            assert np.array_equal(r.feasible, b.feasible), (scheme, app.name, key)
+            ok = b.feasible
+            assert (sign * (r.lcodr_vf[ok] - b.lcodr_vf[ok]) >= 0).all(), (scheme, app.name, key)

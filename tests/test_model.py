@@ -389,6 +389,22 @@ def test_startup_leaves_pyyaml_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("command", [["mc", "--samples", "20"],
+                                     ["vf", "--subsample", "5", "--iterations", "20"]],
+                         ids=["mc", "vf-subsample"])
+def test_mc_and_vf_leave_numpy_ma_unimported(tmp_path, command):
+    """np.percentile imports numpy.ma (by np.unique); the summary statistics
+    do without it."""
+    script = ("import sys, lcodr.cli\n"
+              "assert lcodr.cli.main(sys.argv[1:]) == 0\n"
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *command, "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 #: The environment variables that OpenBLAS reads its thread count from.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -2,6 +2,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lcodr import valuefactor
 from lcodr.model import TimeSeries, philox_generator
@@ -15,6 +17,7 @@ from lcodr.valuefactor import (
     ZeroPriceSum,
     align_series,
     subsample_masks,
+    summary_statistics,
     v2g_value_factors,
     value_factor,
     vf_subsample_mc,
@@ -236,3 +239,35 @@ def test_subsample_mc_raises_value_factor_errors():
     s = next(s for s in range(100) if subsample_masks(s, 3, 1, 0, 1)[0, 1])
     with pytest.raises(ZeroAvailabilityMean):
         vf_subsample_mc(pool, zero_sum, subset_size=1, iterations=5, seed=s)
+
+
+#: Values that the samples take in ties: mixed signed zeros (which np.sort
+#: would order unlike np.percentile's partition), negatives, integers.
+TIED = st.just([0.0, -0.0]) | st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 3.0]) | st.floats(-1e6, 1e6),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 3000), TIED,
+       st.sampled_from([0.0, 0.5, 0.95, 1.0]), st.floats(1e-3, 1e3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(1, [-0.0], 1.0, 1.0, False, 0)
+@example(2, [0.0, -0.0], 1.0, 1.0, False, 1)
+@example(3, [1.0], 0.0, 1.0, True, 2)
+def test_summary_statistics_are_numpys_percentiles_bit_for_bit(n, tied, tie_share, scale,
+                                                               nan, seed):
+    """Normal samples of which a share is replaced by a few tied values
+    (all-equal samples at share 1 with one value), and at most one NaN.
+    Infinities are left out: the kernel never passes one, and inf - inf
+    warns in np.percentile too."""
+    rng = np.random.default_rng(seed)
+    samples = scale * rng.standard_normal(n)
+    pick = rng.random(n) < tie_share
+    samples[pick] = rng.choice(np.array(tied), pick.sum())
+    if nan:
+        samples[rng.integers(n)] = np.nan
+    stats = summary_statistics(samples)
+    got = np.array([stats["median"], stats["p5"], stats["p95"]])
+    assert got.tobytes() == np.percentile(samples, [50, 5, 95]).tobytes()   # -0.0 too
+    assert np.array(stats["mean"]).tobytes() == np.array(samples.mean()).tobytes()
