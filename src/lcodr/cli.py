@@ -7,6 +7,10 @@ Three subcommands:
   lcodr mc    Monte-Carlo uncertainty propagation and cheapest-technology
               probabilities against the storage-cost reference table
 
+Each command takes only the flags it reads: --config, --applications,
+--schemes, --compute-vf and the assumption toggles only `run` and `mc`,
+which cost pairings; --seed only `vf` and `mc`, which draw random numbers.
+
 All outputs are CSV files plus a manifest.json in the output directory.
 Output is byte-deterministic: fixed row order (scheme, then application,
 then sample), shortest-roundtrip float rendering, and a run id derived from
@@ -143,21 +147,24 @@ def _run_id(args, **key) -> str:
 
 def _write_manifest(out: Path, run_id: str, args, params, data_hashes: dict,
                     extra: Optional[dict] = None) -> None:
-    assumptions = params.assumptions
+    """manifest.json; `assumption_flags` only with params, which `vf` passes as None."""
     manifest = {
         "tool_version": __version__,
         "run_id": run_id,
-        "seed": getattr(args, "seed", None),
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "data_files": data_hashes,
-        "assumption_flags": {
+    }
+    if "seed" in args:
+        manifest["seed"] = args.seed
+    if params is not None:
+        assumptions = params.assumptions
+        manifest["assumption_flags"] = {
             **asdict(assumptions),
             "reward_base_hours_differs_from_base_plugin_time": (
                 assumptions.reward_base_hours is not None
                 and assumptions.reward_base_hours != params.ev.base_plugin_time),
             "discount_rate": params.econ.discount_rate,
-        },
-    }
+        }
     if extra:
         manifest.update(extra)
     try:
@@ -171,17 +178,13 @@ def _write_manifest(out: Path, run_id: str, args, params, data_hashes: dict,
 # Shared loading
 # ---------------------------------------------------------------------------
 
-def _apply_assumption_flags(params, args):
-    """Override the configured assumptions with the flags that were given."""
+def _load(args):
+    """The cost model (parameters, applications, schemes) that the flags ask for."""
+    params, apps = load_config(args.config)
     given = {f.name: getattr(args, f.name) for f in fields(Assumptions)
              if getattr(args, f.name) is not None}
-    return replace(params, assumptions=replace(params.assumptions, **given))
-
-
-def _load(args):
-    params, apps = load_config(args.config)
-    params = _apply_assumption_flags(params, args)
-    if getattr(args, "applications", None):
+    params = replace(params, assumptions=replace(params.assumptions, **given))
+    if args.applications:
         wanted = [name.strip() for name in args.applications.split(";")]
         known = {app.name for app in apps}
         for name in wanted:
@@ -189,7 +192,7 @@ def _load(args):
                 raise ValidationError(f"unknown application {name!r}", "applications")
         apps = [app for app in apps if app.name in wanted]
     schemes = list(SchemeKind)
-    if getattr(args, "schemes", None):
+    if args.schemes:
         # a repeated scheme is kept once, at its first position
         schemes = list(dict.fromkeys(SchemeKind.from_name(s.strip())
                                      for s in args.schemes.split(",")))
@@ -320,7 +323,6 @@ def cmd_vf(args) -> int:
     if not args.ev_pool and (args.subsample or 0) > BUNDLED_EV_ASSETS:
         raise UsageError(f"--subsample {args.subsample} exceeds the bundled EV pool's "
                          f"{BUNDLED_EV_ASSETS} assets; give a larger pool with --ev-pool")
-    params, _, _ = _load(args)
     out = _out_dir(args)
     profiles, hashes = _load_profile_data(args)
     if args.subsample:   # subsets are drawn from the whole pool
@@ -340,16 +342,13 @@ def cmd_vf(args) -> int:
     written = [out / "value_factors.csv"]
 
     if dist is not None:
-        sample_rows = [[i, float(v)] for i, v in enumerate(dist.samples)]
-        _write_csv(out / "vf_distribution.csv",
-                   ["iteration", "value_factor"], sample_rows, run_id)
-        summary = [["mean", dist.mean], ["median", dist.median],
-                   ["p5", dist.p5], ["p95", dist.p95]]
-        _write_csv(out / "vf_distribution_summary.csv",
-                   ["statistic", "value_factor"], summary, run_id)
+        _write_csv(out / "vf_distribution.csv", ["iteration", "value_factor"],
+                   enumerate(dist.samples.tolist()), run_id)
+        _write_csv(out / "vf_distribution_summary.csv", ["statistic", "value_factor"],
+                   [(k, getattr(dist, k)) for k in ("mean", "median", "p5", "p95")], run_id)
         written += [out / "vf_distribution.csv", out / "vf_distribution_summary.csv"]
 
-    _write_manifest(out, run_id, args, params, hashes, extra=scheme)
+    _write_manifest(out, run_id, args, params=None, data_hashes=hashes, extra=scheme)
     print(f"wrote {', '.join(str(p) for p in written)}")
     return EXIT_OK
 
@@ -461,10 +460,9 @@ def _int_at_least(minimum: int):
     return integer
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_cost_model_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the cost model and its value factors, for `run` and `mc`."""
     p.add_argument("--config", default=None, help="YAML config merged over defaults")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--applications", default=None,
                    help="semicolon-separated application names to keep")
     p.add_argument("--schemes", default=None,
@@ -483,9 +481,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reward-base-hours", type=float, default=None,
                    help="plug-in hours at which the base reward applies "
                         "(default: the base plug-in time)")
+    p.add_argument("--compute-vf", action="store_true",
+                   help="compute value factors from profile data instead "
+                        "of using the configured table")
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """--out and the data flags, which every command takes."""
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--price", default=None, help="price CSV (timestamp,value)")
     p.add_argument("--ev-pool", default=None,
                    help="EV charging pool CSV (asset_id,timestamp,value)")
@@ -505,15 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="deterministic evaluation")
     _add_common(p_run)
-    _add_data_flags(p_run)
-    p_run.add_argument("--compute-vf", action="store_true",
-                       help="compute value factors from profile data instead "
-                            "of using the configured table")
+    _add_cost_model_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_vf = sub.add_parser("vf", help="value factors from time series")
     _add_common(p_vf)
-    _add_data_flags(p_vf)
+    p_vf.add_argument("--seed", type=_int_at_least(0), default=0)
     p_vf.add_argument("--subsample", type=_int_at_least(1), default=None,
                       help="asset subset size for the sensitivity distribution")
     p_vf.add_argument("--iterations", type=_int_at_least(1), default=1000)
@@ -521,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo uncertainty propagation")
     _add_common(p_mc)
-    _add_data_flags(p_mc)
-    p_mc.add_argument("--compute-vf", action="store_true")
+    _add_cost_model_flags(p_mc)
+    p_mc.add_argument("--seed", type=_int_at_least(0), default=McConfig.seed)
     p_mc.add_argument("--samples", type=_int_at_least(1), default=McConfig.samples)
     p_mc.add_argument("--sigma", type=float, default=McConfig.sigma_inputs)
     p_mc.add_argument("--sigma-vf", type=float, default=McConfig.sigma_vf)
@@ -548,15 +548,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, ValueFactorError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ParseError, ValidationError, SchemaVersionError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueFactorError as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except LcodrError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

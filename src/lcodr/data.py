@@ -73,7 +73,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .model import CSV_UNSAFE, LcodrError, SchemeKind, TimeSeries
-from .valuefactor import AvailabilityProfile, ValueFactorError, profile_factor
+from .valuefactor import AvailabilityProfile, ValueFactorError, check_pool_grid, profile_factor
 
 
 class DataError(LcodrError):
@@ -175,15 +175,16 @@ def _parse_codes(column: List[str], name: str, path: str, row: int):
     return np.fromiter(map(codes.__getitem__, column), np.intp, len(column)), list(codes)
 
 
-def _blocks(fh, split: int = 0, encoding: str = "utf-8-sig"):
+def _blocks(fh, split: int = 0):
     """(bytes, text) of each block of the binary file fh from where it stands:
     about _BLOCK_BYTES, cut after the last LF or CR (a longer line is read
     whole). A cut between the CR and LF of a CRLF is exact, since a block
     with a CR goes to csv.reader. A read that would cross file byte `split`
     ends there, so a block ends there too when the byte before it is a LF.
-    The first block is decoded as `encoding`; utf-8-sig drops a leading
+    A read from byte 0 decodes its first block as utf-8-sig, dropping a
     byte-order mark from the text (not from the file's digest)."""
     pieces, at = [], fh.tell()
+    encoding = "utf-8" if at else "utf-8-sig"
     while raw := fh.read(split - at if at < split < at + _BLOCK_BYTES else _BLOCK_BYTES):
         at += len(raw)
         cut = max(raw.rfind(b"\n"), raw.rfind(b"\r")) + 1
@@ -338,7 +339,7 @@ def _parse_half(fh, start: int, columns, index: List[int], path: str, out: int) 
             open(out, "wb", closefd=False) as sink:
         own.seek(start)
         try:
-            for raw, text in _blocks(own, encoding="utf-8"):
+            for raw, text in _blocks(own):
                 table = _split(raw, text)
                 if table is None:
                     return
@@ -455,7 +456,7 @@ def _column_blocks(path: str, columns, digest=None):
                     yield rows + 2, parsed
                     rows += count
                     fh.seek(size, os.SEEK_CUR)
-                tables = _tables(_blocks(fh, encoding="utf-8"))
+                tables = _tables(_blocks(fh))
             if half is not None:   # reaped, or killed as the parent left the _split path
                 half.close()
             for table, n in tables:
@@ -732,6 +733,8 @@ def synthetic_price(days: int = 365, seed: int = 0) -> TimeSeries:
 
 #: Vehicles in the bundled EV charging pool.
 BUNDLED_EV_ASSETS = 200
+#: Dwellings in the bundled heat-pump pool.
+BUNDLED_HP_ASSETS = 60
 
 
 def synthetic_ev_charging_profiles(n_assets: int = BUNDLED_EV_ASSETS, days: int = 365,
@@ -759,7 +762,7 @@ def synthetic_ev_charging_pool(n_assets: int = BUNDLED_EV_ASSETS, days: int = 36
     return list(synthetic_ev_charging_profiles(n_assets, days, seed))
 
 
-def synthetic_heating_profiles(n_assets: int = 60, days: int = 365,
+def synthetic_heating_profiles(n_assets: int = BUNDLED_HP_ASSETS, days: int = 365,
                                seed: int = 0) -> Iterator[AvailabilityProfile]:
     """Per-dwelling heat-pump electricity demand, one dwelling at a time:
     morning and evening peaks over a continuous base, amplified in winter."""
@@ -781,7 +784,7 @@ def synthetic_heating_profiles(n_assets: int = 60, days: int = 365,
                                   asset_id=f"synthetic-hp-{a:03d}")
 
 
-def synthetic_heating_pool(n_assets: int = 60, days: int = 365,
+def synthetic_heating_pool(n_assets: int = BUNDLED_HP_ASSETS, days: int = 365,
                            seed: int = 0) -> List[AvailabilityProfile]:
     """The profiles of synthetic_heating_profiles, as a list."""
     return list(synthetic_heating_profiles(n_assets, days, seed))
@@ -866,17 +869,14 @@ def default_bundle(seed: int = BUNDLE_SEED, days: int = 365) -> DataBundle:
 
 def _pool_total(pool: Iterable[AvailabilityProfile]) -> AvailabilityProfile:
     """Sum of the pool's profiles, added in order; every asset must share the
-    first's grid. Only the first profile and the running total are kept, so a
-    pool given as an iterator is never held whole."""
+    first's grid (check_pool_grid). Only the first profile and the running
+    total are kept, so a pool given as an iterator is never held whole."""
     profiles = iter(pool)
     first = next(profiles).series
     total = first.values.copy()
     for prof in profiles:
-        s = prof.series
-        if (s.start, s.interval_seconds, len(s)) != (first.start, first.interval_seconds,
-                                                     len(first)):
-            raise ValueFactorError(f"asset {prof.asset_id!r} is not on the first asset's grid")
-        total += s.values
+        check_pool_grid(first, prof)
+        total += prof.series.values
     return AvailabilityProfile(first.with_values(total), asset_id="pool-total")
 
 

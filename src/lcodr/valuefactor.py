@@ -177,6 +177,13 @@ def value_factor(price: TimeSeries, availability: TimeSeries) -> float:
     return float((p * a).sum() / (mean_avail * price_sum))
 
 
+def check_pool_grid(first: TimeSeries, profile: AvailabilityProfile) -> None:
+    """Refuse a pool asset not on `first`'s grid (start, interval, length)."""
+    s = profile.series
+    if (s.start, s.interval_seconds, len(s)) != (first.start, first.interval_seconds, len(first)):
+        raise ValueFactorError(f"asset {profile.asset_id!r} is not on the first asset's grid")
+
+
 def profile_factor(price: TimeSeries, profile: AvailabilityProfile) -> float:
     """The value factor of a profile's band against the price, on their common
     grid (align, then value_factor)."""
@@ -260,8 +267,7 @@ def subsample_masks(seed: int, n_assets: int, subset_size: int, start: int,
 
 
 def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
-                    subset_size: int = 50, iterations: int = 1000,
-                    seed: int = 0) -> VfDistribution:
+                    subset_size: int, iterations: int, seed: int) -> VfDistribution:
     """Sensitivity of the value factor to which assets happen to be in the
     pool: repeatedly draw `subset_size` assets without replacement
     (`subsample_masks`) and take the value factor of their summed profiles.
@@ -270,10 +276,10 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
     a_j) and m_j = sum(a_j) per asset j over n points, a subset S has the
     factor sum_S(w) / ((sum_S(m) / n) * sum(p)). So each asset is reduced
     to w_j and m_j as it is aligned, and no pool of aligned profiles is
-    held; each iteration sums `subset_size` scalars, in asset order.
-    Selections are drawn SUBSAMPLE_BLOCK iterations at a time. Only when a
-    subset's factor is undefined is its summed profile built, for
-    value_factor's own error.
+    held; each iteration sums `subset_size` scalars, in asset order. The
+    assets must share the first's grid (check_pool_grid). Selections are
+    drawn SUBSAMPLE_BLOCK iterations at a time. Only when a subset's factor
+    is undefined is its summed profile built, for value_factor's own error.
     """
     if subset_size < 1:
         raise ValueFactorError(f"subset size must be >= 1, got {subset_size}")
@@ -281,12 +287,9 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
         raise TooFewAssets(
             f"need at least {subset_size} asset profiles, got {len(profiles)}")
     weighted, totals = np.empty(len(profiles)), np.empty(len(profiles))
-    price0 = None
     for j, prof in enumerate(profiles):
-        price_j, band, _ = align(price, prof)
-        price0 = price_j if price0 is None else price0
-        if len(price_j) != len(price0) or price_j.start != price0.start:
-            raise ValueFactorError("asset profiles must share one grid")
+        check_pool_grid(profiles[0].series, prof)
+        price0, band, _ = align(price, prof)
         weighted[j] = (band.values * price0.values).sum()
         totals[j] = band.values.sum()
     price_sum = price0.values.sum()

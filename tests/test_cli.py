@@ -1,8 +1,10 @@
+import argparse
 import csv
 import hashlib
 import importlib.resources
 import inspect
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -138,6 +140,80 @@ def test_a_data_flag_without_compute_vf_is_usage_error(tmp_path, capsys, argv, f
               if line.startswith("error:")]
     assert errors == [f"error: usage: {flag} is read only with --compute-vf"]
     assert not out.exists()
+
+
+DATA_FLAGS = {"--out", "--price", "--ev-pool", "--hp-pool", "--v2g-power", "--v2g-boundaries"}
+COST_MODEL_FLAGS = {"--config", "--applications", "--schemes", "--no-rpt-floor",
+                    "--simple-rebound", "--cycle-direction", "--reward-base-hours"}
+
+
+def command_flags():
+    """{command: the option strings of its cli.build_parser() subparser}."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: {flag for action in p._actions for flag in action.option_strings}
+                   - {"-h", "--help"} for name, p in sub.choices.items()}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    assert command_flags() == {
+        "run": DATA_FLAGS | COST_MODEL_FLAGS | {"--compute-vf"},
+        "vf": DATA_FLAGS | {"--seed", "--subsample", "--iterations"},
+        "mc": DATA_FLAGS | COST_MODEL_FLAGS | {
+            "--seed", "--compute-vf", "--samples", "--sigma", "--sigma-vf", "--lcos",
+            "--lcos-sampling", "--emit-samples", "--workers"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["vf", "--config", "my.yaml"], ["vf", "--applications", "Energy arbitrage"],
+    ["vf", "--schemes", "v2g"], ["vf", "--no-rpt-floor"], ["vf", "--simple-rebound"],
+    ["vf", "--cycle-direction", "as_printed"], ["vf", "--reward-base-hours", "3"],
+    ["run", "--seed", "1"]], ids=lambda argv: " ".join(argv[:2]))
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: usage: unrecognized arguments: {' '.join(argv[1:])}"]
+    assert not out.exists()
+
+
+def test_the_manifest_records_a_seed_and_assumption_flags_where_the_command_has_them(
+        tmp_path):
+    keys = {}
+    for command in (["run"], ["vf"], ["mc", "--samples", "2"]):
+        assert main(command + ["--out", str(tmp_path / command[0])]) == 0
+        manifest = json.loads((tmp_path / command[0] / "manifest.json").read_text())
+        keys[command[0]] = {"seed", "assumption_flags"} & set(manifest)
+    assert keys == {"run": {"assumption_flags"}, "vf": {"seed"},
+                    "mc": {"seed", "assumption_flags"}}
+
+
+def readme_synopsis():
+    """{command: the flags that the README's usage synopsis gives it}: the
+    `lcodr <command>` lines of the sh block under "## CLI" and the indented
+    lines that continue each."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    flags, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("lcodr "):
+            command = line.split()[1]
+        elif not line.startswith(" "):
+            command = None   # a comment or a blank line ends a command
+        if command is not None:
+            flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z0-9-]*", line))
+    return flags
+
+
+def test_every_flag_of_the_readme_synopsis_exists_on_its_command():
+    synopsis = readme_synopsis()
+    assert set(synopsis) == {"run", "vf", "mc"}
+    assert "--subsample" in synopsis["vf"] and "--compute-vf" in synopsis["run"]
+    flags = command_flags()
+    assert {command: given - flags[command] for command, given in synopsis.items()} == \
+        {command: set() for command in synopsis}
 
 
 _APP = ("applications: [{name: X, power_capacity_mw: %s, discharge_duration_h: 1,"

@@ -61,6 +61,9 @@ FAULTS = {
     "cr": lambda line, prev: line[:-1] + "\r",
     "nul": lambda line, prev: ",".join(fields(line)[:2] + ["1.2\0" + "0"]),
     "negative": lambda line, prev: ",".join(fields(line)[:2] + ["-1.25"]),
+    # a byte-order mark opens the child's read at "at": data there, as
+    # anywhere after the file's first byte
+    "bom": lambda line, prev: "\ufeff" + line[:-3],
     "grid step": lambda line, prev: ",".join(fields(line)[:1] + fields(prev)[1:2]
                                              + fields(line)[2:]),
 }
@@ -165,6 +168,8 @@ def test_a_split_load_gives_the_serial_result(tmp_path, monkeypatch, forks, faul
     if fault in ("negative", "grid step"):
         assert want[:2] == ((DataError if fault == "negative" else data.NonMonotonicTimestamps),
                             at + 2)
+    elif fault == "bom":   # a new asset, so its own asset skips an hour in the next row
+        assert want[:2] == (data.IrregularSpacing, at + 3)
     elif fault not in (None, "quote", "cr"):
         assert want[1] == at + 2
 

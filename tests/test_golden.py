@@ -21,13 +21,13 @@ GOLDEN = {
         "lcodr_deterministic.csv":
             "10027835b27b50b53ccce93dfd78418cc678ea93417c9cd1d5fadcfcdea10d1c",
         "manifest.json":
-            "f416bba9c7679334e7bede97f72653895a4b0ac3eb7a69008254657ea1a08a27",
+            "a152b054ec5d5257aeca5f9b9d4bd7b39bcb54ba425d5da9b5d74047f2c99932",
     }),
     "run_compute_vf": (["run", "--compute-vf"], {
         "lcodr_deterministic.csv":
             "f3b775555c3bb8af6823a8d33b718732a0e6934670cd542c07d287c9daa77417",
         "manifest.json":
-            "a2e6d95d36f53acf8ec22bd363a23dd479f622afbf414d78496c4ed0a132124f",
+            "b410ce5bd15566bb8d7597a2262373c5b54ef0407b7d9a6314ebfb8d74ad03f6",
     }),
     "run_every_assumption_flipped": (["run", "--no-rpt-floor", "--simple-rebound",
                                       "--cycle-direction", "as_printed",
@@ -35,19 +35,19 @@ GOLDEN = {
         "lcodr_deterministic.csv":
             "579b25d08f6fb8ef7145266eded2511e8b5db145beefd4c6aa989aebecfc5aef",
         "manifest.json":
-            "2c2700965841b1d5e62fb5c92baf529e4cc16bc303aa52834b2bc109b465fcd2",
+            "0bb71c884966fe83592327738e4a13e81f301d992c109c09de8c5c0ddf67877c",
     }),
     "run_compute_vf_as_printed": (["run", "--compute-vf", "--cycle-direction", "as_printed"], {
         "lcodr_deterministic.csv":
             "253e248d307d1f0297cbe80cfe3f1e9d9ba205e80f0371dbc7471d68354e4780",
         "manifest.json":
-            "7a06a18b5767168e40eebfd62c028a759ad664b5e8a3b9df5efc2a607b524794",
+            "558d0613d3b03e74621762f99db59673044bac9ec2f368381fa15ac5751771aa",
     }),
     "vf":(["vf"], {
         "value_factors.csv":
             "a3a55c7c55c6701b84f14824ef54cb53bba453e76dc291d7f2bc3535019cf26c",
         "manifest.json":
-            "ba2a15896e7f8e998599768f2d9f2c53944e947f7ec021984d6f886b900d6d87",
+            "adf893a125a47c66db08adae81fc71201ba7e780cf18ecbe8cb122e66bdec363",
     }),
     "vf_subsample": (["vf", "--subsample", "50", "--iterations", "300", "--seed", "11"], {
         "value_factors.csv":
@@ -57,7 +57,7 @@ GOLDEN = {
         "vf_distribution_summary.csv":
             "ea619d748f6c34ce0fdc7c622c48868e0554e9b39fe021c35a2be13638833c69",
         "manifest.json":
-            "36dcde021806e7c9bd282fd38cc85dc9249e92245aea57e6bc2cb6031ead45d7",
+            "62c3d3de2d8324c92d3f30e8c56d4b09e8f1795eac0e8151c3df057e9d0ce684",
     }),
     "mc_same_scheme": (["mc", "--samples", "40", "--compute-vf", "--lcos-sampling",
                         "same_scheme", "--emit-samples", "--seed", "5"], {
@@ -141,5 +141,5 @@ def test_vf_on_files_is_byte_identical_to_golden(tmp_path):
         "vf_distribution_summary.csv":
             "4fb2e5f472374bcc811ba786f6ef90b00cc941b614fb1557f95fd76338a95325",
         "manifest.json":
-            "5fe3051d222dc1e1ef45307e19677078ee9552e05d63e6ae205e602641062037",
+            "d3221033bf2b2873edc25a59932a5573e4ea996eb57561d98b7faa1e2368b612",
     }

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcodr import valuefactor
+from lcodr import data, valuefactor
 from lcodr.model import TimeSeries, philox_generator
 from lcodr.valuefactor import (
     AvailabilityProfile,
@@ -143,9 +143,11 @@ def test_subsample_mc_deterministic():
 def test_subsample_mc_needs_enough_assets():
     pool = _pool(4)
     with pytest.raises(TooFewAssets):
-        vf_subsample_mc(pool, series(np.linspace(10, 90, 48)), subset_size=5)
+        vf_subsample_mc(pool, series(np.linspace(10, 90, 48)), subset_size=5, iterations=1,
+                        seed=0)
     with pytest.raises(ValueFactorError, match="subset size"):
-        vf_subsample_mc(pool, series(np.linspace(10, 90, 48)), subset_size=0)
+        vf_subsample_mc(pool, series(np.linspace(10, 90, 48)), subset_size=0, iterations=1,
+                        seed=0)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 13])
@@ -230,15 +232,30 @@ def test_subsample_mc_raises_value_factor_errors():
     pool = _pool(3)
     pool[1] = AvailabilityProfile(series(np.zeros(48)))
     with pytest.raises(ZeroAvailabilityMean, match="non-positive mean"):
-        vf_subsample_mc(pool, price, subset_size=1, iterations=200)
+        vf_subsample_mc(pool, price, subset_size=1, iterations=200, seed=0)
     zero_sum = series(np.tile([-1.0, 1.0], 24))
     with pytest.raises(ZeroPriceSum, match="sums to zero"):
-        vf_subsample_mc(_pool(3), zero_sum, subset_size=2, iterations=5)
+        vf_subsample_mc(_pool(3), zero_sum, subset_size=2, iterations=5, seed=0)
     # iteration 0 of seed s selects the zero asset: value_factor checks the
     # availability mean before the price sum
     s = next(s for s in range(100) if subsample_masks(s, 3, 1, 0, 1)[0, 1])
     with pytest.raises(ZeroAvailabilityMean):
         vf_subsample_mc(pool, zero_sum, subset_size=1, iterations=5, seed=s)
+
+
+@pytest.mark.parametrize("grids", [((START, 36), (START, 48)),
+                                   ((START, 48), (START + timedelta(hours=1), 47))],
+                         ids=["length", "start"])
+def test_both_value_factor_paths_refuse_a_pool_off_the_first_assets_grid(grids):
+    # each asset covers the 24-hour price, so both align to the same grid
+    price = series(np.linspace(10, 90, 24), start=START + timedelta(hours=2))
+    pool = [AvailabilityProfile(series(np.ones(n), start=start), asset_id=f"a{i}")
+            for i, (start, n) in enumerate(grids)]
+    message = "asset 'a1' is not on the first asset's grid"
+    with pytest.raises(ValueFactorError, match=message):
+        data._pool_total(pool)
+    with pytest.raises(ValueFactorError, match=message):
+        vf_subsample_mc(pool, price, subset_size=1, iterations=5, seed=0)
 
 
 #: Values that the samples take in ties: mixed signed zeros (which np.sort
