@@ -277,22 +277,20 @@ def _out_dir(args) -> Path:
 # run
 # ---------------------------------------------------------------------------
 
-_RUN_HEADER = [
-    "scheme", "application", "status", "reason", "binding_constraint",
-    "contracted_assets", "contracted_assets_ceiled", "available_assets",
-    "required_plugin_time_h", "power_reduction_kw", "tank_area_m2",
-    "tank_volume_m3", "investment_usd", "om_pv_usd", "rewards_pv_usd",
-    "rebound_pv_usd", "eol_pv_usd", "energy_pv_mwh",
-    "lcodr_energy_usd_per_mwh", "lcodr_power_usd_per_kw_year",
-    "value_factor", "lcodr_vf_usd_per_mwh",
-]
-
-#: The `costing.sample_values` key of each _RUN_HEADER column from status on.
-_RUN_KEYS = (
-    "status", "reason", "binding_constraint", "contracted_assets", "contracted_assets_ceiled",
-    "available_assets", "required_plugin_time", "power_reduction", "tank_area", "tank_volume",
-    "investment", "om_pv", "rewards_pv", "rebound_pv", "eol_pv", "energy_pv", "lcodr_energy",
-    "lcodr_power", "value_factor", "lcodr_vf")
+#: lcodr_deterministic.csv's columns after scheme and application: the
+#: header of each `costing.sample_values` key.
+_RUN_COLUMNS = {
+    "status": "status", "reason": "reason", "binding_constraint": "binding_constraint",
+    "contracted_assets": "contracted_assets",
+    "contracted_assets_ceiled": "contracted_assets_ceiled",
+    "available_assets": "available_assets", "required_plugin_time": "required_plugin_time_h",
+    "power_reduction": "power_reduction_kw", "tank_area": "tank_area_m2",
+    "tank_volume": "tank_volume_m3", "investment": "investment_usd", "om_pv": "om_pv_usd",
+    "rewards_pv": "rewards_pv_usd", "rebound_pv": "rebound_pv_usd", "eol_pv": "eol_pv_usd",
+    "energy_pv": "energy_pv_mwh", "lcodr_energy": "lcodr_energy_usd_per_mwh",
+    "lcodr_power": "lcodr_power_usd_per_kw_year", "value_factor": "value_factor",
+    "lcodr_vf": "lcodr_vf_usd_per_mwh",
+}
 
 
 def cmd_run(args) -> int:
@@ -308,8 +306,9 @@ def cmd_run(args) -> int:
         for app in apps:
             values = sample_values(scheme, app, evaluate_batch(scheme, app, columns,
                                                                params.assumptions))
-            rows.append([scheme, app.name, *(values[key] for key in _RUN_KEYS)])
-    _write_csv(out / "lcodr_deterministic.csv", _RUN_HEADER, rows, run_id)
+            rows.append([scheme, app.name, *(values[key] for key in _RUN_COLUMNS)])
+    _write_csv(out / "lcodr_deterministic.csv", ["scheme", "application", *_RUN_COLUMNS.values()],
+               rows, run_id)
     _write_manifest(out, run_id, args, params, data_hashes)
     print(f"wrote {out / 'lcodr_deterministic.csv'} ({len(rows)} rows)")
     return EXIT_OK
@@ -369,19 +368,17 @@ def cmd_mc(args) -> int:
                    sigma_vf=args.sigma_vf, seed=args.seed,
                    lcos_sampling=LcosSampling(args.lcos_sampling))
     dists = run_monte_carlo(schemes, apps, params, cfg)
+    # one row of distributions per scheme, one column per application
+    table = [dists[s * len(apps):(s + 1) * len(apps)] for s in range(len(schemes))]
 
     # before anything is written: the same_scheme LCOS draws can still fail
     prob_rows = []
     skipped = []
-    by_app = {}
-    for d in dists:
-        by_app.setdefault(d.application, []).append(d)
-    for app in apps:
-        ds = by_app[app.name]
+    for app, column in zip(apps, zip(*table)):
         entries = [(e.technology, e.lcos_usd_per_mwh)
                    for e in lcos if e.application == app.name]
         try:
-            probs = cheapest_probability(ds, cfg, entries)
+            probs = cheapest_probability(column, cfg, entries)
         except UncertaintyError as exc:
             print(f"warning: {app.name!r} left out of cheapest_probability.csv: {exc}",
                   file=sys.stderr)
@@ -407,22 +404,18 @@ def cmd_mc(args) -> int:
                prob_rows, run_id)
 
     comp_rows = []
-    for scheme in schemes:
+    for scheme, row in zip(schemes, table):
+        # per application with a feasible sample, each component's mean share
         per_app = []
-        for d in dists:
-            if d.technology != scheme.value or d.feasible_fraction == 0:
-                continue
-            f = d.feasible
-            total = sum(d.components[c][f] for c in COST_COMPONENTS)
-            per_app.append([float((d.components[c][f] / total).mean())
-                            for c in COST_COMPONENTS])
-        if not per_app:
-            continue
-        n = len(per_app)
-        shares = [left_to_right_sum(v[c] for v in per_app) / n
-                  for c in range(len(COST_COMPONENTS))]
-        for c, name in enumerate(COST_COMPONENTS):
-            comp_rows.append([scheme.value, name, shares[c]])
+        for d in row:
+            if d.feasible_fraction:
+                f = d.feasible
+                total = sum(d.components[c][f] for c in COST_COMPONENTS)
+                per_app.append([float((d.components[c][f] / total).mean())
+                                for c in COST_COMPONENTS])
+        if per_app:
+            comp_rows += [[scheme.value, name, left_to_right_sum(v[c] for v in per_app)
+                           / len(per_app)] for c, name in enumerate(COST_COMPONENTS)]
     _write_csv(out / "cost_composition.csv",
                ["technology", "component", "share"], comp_rows, run_id)
 

@@ -2,17 +2,20 @@
 
 `evaluate_batch` is the one place that sizes and costs a (scheme,
 application) pairing. It works on a samples x parameters matrix with numpy
-over the sample axis. Per sample it sizes the fleet, builds the
-aggregator's annual cash flows (investment, O&M, consumer rewards, rebound
-energy purchases, end-of-life), discounts them, levelises them per shifted
-MWh and per kW-year, and divides by the scheme's availability-profile value
-factor. A sample that cannot be evaluated carries a code into REASONS.
+over the sample axis; a sample is a row laid out as `model.SAMPLE_ROW`,
+whose column keys are BATCH_COLUMNS. Per sample it sizes the fleet, builds
+the aggregator's annual cash flows (investment, O&M, consumer rewards,
+rebound energy purchases, end-of-life), discounts them, levelises them per
+shifted MWh and per kW-year, and divides by the scheme's
+availability-profile value factor. A sample that cannot be evaluated
+carries a code into REASONS.
 
 `lcodr run` and `evaluate_pairing` call the kernel on the single row of one
-ParameterSet and read it through `sample_values`, as Python values; `lcodr
-mc` calls the kernel on whole sample ranges. There is no second, scalar
-route to a levelised cost. The consumer reward formula, `monthly_reward`,
-is the kernel's own and takes floats and columns alike.
+ParameterSet and read it through `sample_values`, as Python values by
+SIZING_FIELDS and CostBreakdown field name; `lcodr mc` calls the kernel on
+whole sample ranges. There is no second, scalar route to a levelised
+cost. The consumer reward formula, `monthly_reward`, is the kernel's own
+and takes floats and columns alike.
 
 Numerical care: basic arithmetic, sqrt, min, max and comparisons are
 correctly rounded in numpy as in Python, so a value does not depend on
@@ -31,8 +34,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from .model import (
-    PARAMETERS,
-    VALUE_FACTOR_KEYS,
+    SAMPLE_ROW,
     ApplicationSpec,
     Assumptions,
     BindingConstraint,
@@ -40,7 +42,6 @@ from .model import (
     ParameterSet,
     SchemeKind,
     SizingResult,
-    parameter_values,
 )
 from .sizing import (
     KJ_PER_KWH,
@@ -122,16 +123,13 @@ def monthly_reward(scheme: SchemeKind, p: Mapping, assumptions: Assumptions,
 # The kernel
 # ---------------------------------------------------------------------------
 
-#: Column order of a samples x columns parameter matrix: every registered
-#: scalar parameter, then the value factors.
-BATCH_COLUMNS = tuple(spec.key for spec in PARAMETERS) + VALUE_FACTOR_KEYS
+#: The key of each column of a samples x parameters matrix (model.SAMPLE_ROW).
+BATCH_COLUMNS = tuple(spec.key for spec in SAMPLE_ROW)
 
 
 def batch_row(params: ParameterSet) -> list:
     """One parameter set as a row of the samples x BATCH_COLUMNS matrix."""
-    vf = params.value_factors
-    return [*parameter_values(params).values(),
-            *(getattr(vf, key) for key in VALUE_FACTOR_KEYS)]
+    return [getattr(getattr(params, spec.group), spec.key) for spec in SAMPLE_ROW]
 
 
 def batch_columns(matrix: np.ndarray) -> Dict[str, np.ndarray]:
@@ -371,10 +369,13 @@ def sample_values(scheme: SchemeKind, app: ApplicationSpec, batch: BatchEvaluati
     scheme, and everywhere unless the status is 'ok'."""
     code = int(batch.reason[0])
     ok = code == FEASIBLE
-    # CostBreakdown's fields: the COST_COMPONENTS present values, then these
-    costs = (*batch.components.values(), batch.energy_pv, batch.lcodr_energy,
-             batch.lcodr_power, batch.value_factor, batch.lcodr_vf)
-    columns = {**batch.sizing, **dict(zip((f.name for f in fields(CostBreakdown)), costs))}
+    columns = dict(batch.sizing)
+    for f in fields(CostBreakdown):
+        # a cost component, named without the _pv of its present value, or a
+        # column of the same name
+        component = f.name.removesuffix("_pv")
+        columns[f.name] = (batch.components[component] if component in batch.components
+                           else getattr(batch, f.name))
     first = [column[0].item() if ok else None for column in columns.values()]
     values = {name: None if v != v else v for name, v in zip(columns, first)}   # NaN
     binding = None if code == UNSUITABLE else BindingConstraint.NOT_APPLICABLE

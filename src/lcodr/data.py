@@ -9,6 +9,9 @@ their qualitative daily shapes — evening-peaked EV charging, morning and
 evening heating peaks, overnight vehicle plug-in — and are deterministic
 for a fixed seed.
 
+The bundled dataset is BUNDLED_DAYS days of hourly series, with
+BUNDLED_EV_ASSETS vehicles and BUNDLED_HP_ASSETS dwellings, drawn with
+BUNDLE_SEED; the generators take these as their defaults.
 `bundle_sources` builds each input of the bundled dataset on its own, a
 pool as an iterator of its profiles, under the name of its CLI flag dest;
 `default_bundle` is made from it. So `--compute-vf` without files streams
@@ -668,8 +671,9 @@ def load_lcos_reference(path: Optional[str] = None, *, digest=None) -> List[Lcos
 
     The bundled values approximate published lifetime-cost projections for
     mature storage technologies and are user-replaceable. A name may not
-    hold a CSV_UNSAFE character, a technology may not be named after a
-    scheme, and an (application, technology) pair may not repeat.
+    be empty after stripping or hold a CSV_UNSAFE character, a technology
+    may not be named after a scheme, and an (application, technology) pair
+    may not repeat.
     """
     if path is None:
         with resources.as_file(resources.files("lcodr") / "lcos_reference.csv") as bundled:
@@ -683,6 +687,8 @@ def load_lcos_reference(path: Optional[str] = None, *, digest=None) -> List[Lcos
     schemes = {kind.value for kind in SchemeKind}
     seen = set()
     for row, e in enumerate(entries, start=2):
+        if not (e.application and e.technology):   # an empty cell reads as missing
+            raise DataError("a name is empty", path, row)
         if CSV_UNSAFE.intersection(e.application + e.technology):
             raise DataError("a name holds a comma, a double quote or a line break", path, row)
         if e.technology in schemes:
@@ -700,6 +706,8 @@ def load_lcos_reference(path: Optional[str] = None, *, digest=None) -> List[Lcos
 
 _START = datetime(2023, 1, 1, tzinfo=timezone.utc)
 _HOUR = 3600.0
+#: Days of the bundled hourly series.
+BUNDLED_DAYS = 365
 
 
 def _daily_gauss(hours: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -713,7 +721,7 @@ def _hour_axis(days: int) -> np.ndarray:
     return np.arange(days * 24) % 24.0
 
 
-def synthetic_price(days: int = 365, seed: int = 0) -> TimeSeries:
+def synthetic_price(days: int = BUNDLED_DAYS, seed: int = 0) -> TimeSeries:
     """Hourly electricity price, $/MWh, with morning and evening peaks, an
     overnight trough, mild seasonality and seeded noise; mean normalized to
     exactly 50."""
@@ -737,7 +745,7 @@ BUNDLED_EV_ASSETS = 200
 BUNDLED_HP_ASSETS = 60
 
 
-def synthetic_ev_charging_profiles(n_assets: int = BUNDLED_EV_ASSETS, days: int = 365,
+def synthetic_ev_charging_profiles(n_assets: int = BUNDLED_EV_ASSETS, days: int = BUNDLED_DAYS,
                                    seed: int = 0) -> Iterator[AvailabilityProfile]:
     """Per-vehicle home-charging load, one vehicle at a time: a single
     evening peak, heterogeneous in timing, width and magnitude, with
@@ -756,13 +764,13 @@ def synthetic_ev_charging_profiles(n_assets: int = BUNDLED_EV_ASSETS, days: int 
                                   asset_id=f"synthetic-ev-{a:03d}")
 
 
-def synthetic_ev_charging_pool(n_assets: int = BUNDLED_EV_ASSETS, days: int = 365,
+def synthetic_ev_charging_pool(n_assets: int = BUNDLED_EV_ASSETS, days: int = BUNDLED_DAYS,
                                seed: int = 0) -> List[AvailabilityProfile]:
     """The profiles of synthetic_ev_charging_profiles, as a list."""
     return list(synthetic_ev_charging_profiles(n_assets, days, seed))
 
 
-def synthetic_heating_profiles(n_assets: int = BUNDLED_HP_ASSETS, days: int = 365,
+def synthetic_heating_profiles(n_assets: int = BUNDLED_HP_ASSETS, days: int = BUNDLED_DAYS,
                                seed: int = 0) -> Iterator[AvailabilityProfile]:
     """Per-dwelling heat-pump electricity demand, one dwelling at a time:
     morning and evening peaks over a continuous base, amplified in winter."""
@@ -784,13 +792,13 @@ def synthetic_heating_profiles(n_assets: int = BUNDLED_HP_ASSETS, days: int = 36
                                   asset_id=f"synthetic-hp-{a:03d}")
 
 
-def synthetic_heating_pool(n_assets: int = BUNDLED_HP_ASSETS, days: int = 365,
+def synthetic_heating_pool(n_assets: int = BUNDLED_HP_ASSETS, days: int = BUNDLED_DAYS,
                            seed: int = 0) -> List[AvailabilityProfile]:
     """The profiles of synthetic_heating_profiles, as a list."""
     return list(synthetic_heating_profiles(n_assets, days, seed))
 
 
-def synthetic_v2g_profiles(days: int = 365, seed: int = 0):
+def synthetic_v2g_profiles(days: int = BUNDLED_DAYS, seed: int = 0):
     """Aggregate V2G availability: dischargeable power and battery-energy
     boundaries for an overnight-plugged fleet, per vehicle with a 6.8 kW
     charger and a 42 kWh dischargeable battery band.
@@ -844,7 +852,8 @@ class DataBundle:
 BUNDLE_SEED = 2024
 
 
-def bundle_sources(seed: int = BUNDLE_SEED, days: int = 365) -> Dict[str, Callable[[], object]]:
+def bundle_sources(seed: int = BUNDLE_SEED,
+                   days: int = BUNDLED_DAYS) -> Dict[str, Callable[[], object]]:
     """A builder of each profile input of the bundled dataset, by its CLI flag
     dest, in DataBundle field order: the price and the V2G profiles as values
     (the V2G pair built once, on first use), each pool as an iterator that
@@ -859,7 +868,7 @@ def bundle_sources(seed: int = BUNDLE_SEED, days: int = 365) -> Dict[str, Callab
     }
 
 
-def default_bundle(seed: int = BUNDLE_SEED, days: int = 365) -> DataBundle:
+def default_bundle(seed: int = BUNDLE_SEED, days: int = BUNDLED_DAYS) -> DataBundle:
     """The deterministic bundled dataset, from bundle_sources with each pool
     made a list. Same seed, same bundle."""
     price, ev_pool, hp_pool, v2g_power, v2g_boundaries = (

@@ -250,10 +250,6 @@ class EconomicParameters:
                "lifetime must be an integer >= 1", "lifetime_years")
 
 
-#: The three scalar parameter groups, by their ParameterSet field name.
-_GROUPS = (("ev", EvParameters), ("heat", HeatParameters), ("econ", EconomicParameters))
-
-
 @dataclass(frozen=True)
 class ValueFactorTable:
     """Per-scheme value factors. V2G carries a power and an energy variant;
@@ -285,8 +281,11 @@ class ValueFactorTable:
         return self.heat_pump
 
 
-_DOMAIN_CHECKS = {cls: _domain_checks(cls)
-                  for cls in (EvParameters, HeatParameters, EconomicParameters, ValueFactorTable)}
+#: The groups of the sample row, by their ParameterSet field name, in row order.
+_ROW_GROUPS = (("ev", EvParameters), ("heat", HeatParameters), ("econ", EconomicParameters),
+               ("value_factors", ValueFactorTable))
+
+_DOMAIN_CHECKS = {cls: _domain_checks(cls) for _, cls in _ROW_GROUPS}
 
 
 @dataclass(frozen=True)
@@ -499,20 +498,20 @@ def _clamp_bounds(f) -> tuple:
     return lower, upper
 
 
-#: Ordered registry of every scalar parameter, in declaration order. The
-#: position in this tuple is the parameter's stable id for seeded
-#: Monte-Carlo substreams, so the fields above are never reordered.
-PARAMETERS: tuple = tuple(ParamSpec(f.name, group, f.metadata["perturb"], *_clamp_bounds(f))
-                          for group, cls in _GROUPS for f in fields(cls))
+#: The sample row: every scalar parameter, then the value factors, each in
+#: declaration order. A sample is one row of a samples x SAMPLE_ROW matrix,
+#: and a column's position is its stable id for seeded Monte-Carlo
+#: substreams, so the fields above are never reordered.
+SAMPLE_ROW: tuple = tuple(ParamSpec(f.name, group, f.metadata["perturb"], *_clamp_bounds(f))
+                          for group, cls in _ROW_GROUPS for f in fields(cls))
+
+#: The registry of the scalar parameters: the sample row without the value
+#: factors.
+PARAMETERS: tuple = tuple(spec for spec in SAMPLE_ROW if spec.group != "value_factors")
 
 PARAMETER_INDEX = {spec.key: i for i, spec in enumerate(PARAMETERS)}
 
-#: The value factors in the same form, perturbed with their own sigma; in
-#: Monte-Carlo their substream ids follow those of PARAMETERS.
-VALUE_FACTOR_SPECS: tuple = tuple(ParamSpec(f.name, "value_factors", True, *_clamp_bounds(f))
-                                  for f in fields(ValueFactorTable))
-
-VALUE_FACTOR_KEYS = tuple(spec.key for spec in VALUE_FACTOR_SPECS)
+VALUE_FACTOR_KEYS = tuple(f.name for f in fields(ValueFactorTable))
 
 
 def parameter_values(params: ParameterSet) -> dict:
@@ -538,8 +537,12 @@ def build_parameter_set(values: dict, value_factors: Optional[dict] = None,
                 raise ValidationError("lifetime must be an integer number of years", key)
             value = int(value)
         groups[spec.group][key] = value
-    vf = ValueFactorTable(**{k: _number(v, f"value_factors.{k}")
-                             for k, v in (value_factors or {}).items() if _known_vf_key(k)})
+    factors = dict(value_factors or {})
+    for key, value in factors.items():
+        if key not in VALUE_FACTOR_KEYS:
+            raise ValidationError(f"unknown value factor key {key!r}", f"value_factors.{key}")
+        factors[key] = _number(value, f"value_factors.{key}")
+    vf = ValueFactorTable(**factors)
     return ParameterSet(
         ev=EvParameters(**groups["ev"]),
         heat=HeatParameters(**groups["heat"]),
@@ -561,10 +564,10 @@ def _number(value, field_path: str) -> float:
 
 
 def valid_rows(columns) -> np.ndarray:
-    """Which rows of a {key: column} mapping over every PARAMETERS and
-    VALUE_FACTOR_KEYS key would build a valid ParameterSet: the single-field
-    domains and CROSS_FIELD_RULES that __post_init__ checks, as boolean
-    masks. The integer lifetime is not checked. A rule whose arithmetic
+    """Which rows of a {key: column} mapping over every SAMPLE_ROW key would
+    build a valid ParameterSet: the single-field domains and
+    CROSS_FIELD_RULES that __post_init__ checks, as boolean masks. The
+    integer lifetime is not checked. A rule whose arithmetic
     overflows or divides by zero fails, as inf and NaN compare."""
     ok = np.ones(len(columns[VALUE_FACTOR_KEYS[0]]), dtype=bool)
     for checks in _DOMAIN_CHECKS.values():
@@ -581,12 +584,6 @@ def philox_generator(seed: int, *key: int, counter: int = 0) -> np.random.Genera
     `counter`; it yields the stream from word 4 * counter on."""
     words = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
     return np.random.Generator(np.random.Philox(key=words, counter=counter))
-
-
-def _known_vf_key(key: str) -> bool:
-    if key not in VALUE_FACTOR_KEYS:
-        raise ValidationError(f"unknown value factor key {key!r}", f"value_factors.{key}")
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +659,7 @@ def load_config_dict(overrides: Optional[dict]):
     ``parameters`` section or directly at the top level. Unknown keys
     anywhere are an error.
     """
-    merged_params = {}
-    merged_vf = {}
-    merged_assumptions = {}
+    merged = {"parameters": {}, "value_factors": {}, "assumptions": {}}
     app_entries = [{"name": name, "power_capacity_mw": mw, "discharge_duration_h": hours,
                     "annual_cycles": cycles, "suitable_schemes": list(schemes)}
                    for name, mw, hours, cycles, schemes in _DEFAULT_APPLICATIONS]
@@ -682,33 +677,26 @@ def load_config_dict(overrides: Optional[dict]):
     for key, value in overrides.items():
         if key == "schema_version":
             continue
-        elif key == "parameters":
+        elif key in merged:
             if not isinstance(value, dict):
-                raise ValidationError("must be a mapping", "parameters")
-            merged_params.update(value)
-        elif key == "value_factors":
-            if not isinstance(value, dict):
-                raise ValidationError("must be a mapping", "value_factors")
-            merged_vf.update(value)
-        elif key == "assumptions":
-            if not isinstance(value, dict):
-                raise ValidationError("must be a mapping", "assumptions")
-            unknown = set(value) - _ALLOWED_ASSUMPTION_KEYS
+                raise ValidationError("must be a mapping", key)
+            # parameter and value-factor keys are checked as they are built
+            unknown = set(value) - _ALLOWED_ASSUMPTION_KEYS if key == "assumptions" else ()
             if unknown:
-                raise ValidationError(f"unknown keys {sorted(unknown)}", "assumptions")
-            merged_assumptions.update(value)
+                raise ValidationError(f"unknown keys {sorted(unknown)}", key)
+            merged[key].update(value)
         elif key == "applications":
             if not isinstance(value, list):
                 raise ValidationError("must be a list", "applications")
             app_entries = value
         elif key in PARAMETER_INDEX:
             # flat parameter override at the top level
-            merged_params[key] = value
+            merged["parameters"][key] = value
         else:
             raise ValidationError(f"unknown configuration key {key!r}", key)
 
-    assumptions = Assumptions(**merged_assumptions)
-    params = build_parameter_set(merged_params, merged_vf, assumptions)
+    assumptions = Assumptions(**merged["assumptions"])
+    params = build_parameter_set(merged["parameters"], merged["value_factors"], assumptions)
     apps = _applications_from_config(app_entries)
     return params, apps
 

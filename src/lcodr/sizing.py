@@ -4,7 +4,7 @@ How many demand-response assets a storage application needs, and the
 contract terms that follow: the required plug-in time of EV schemes and the
 tank geometry of thermal storage. The sizing itself is done, for one sample
 or many, by `costing.evaluate_batch`, on the shared formulas below, which
-take floats and numpy columns alike. The forward duration limits, which
+take numpy columns. The forward duration limits, which
 those formulas invert, are the references the kernel's inverse is checked
 against.
 
@@ -47,17 +47,15 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
-def python_pow(x, y):
-    """x ** y (x >= 0) through Python's float pow, element-wise over a
-    column, inf where it overflows: numpy squares `x ** 2` instead of
+def python_pow(x: np.ndarray, y: float) -> np.ndarray:
+    """x ** y (x >= 0) for each element of the column x, through Python's
+    float pow, inf where it overflows: numpy squares `x ** 2` instead of
     calling libm, which can differ in the last bit."""
-    if np.ndim(x) == 0:
-        return _pow(float(x), y)
     return np.array([_pow(v, y) for v in x.tolist()])
 
 
 # ---------------------------------------------------------------------------
-# Formulas shared with the batch kernel (floats or columns)
+# Formulas of the batch kernel (over columns)
 # ---------------------------------------------------------------------------
 
 def required_plugin_time(scheme: SchemeKind, discharge_duration: float, t_cha, recharge):
@@ -77,7 +75,7 @@ def availability_factor(plugin_time, t_cha):
 
 def tank_geometry(discharge_duration: float, heat):
     """(area m^2, volume m^3, water mass kg) of the smallest tank covering a
-    discharge duration; `heat` maps HeatParameters field names to values."""
+    discharge duration; `heat` maps HeatParameters field names to columns."""
     thermal_kwh = heat["hp_active_power"] * heat["seasonal_performance"] * discharge_duration
     mass = thermal_kwh * KJ_PER_KWH / (heat["water_heat_capacity"] * heat["tank_temp_range"])
     volume = mass / heat["water_density"]

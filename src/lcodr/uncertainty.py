@@ -6,8 +6,10 @@ distribution; all technologies are evaluated on the same perturbed draw
 
 Randomness is counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11). Each perturbed input, value factor and LCOS
-reference entry has a substream id, and each (seed, substream, attempt)
-keys one Philox4x64 generator. Sample i takes PROPOSALS uniform words of
+reference entry has a substream id: an input's or value factor's id is its
+column in `model.SAMPLE_ROW`, and the LCOS entries follow from
+LCOS_ID_OFFSET. Each (seed, substream, attempt) keys one Philox4x64
+generator. Sample i takes PROPOSALS uniform words of
 that stream, starting at word i * PROPOSALS: a range of samples is drawn
 at once by starting the generator's counter at the range's first sample.
 Each pair of words gives two Box-Muller normals, and the first of the
@@ -40,11 +42,10 @@ from .costing import BATCH_COLUMNS, batch_columns, batch_row, evaluate_batch
 from .model import (
     ApplicationSpec,
     LcodrError,
-    PARAMETERS,
     ParameterSet,
+    SAMPLE_ROW,
     SchemeKind,
     VALUE_FACTOR_KEYS,
-    VALUE_FACTOR_SPECS,
     ValidationError,
     build_parameter_set,
     philox_generator,
@@ -52,10 +53,9 @@ from .model import (
 )
 from .valuefactor import summary_statistics
 
-#: Substream ids: scalar parameters take their registry position, value
-#: factors and LCOS reference entries follow in fixed blocks. Append-only.
-VF_ID_OFFSET = len(PARAMETERS)
-LCOS_ID_OFFSET = VF_ID_OFFSET + len(VALUE_FACTOR_KEYS)
+#: Substream ids: a sample-row column takes its position in model.SAMPLE_ROW,
+#: and the LCOS reference entries follow in a fixed block. Append-only.
+LCOS_ID_OFFSET = len(SAMPLE_ROW)
 
 #: Normal proposals, and uniform words, per (sample, substream, attempt).
 #: A multiple of 4, so every sample starts on a Philox counter block.
@@ -154,11 +154,11 @@ def truncated_normals(seed: int, stream: int, attempt: int, start: int, stop: in
 
 def _drawn_columns(cfg: McConfig) -> list:
     """(column, spec, name of its McConfig sigma) of every column Monte-Carlo
-    perturbs, in BATCH_COLUMNS order; a column's index is also its substream
+    perturbs, in SAMPLE_ROW order; a column's index is also its substream
     id."""
-    specs = ([(spec, "sigma_inputs") for spec in PARAMETERS]
-             + [(spec, "sigma_vf") for spec in VALUE_FACTOR_SPECS])
-    return [(column, spec, sigma) for column, (spec, sigma) in enumerate(specs)
+    columns = [(column, spec, "sigma_vf" if spec.group == "value_factors" else "sigma_inputs")
+               for column, spec in enumerate(SAMPLE_ROW)]
+    return [(column, spec, sigma) for column, spec, sigma in columns
             if spec.perturb and getattr(cfg, sigma) != 0.0]
 
 
@@ -217,9 +217,8 @@ def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> 
 def _parameter_set(row, base: ParameterSet) -> ParameterSet:
     """The ParameterSet of one matrix row."""
     values = dict(zip(BATCH_COLUMNS, row.tolist()))
-    return build_parameter_set({spec.key: values[spec.key] for spec in PARAMETERS},
-                               {key: values[key] for key in VALUE_FACTOR_KEYS},
-                               base.assumptions)
+    factors = {key: values.pop(key) for key in VALUE_FACTOR_KEYS}
+    return build_parameter_set(values, factors, base.assumptions)
 
 
 def perturb_parameters(base: ParameterSet, cfg: McConfig,

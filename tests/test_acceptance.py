@@ -219,7 +219,7 @@ def test_criterion_08_value_factor_properties():
 
 def test_criterion_09_monte_carlo_contract(tmp_path):
     from lcodr.costing import batch_row
-    from lcodr.model import PARAMETERS, VALUE_FACTOR_SPECS
+    from lcodr.model import SAMPLE_ROW
     from lcodr.uncertainty import perturb_matrix, truncated_normals
     from truncated_normal import sample_truncated_normal
     rng = np.random.default_rng(909)
@@ -234,8 +234,8 @@ def test_criterion_09_monte_carlo_contract(tmp_path):
     base = default_parameters()
     cfg = McConfig(samples=10_000, seed=909)
     base_row = np.array(batch_row(base))
-    sigma = np.array([(0.33 if spec.perturb else 0.0) for spec in PARAMETERS]
-                     + [0.10 for _ in VALUE_FACTOR_SPECS])
+    sigma = np.array([0.10 if spec.group == "value_factors" else 0.33 if spec.perturb else 0.0
+                      for spec in SAMPLE_ROW])
     spread = np.abs(perturb_matrix(base, cfg, 0, cfg.samples) - base_row)
     ok &= bool(np.all(spread <= 1.285 * sigma * np.abs(base_row) * (1 + 1e-12)))
 

@@ -573,6 +573,19 @@ def test_an_lcos_technology_named_after_a_scheme_is_a_data_error(tmp_path, capsy
     assert errors == [f"error: data: {lcos}:{row}: technology 'v2g' is named after a scheme"]
 
 
+@pytest.mark.parametrize("row", ["Energy arbitrage,,100", ",Lithium-ion,100",
+                                 "Energy arbitrage, ,100"])
+def test_an_lcos_row_with_an_empty_name_is_a_data_error(tmp_path, capsys, row):
+    # an empty technology cell in cheapest_probability.csv reads as missing
+    lcos = tmp_path / "lcos.csv"
+    lcos.write_text(f"application,technology,lcos_usd_per_mwh\n{row}\n", encoding="utf-8")
+    assert main(["mc", "--samples", "5", "--applications", "Energy arbitrage",
+                 "--out", str(tmp_path / "o"), "--lcos", str(lcos)]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: data: {lcos}:2: a name is empty"]
+
+
 def hourly(prefix, year, hours):
     return "".join(f"{prefix}{year}-01-01T{h:02d}:00:00,1\n" for h in range(hours))
 

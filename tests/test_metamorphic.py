@@ -14,7 +14,9 @@ result:
 - the cost is homogeneous in money: scaling every monetary input by c
   scales it by c;
 - the cost is monotone: a rise of a cost input never lowers it, and a rise
-  of a value factor never raises it.
+  of a value factor never raises it;
+- at the defaults, each input moves each feasible pairing's cost the way a
+  pinned sign table says.
 """
 
 from dataclasses import replace
@@ -25,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lcodr.costing import BATCH_COLUMNS, batch_columns, evaluate_batch
+from lcodr.costing import BATCH_COLUMNS, batch_columns, batch_row, evaluate_batch
 from lcodr.data import _pool_total, profile_value_factors
 from lcodr.model import (
     VALUE_FACTOR_KEYS,
@@ -228,3 +230,86 @@ def test_a_cost_input_never_lowers_and_a_value_factor_never_raises_the_cost(
             assert np.array_equal(r.feasible, b.feasible), (scheme, app.name, key)
             ok = b.feasible
             assert (sign * (r.lcodr_vf[ok] - b.lcodr_vf[ok]) >= 0).all(), (scheme, app.name, key)
+
+
+#: The relative step of each input in the sign table. `lifetime_years` is an
+#: integer that the kernel truncates (1 % of 15 years steps nothing), so it
+#: is stepped by one year.
+STEP = 0.01
+
+#: Per pairing feasible at the defaults, one mark per BATCH_COLUMNS input:
+#: the sign of lcodr_vf(x + step) - lcodr_vf(x - step); '0' where that
+#: change is within 1e-12 of the cost, which is rounding (the smallest real
+#: change is 2e-6 of the cost); '!' where a step makes the pairing
+#: infeasible or moves V2G's binding constraint, which no step does at the
+#: defaults. A model change that flips a mark is a declared re-baseline.
+#: The table shows, for example, that the per-hour rewards move no cost (the
+#: contracted plug-in time is floored at the base plug-in time), that V2G
+#: is power-bound (`v2g_energy` moves nothing) and that a longer lifetime
+#: lowers every cost.
+SIGN_TABLE = {
+    ("v2g", "Energy arbitrage"): "--+-++-++000000000000000+-++000++00-000",
+    ("v2g", "Primary response"): "--+-++-++000000000000000+-++000++00-000",
+    ("v2g", "Secondary response"): "--+-++-++000000000000000+-++000++00-000",
+    ("v2g", "Tertiary response"): "--+-++-++000000000000000+-++000++00-000",
+    ("v2g", "Peaker replacement"): "--+-++-++000000000000000+-++000++00-000",
+    ("v2g", "Black start"): "--+-++-++000000000000000+-++000++00-000",
+    ("v2g", "Congestion management"): "--+-++-++000000000000000+-++000++00-000",
+    ("v2g", "Bill management"): "--+-++-++000000000000000+-++000++00-000",
+    ("v2g", "Power quality"): "--+-++-++000000000000000+-++000++00-000",
+    ("smart_charging", "Energy arbitrage"): "0000--000+00000000000000+-+0+00+00000-0",
+    ("smart_charging", "Primary response"): "0000--000+00000000000000+-+0+00+00000-0",
+    ("smart_charging", "Secondary response"): "0000--000+00000000000000+-+0+00+00000-0",
+    ("smart_charging", "Tertiary response"): "0000--000+00000000000000+-+0+00+00000-0",
+    ("smart_charging", "Peaker replacement"): "0000--000+00000000000000+-+0+00+00000-0",
+    ("smart_charging", "T&D investment deferral"): "0000--000+00000000000000+-+0+00+00000-0",
+    ("smart_charging", "Congestion management"): "0000--000+00000000000000+-+0+00+00000-0",
+    ("smart_charging", "Bill management"): "0000--000+00000000000000+-+0+00+00000-0",
+    ("smart_heat_pump", "Energy arbitrage"): "00000000000-0000-+000000+-+00+0+000000-",
+    ("smart_heat_pump", "Primary response"): "00000000000-0000-+000000+-+00+0+000000-",
+    ("smart_heat_pump", "Secondary response"): "00000000000-0000-+000000+-+00+0+000000-",
+    ("smart_heat_pump", "Tertiary response"): "00000000000-00000+000000+-+00+0+000000-",
+    ("smart_heat_pump", "Peaker replacement"): "00000000000-0000-+000000+-+00+0+000000-",
+    ("smart_heat_pump", "T&D investment deferral"): "00000000000-++---+000000+-+00+0+000000-",
+    ("smart_heat_pump", "Congestion management"): "00000000000-0000-+000000+-+00+0+000000-",
+    ("smart_heat_pump", "Bill management"): "00000000000-0000-+000000+-+00+0+000000-",
+    ("hp_thermal_storage", "Energy arbitrage"): "00000000000-++0000+---+-+-+00+++0+0000-",
+    ("hp_thermal_storage", "Primary response"): "00000000000-++00000---+-+-+00+++0++000-",
+    ("hp_thermal_storage", "Secondary response"): "00000000000-++00000---+-+-+00+++0++000-",
+    ("hp_thermal_storage", "Tertiary response"): "00000000000-++0000+---+-+-+00+++0+0000-",
+    ("hp_thermal_storage", "Peaker replacement"): "00000000000-++0000+---+-+-+00+++0+0000-",
+    ("hp_thermal_storage", "T&D investment deferral"): "00000000000-++0000+---+-+-+00+++0+0000-",
+    ("hp_thermal_storage", "Congestion management"): "00000000000-++00000---+-+-+00+++0++000-",
+    ("hp_thermal_storage", "Bill management"): "00000000000-++0000+---+-+-+00+++0+0000-",
+}
+
+
+def _mark(batch, i: int) -> str:
+    """The sign-table mark of input i: rows 2i + 1 and 2i + 2 of `batch`
+    step it down and up, row 0 is the defaults."""
+    steps = [2 * i + 1, 2 * i + 2]
+    if (not batch.feasible[steps].all()
+            or (batch.energy_bound[steps] != batch.energy_bound[0]).any()):
+        return "!"
+    down, up = batch.lcodr_vf[steps]
+    if abs(up - down) <= 1e-12 * batch.lcodr_vf[0]:
+        return "0"
+    return "+" if up > down else "-"
+
+
+def test_each_input_moves_each_cost_as_the_sign_table_says():
+    base = np.array(batch_row(BASE))
+    rows = [base]
+    for i, key in enumerate(BATCH_COLUMNS):
+        step = np.zeros_like(base)
+        step[i] = 1.0 if key == "lifetime_years" else STEP * base[i]
+        rows += [base - step, base + step]
+    columns = batch_columns(np.array(rows))
+    assert valid_rows(columns).all()
+    table = {}
+    for scheme, app in pairings():
+        batch = evaluate_batch(scheme, app, columns, BASE.assumptions)
+        if batch.feasible[0]:
+            table[scheme.value, app.name] = "".join(_mark(batch, i)
+                                                    for i in range(len(BATCH_COLUMNS)))
+    assert table == SIGN_TABLE

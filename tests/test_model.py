@@ -11,7 +11,8 @@ import yaml
 
 from lcodr.model import (
     CROSS_FIELD_RULES,
-    VALUE_FACTOR_SPECS,
+    SAMPLE_ROW,
+    VALUE_FACTOR_KEYS,
     ApplicationSpec,
     Assumptions,
     EvParameters,
@@ -33,7 +34,7 @@ from lcodr.model import (
     parameter_values,
     valid_rows,
 )
-from lcodr.uncertainty import LCOS_ID_OFFSET, VF_ID_OFFSET
+from lcodr.uncertainty import LCOS_ID_OFFSET
 
 from datetime import datetime, timezone
 
@@ -170,7 +171,9 @@ def test_registry_order_is_stable():
     # change without a declared re-baseline.
     got = [(s.key, s.group, s.perturb, s.lower, s.upper) for s in PARAMETERS]
     assert got == REGISTRY
-    assert VF_ID_OFFSET == 35
+    assert SAMPLE_ROW[:35] == PARAMETERS
+    assert [(i, s.key) for i, s in enumerate(SAMPLE_ROW) if s.group == "value_factors"] == [
+        (35, "v2g_power"), (36, "v2g_energy"), (37, "smart_charging"), (38, "heat_pump")]
     assert LCOS_ID_OFFSET == 39
 
 
@@ -312,7 +315,7 @@ def _random_columns(rng, n):
     fields of each cross-field rule drawn across its boundary."""
     base = default_parameters()
     columns = {}
-    for spec in PARAMETERS + VALUE_FACTOR_SPECS:
+    for spec in SAMPLE_ROW:
         value = float(getattr(getattr(base, spec.group), spec.key))
         if not spec.perturb:
             columns[spec.key] = np.full(n, value)
@@ -332,11 +335,10 @@ def test_valid_rows_agree_with_post_init():
     n = 600
     columns = _random_columns(rng, n)
     mask = valid_rows(columns)
-    vf_keys = [spec.key for spec in VALUE_FACTOR_SPECS]
     for i in range(n):
         try:
             build_parameter_set({spec.key: columns[spec.key][i] for spec in PARAMETERS},
-                                {key: columns[key][i] for key in vf_keys})
+                                {key: columns[key][i] for key in VALUE_FACTOR_KEYS})
             ok = True
         except ValidationError:
             ok = False
