@@ -29,6 +29,7 @@ import json
 import sys
 from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import List, Optional
 
@@ -129,14 +130,16 @@ def _write_csv(path: Path, header: List[str], rows, run_id: str) -> None:
 
 def _sample_lines(dists, samples: int):
     """lcodr_samples.csv's lines, one string per distribution of `samples`
-    samples. Each column is formatted once over `.tolist()`, as _fmt formats
-    its cells."""
-    indices = [str(i) for i in range(samples)]
+    samples. Each column is formatted in one pass over `.tolist()`, as _fmt
+    formats its cells."""
+    indices = [f"{i}," for i in range(samples)]
     for d in dists:
-        flags = ["true" if ok else "false" for ok in d.feasible.tolist()]
-        values = ["" if v != v else repr(v) for v in d.samples.tolist()]
+        flags = ["true," if ok else "false," for ok in d.feasible.tolist()]
+        values = list(map(repr, d.samples.tolist()))
+        for i in np.flatnonzero(np.isnan(d.samples)).tolist():
+            values[i] = ""
         prefix = f"{d.technology},{d.application},"
-        yield "".join(f"{prefix}{i},{ok},{v}\n" for i, ok, v in zip(indices, flags, values))
+        yield "".join(map("".join, zip(repeat(prefix), indices, flags, values, repeat("\n"))))
 
 
 def _run_id(args, **key) -> str:
@@ -179,14 +182,15 @@ def _write_manifest(out: Path, run_id: str, args, params, data_hashes: dict,
 # ---------------------------------------------------------------------------
 
 def _load(args):
-    """The cost model (parameters, applications, schemes) that the flags ask for."""
+    """The cost model that the flags ask for: parameters, the names of every
+    configured application, the applications kept and the schemes kept."""
     params, apps = load_config(args.config)
     given = {f.name: getattr(args, f.name) for f in fields(Assumptions)
              if getattr(args, f.name) is not None}
     params = replace(params, assumptions=replace(params.assumptions, **given))
+    known = {app.name for app in apps}
     if args.applications:
         wanted = [name.strip() for name in args.applications.split(";")]
-        known = {app.name for app in apps}
         for name in wanted:
             if name not in known:
                 raise ValidationError(f"unknown application {name!r}", "applications")
@@ -196,7 +200,7 @@ def _load(args):
         # a repeated scheme is kept once, at its first position
         schemes = list(dict.fromkeys(SchemeKind.from_name(s.strip())
                                      for s in args.schemes.split(",")))
-    return params, apps, schemes
+    return params, known, apps, schemes
 
 
 #: Profile inputs: (flag dest, loader of a file that also feeds a digest).
@@ -295,7 +299,7 @@ _RUN_COLUMNS = {
 
 def cmd_run(args) -> int:
     _check_data_flags(args)
-    params, apps, schemes = _load(args)
+    params, _, apps, schemes = _load(args)
     out = _out_dir(args)
     params, data_hashes = _with_computed_value_factors(params, args)
     run_id = _run_id(args, config=parameter_set_to_dict(params),
@@ -358,11 +362,11 @@ def cmd_vf(args) -> int:
 
 def cmd_mc(args) -> int:
     _check_data_flags(args)
-    params, apps, schemes = _load(args)
+    params, configured, apps, schemes = _load(args)
     out = _out_dir(args)
     params, data_hashes = _with_computed_value_factors(params, args)
     digest = hashlib.sha256()
-    lcos = load_lcos_reference(args.lcos, digest=digest)
+    lcos = load_lcos_reference(args.lcos, applications=configured, digest=digest)
     data_hashes["lcos"] = digest.hexdigest()[:16] if args.lcos else "bundled"
     cfg = McConfig(samples=args.samples, sigma_inputs=args.sigma,
                    sigma_vf=args.sigma_vf, seed=args.seed,
@@ -405,17 +409,11 @@ def cmd_mc(args) -> int:
 
     comp_rows = []
     for scheme, row in zip(schemes, table):
-        # per application with a feasible sample, each component's mean share
-        per_app = []
-        for d in row:
-            if d.feasible_fraction:
-                f = d.feasible
-                total = sum(d.components[c][f] for c in COST_COMPONENTS)
-                per_app.append([float((d.components[c][f] / total).mean())
-                                for c in COST_COMPONENTS])
+        # each component's share, averaged over the applications with a feasible sample
+        per_app = [d.cost_shares for d in row if d.cost_shares]
         if per_app:
-            comp_rows += [[scheme.value, name, left_to_right_sum(v[c] for v in per_app)
-                           / len(per_app)] for c, name in enumerate(COST_COMPONENTS)]
+            comp_rows += [[scheme.value, c, left_to_right_sum(s[c] for s in per_app)
+                           / len(per_app)] for c in COST_COMPONENTS]
     _write_csv(out / "cost_composition.csv",
                ["technology", "component", "share"], comp_rows, run_id)
 

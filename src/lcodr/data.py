@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cache, partial
 from importlib import resources
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -666,14 +666,18 @@ class LcosEntry:
     lcos_usd_per_mwh: float
 
 
-def load_lcos_reference(path: Optional[str] = None, *, digest=None) -> List[LcosEntry]:
+def load_lcos_reference(path: Optional[str] = None, *,
+                        applications: Optional[Collection[str]] = None,
+                        digest=None) -> List[LcosEntry]:
     """Load the storage-cost reference table; None loads the bundled file.
 
     The bundled values approximate published lifetime-cost projections for
     mature storage technologies and are user-replaceable. A name may not
     be empty after stripping or hold a CSV_UNSAFE character, a technology
     may not be named after a scheme, and an (application, technology) pair
-    may not repeat.
+    may not repeat. Given `applications`, a row of a file at `path` may
+    name no other application; the bundled table is not checked, as it
+    covers the bundled applications and a configuration may drop some.
     """
     if path is None:
         with resources.as_file(resources.files("lcodr") / "lcos_reference.csv") as bundled:
@@ -693,6 +697,8 @@ def load_lcos_reference(path: Optional[str] = None, *, digest=None) -> List[Lcos
             raise DataError("a name holds a comma, a double quote or a line break", path, row)
         if e.technology in schemes:
             raise DataError(f"technology {e.technology!r} is named after a scheme", path, row)
+        if applications is not None and e.application not in applications:
+            raise DataError(f"application {e.application!r} is not configured", path, row)
         if (e.application, e.technology) in seen:
             raise DataError(f"repeated technology {e.technology!r} for {e.application!r}",
                             path, row)

@@ -38,7 +38,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .costing import BATCH_COLUMNS, batch_columns, batch_row, evaluate_batch
+from .costing import (BATCH_COLUMNS, COST_COMPONENTS, batch_columns, batch_row,
+                      evaluate_batch)
 from .model import (
     ApplicationSpec,
     LcodrError,
@@ -241,18 +242,19 @@ class McDistribution:
     """Monte-Carlo outcome of one (technology, application) pairing.
 
     samples holds the value-factor-adjusted levelised cost per sample, NaN
-    where that sample was infeasible; components holds the matching absolute
-    cost terms; for an unsuitable pairing all of them are one shared NaN
-    view. Summary statistics are over the feasible subset only, with
-    percentiles by linear interpolation; feasible_fraction exposes how much
-    of the sample survived.
+    where that sample was infeasible. cost_shares holds, per COST_COMPONENTS
+    name, the mean over the feasible samples of that component's share of
+    their summed components; it is empty where no sample is feasible. The
+    per-sample components themselves are not kept. Summary statistics are
+    over the feasible subset only, with percentiles by linear interpolation;
+    feasible_fraction exposes how much of the sample survived.
     """
 
     technology: str
     application: str
     samples: np.ndarray
     feasible: np.ndarray
-    components: Dict[str, np.ndarray] = field(default_factory=dict)
+    cost_shares: Dict[str, float] = field(default_factory=dict)
     mean: float = float("nan")
     median: float = float("nan")
     p5: float = float("nan")
@@ -262,14 +264,21 @@ class McDistribution:
     @classmethod
     def build(cls, technology: str, application: str, samples: np.ndarray,
               feasible: np.ndarray, components: Dict[str, np.ndarray]) -> "McDistribution":
+        """The distribution of `samples`, reducing `components` (per-sample
+        arrays by COST_COMPONENTS name, or empty) to their mean shares."""
         samples = np.asarray(samples, dtype=np.float64)
         feasible = np.asarray(feasible, dtype=bool)
-        for arr in (samples, feasible, *components.values()):
+        for arr in (samples, feasible):
             arr.flags.writeable = False
         ok = samples[feasible]
         stats = summary_statistics(ok) if len(ok) else {}
+        shares = {}
+        if len(ok) and components:
+            parts = [components[c][feasible] for c in COST_COMPONENTS]
+            total = sum(parts)
+            shares = {c: float((part / total).mean()) for c, part in zip(COST_COMPONENTS, parts)}
         return cls(technology=technology, application=application,
-                   samples=samples, feasible=feasible, components=components,
+                   samples=samples, feasible=feasible, cost_shares=shares,
                    feasible_fraction=float(feasible.mean()), **stats)
 
 

@@ -270,11 +270,7 @@ def test_criterion_10_cost_composition(full_mc):
     for d in dists:
         if d.feasible_fraction == 0:
             continue
-        f = d.feasible
-        total = sum(d.components[c][f] for c in d.components)
-        per_app = {c: float((d.components[c][f] / total).mean())
-                   for c in d.components}
-        shares.setdefault(d.technology, []).append(per_app)
+        shares.setdefault(d.technology, []).append(d.cost_shares)
     avg = {tech: {c: float(np.mean([s[c] for s in rows]))
                   for c in rows[0]}
            for tech, rows in shares.items()}

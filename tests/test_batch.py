@@ -47,7 +47,7 @@ from lcodr.model import (
     parameter_values,
 )
 from lcodr.sizing import size_pairing
-from lcodr.uncertainty import McConfig, perturb_parameters, run_monte_carlo
+from lcodr.uncertainty import McConfig, perturb_matrix, perturb_parameters, run_monte_carlo
 
 APPS = default_applications()
 BASE = default_parameters()
@@ -238,18 +238,23 @@ def test_batch_equals_oracle_at_named_bounds(key, value):
 
 
 def test_monte_carlo_rows_equal_the_oracle():
-    """Every sample row of a Monte-Carlo run: the kernel's values equal the
-    oracle's on that row's perturbed parameter set."""
+    """Every sample row of a Monte-Carlo run: the kernel's values on the
+    perturbed matrix equal the oracle's on that row's perturbed parameter
+    set, and each distribution holds that batch's costs, feasibility and
+    mean cost shares."""
     cfg = McConfig(samples=60, seed=23)
     dists = run_monte_carlo(list(SchemeKind), APPS, BASE, cfg)
+    columns = batch_columns(perturb_matrix(BASE, cfg, 0, cfg.samples))
     pairings = [(scheme, app) for scheme in SchemeKind for app in APPS]
+    batches = [evaluate_batch(scheme, app, columns, BASE.assumptions)
+               for scheme, app in pairings]
     infeasible = 0
     for i in range(cfg.samples):
         params = perturb_parameters(BASE, cfg, i)
-        for (scheme, app), d in zip(pairings, dists):
+        for (scheme, app), batch in zip(pairings, batches):
             want = oracle.evaluate_pairing(scheme, app, params)
-            assert bool(d.feasible[i]) == want.feasible, (scheme, app.name, i)
-            got = (d.samples[i],) + tuple(d.components[c][i] for c in COST_COMPONENTS)
+            assert bool(batch.feasible[i]) == want.feasible, (scheme, app.name, i)
+            got = (batch.lcodr_vf[i],) + tuple(batch.components[c][i] for c in COST_COMPONENTS)
             if want.feasible:
                 b = want.breakdown
                 assert got == (b.lcodr_vf, b.investment, b.om_pv, b.rewards_pv,
@@ -258,6 +263,15 @@ def test_monte_carlo_rows_equal_the_oracle():
                 infeasible += 1
                 assert all(math.isnan(v) for v in got), (scheme, app.name, i)
     assert infeasible > 0
+    for (scheme, app), batch, d in zip(pairings, batches, dists):
+        assert np.array_equal(d.samples, batch.lcodr_vf, equal_nan=True), (scheme, app.name)
+        assert np.array_equal(d.feasible, batch.feasible), (scheme, app.name)
+        shares = {}
+        if batch.feasible.any():
+            parts = [batch.components[c][batch.feasible] for c in COST_COMPONENTS]
+            total = sum(parts)
+            shares = {c: float((part / total).mean()) for c, part in zip(COST_COMPONENTS, parts)}
+        assert d.cost_shares == shares, (scheme, app.name)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from lcodr import cli, data
 from lcodr.cli import main
-from lcodr.model import default_parameters
+from lcodr.model import SchemeKind, default_parameters
 
 
 def read_csv(path):
@@ -584,6 +584,32 @@ def test_an_lcos_row_with_an_empty_name_is_a_data_error(tmp_path, capsys, row):
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert errors == [f"error: data: {lcos}:2: a name is empty"]
+
+
+def test_an_lcos_row_for_an_application_not_configured_is_a_data_error(tmp_path, capsys):
+    # a typo in an application name would otherwise leave the row unused
+    lcos = tmp_path / "lcos.csv"
+    lcos.write_text("application,technology,lcos_usd_per_mwh\n"
+                    "Energy arbitrage,Lithium-ion,100\nEnergy arbitrge,Lithium-ion,100\n",
+                    encoding="utf-8")
+    assert main(["mc", "--samples", "5", "--applications", "Energy arbitrage",
+                 "--out", str(tmp_path / "o"), "--lcos", str(lcos)]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: data: {lcos}:3: application 'Energy arbitrge' is not configured"]
+
+
+def test_an_lcos_row_for_a_configured_application_left_out_is_accepted(tmp_path):
+    lcos = tmp_path / "lcos.csv"
+    lcos.write_text("application,technology,lcos_usd_per_mwh\n"
+                    "Energy arbitrage,Lithium-ion,100\nBill management,Lithium-ion,100\n",
+                    encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["mc", "--samples", "5", "--applications", "Energy arbitrage",
+                 "--out", str(out), "--lcos", str(lcos)]) == 0
+    rows = read_csv(out / "cheapest_probability.csv")
+    assert [(row["application"], row["technology"]) for row in rows] == (
+        [("Energy arbitrage", s.value) for s in SchemeKind] + [("Energy arbitrage", "Lithium-ion")])
 
 
 def hourly(prefix, year, hours):

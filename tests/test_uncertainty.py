@@ -123,6 +123,26 @@ def test_mc_summary_statistics_on_feasible_subset():
             assert d.feasible_fraction == pytest.approx(d.feasible.mean())
 
 
+def test_mc_distributions_keep_no_per_sample_array_but_cost_and_feasibility():
+    """A distribution keeps its costs and feasibility per sample, and its
+    cost components only as mean shares: five floats where a sample is
+    feasible, none where no sample is."""
+    from dataclasses import fields
+    from lcodr.costing import COST_COMPONENTS
+    cfg = McConfig(samples=20, seed=0)
+    dists = run_monte_carlo(list(SchemeKind), default_applications(), default_parameters(), cfg)
+    assert any(not d.feasible.any() for d in dists)
+    for d in dists:
+        for f in fields(d):
+            value = getattr(d, f.name)
+            held = list(value.values()) if isinstance(value, dict) else [value]
+            arrays = [v for v in held if isinstance(v, np.ndarray)]
+            assert arrays == ([value] if f.name in ("samples", "feasible") else []), f.name
+        assert d.samples.shape == d.feasible.shape == (cfg.samples,)
+        assert list(d.cost_shares) == (list(COST_COMPONENTS) if d.feasible.any() else [])
+        assert all(type(share) is float for share in d.cost_shares.values())
+
+
 def _dist(tech, values, feasible=None):
     values = np.asarray(values, dtype=float)
     if feasible is None:
