@@ -674,10 +674,11 @@ def load_lcos_reference(path: Optional[str] = None, *,
     The bundled values approximate published lifetime-cost projections for
     mature storage technologies and are user-replaceable. A name may not
     be empty after stripping or hold a CSV_UNSAFE character, a technology
-    may not be named after a scheme, and an (application, technology) pair
-    may not repeat. Given `applications`, a row of a file at `path` may
-    name no other application; the bundled table is not checked, as it
-    covers the bundled applications and a configuration may drop some.
+    may not be named after a scheme, a cost may not be below 0, and an
+    (application, technology) pair may not repeat. Given `applications`, a
+    row of a file at `path` may name no other application; the bundled
+    table is not checked, as it covers the bundled applications and a
+    configuration may drop some.
     """
     if path is None:
         with resources.as_file(resources.files("lcodr") / "lcos_reference.csv") as bundled:
@@ -697,6 +698,8 @@ def load_lcos_reference(path: Optional[str] = None, *,
             raise DataError("a name holds a comma, a double quote or a line break", path, row)
         if e.technology in schemes:
             raise DataError(f"technology {e.technology!r} is named after a scheme", path, row)
+        if e.lcos_usd_per_mwh < 0:
+            raise DataError(f"lcos_usd_per_mwh {e.lcos_usd_per_mwh!r} is below 0", path, row)
         if applications is not None and e.application not in applications:
             raise DataError(f"application {e.application!r} is not configured", path, row)
         if (e.application, e.technology) in seen:

@@ -6,9 +6,9 @@ MW and are converted to kW at load time.
 
 Every type is an immutable dataclass and validates its own invariants on
 construction, so a ParameterSet that exists is always internally
-consistent. This matters for the Monte-Carlo machinery, which rebuilds
-parameter sets from perturbed values and relies on construction-time
-re-validation.
+consistent. Monte-Carlo draws whole matrices of perturbed values instead,
+and checks their rows with `valid_rows`, the same single-field domains and
+cross-field rules as arrays.
 """
 
 from __future__ import annotations
@@ -474,7 +474,8 @@ class CostBreakdown:
 @dataclass(frozen=True)
 class ParamSpec:
     """One scalar input: where it lives, whether uncertainty applies to it,
-    and the domain it must be clamped to after perturbation."""
+    and the bounds of its draws: Monte-Carlo draws it conditioned on
+    [lower, upper], where None is unbounded."""
 
     key: str
     group: str                 # 'ev' | 'heat' | 'econ' | 'value_factors'
@@ -486,10 +487,10 @@ class ParamSpec:
 _EPS = 1e-9
 
 
-def _clamp_bounds(f) -> tuple:
-    """(lower, upper) that a perturbed draw of field f is clamped to: a closed
-    bound as it is, an open one moved _EPS inside; None for fields that
-    Monte-Carlo leaves alone."""
+def _draw_bounds(f) -> tuple:
+    """(lower, upper) that the perturbed draws of field f lie within: a
+    closed bound as it is, an open one moved _EPS inside; None for fields
+    that Monte-Carlo leaves alone."""
     m = f.metadata
     if not m["perturb"]:
         return None, None
@@ -502,7 +503,7 @@ def _clamp_bounds(f) -> tuple:
 #: declaration order. A sample is one row of a samples x SAMPLE_ROW matrix,
 #: and a column's position is its stable id for seeded Monte-Carlo
 #: substreams, so the fields above are never reordered.
-SAMPLE_ROW: tuple = tuple(ParamSpec(f.name, group, f.metadata["perturb"], *_clamp_bounds(f))
+SAMPLE_ROW: tuple = tuple(ParamSpec(f.name, group, f.metadata["perturb"], *_draw_bounds(f))
                           for group, cls in _ROW_GROUPS for f in fields(cls))
 
 #: The registry of the scalar parameters: the sample row without the value

@@ -9,15 +9,13 @@ easy as 1, 2, 3", SC'11). Each perturbed input, value factor and LCOS
 reference entry has a substream id: an input's or value factor's id is its
 column in `model.SAMPLE_ROW`, and the LCOS entries follow from
 LCOS_ID_OFFSET. Each (seed, substream, attempt) keys one Philox4x64
-generator. Sample i takes PROPOSALS uniform words of
-that stream, starting at word i * PROPOSALS: a range of samples is drawn
-at once by starting the generator's counter at the range's first sample.
-Each pair of words gives two Box-Muller normals, and the first of the
-PROPOSALS normals inside +/- TRUNCATION_Z is the sample's draw. So the
-draws are bit-identical for a fixed seed however the samples are split
-into ranges. A sample with no accepted proposal (about 7e-12 of cells at
-z = 1.285) draws on from its own generator, keyed by the sample index,
-until one is accepted.
+generator, and sample i takes uniform word i of that stream: a range of
+samples is drawn at once by starting the generator's counter at the
+range's first sample. The word is mapped through the inverse normal CDF
+over the draw's window: +/- TRUNCATION_Z intersected with the parameter's
+domain, standardised. So each draw is a normal conditioned on that window,
+never a value moved onto a bound, and the draws are bit-identical for a
+fixed seed however the samples are split into ranges.
 
 A drawn row that breaks a parameter invariant is redrawn whole on the next
 attempt's substreams; only the failing rows are redrawn.
@@ -58,12 +56,8 @@ from .valuefactor import summary_statistics
 #: and the LCOS reference entries follow in a fixed block. Append-only.
 LCOS_ID_OFFSET = len(SAMPLE_ROW)
 
-#: Normal proposals, and uniform words, per (sample, substream, attempt).
-#: A multiple of 4, so every sample starts on a Philox counter block.
-PROPOSALS = 16
-
 #: Recorded in the manifest and the run id: a change to the draws changes it.
-RNG_SCHEME = "philox4x64-boxmuller-v1"
+RNG_SCHEME = "philox4x64-invcdf-v1"
 
 #: Attempts at a row that meets every parameter invariant.
 MAX_ATTEMPTS = 100
@@ -114,43 +108,33 @@ class McConfig:
                 raise ValidationError(f"must be a finite number >= 0, got {value!r}", name)
 
 
-def _first_accepted(uniforms: np.ndarray, z: float) -> np.ndarray:
-    """Per row of PROPOSALS uniforms, the first of its Box-Muller normals in
-    [-z, z], NaN where there is none.
-
-    Words 2k and 2k+1 give proposals 2k (r cos a) and 2k+1 (r sin a), with
-    r = sqrt(-2 ln(1 - u_2k)) and a = 2 pi u_2k+1. A pair is only worked out
-    for the rows still without a draw.
-    """
-    draws = np.full(len(uniforms), np.nan)
-    pending = np.arange(len(uniforms))
-    for k in range(0, PROPOSALS, 2):
-        u = uniforms[pending]
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, k]))
-        angle = 2.0 * np.pi * u[:, k + 1]
-        cos, sin = radius * np.cos(angle), radius * np.sin(angle)
-        cos_ok = np.abs(cos) <= z
-        ok = cos_ok | (np.abs(sin) <= z)
-        draws[pending[ok]] = np.where(cos_ok, cos, sin)[ok]
-        pending = pending[~ok]
-        if not len(pending):
-            break
-    return draws
-
-
 def truncated_normals(seed: int, stream: int, attempt: int, start: int, stop: int,
-                      z: float) -> np.ndarray:
-    """Standard normal draws truncated at +/- z for the samples [start, stop)
-    of one substream and attempt; equal for any split of a range."""
-    gen = philox_generator(seed, stream, attempt, counter=start * PROPOSALS // 4)
-    draws = _first_accepted(gen.random((stop - start, PROPOSALS)), z)
-    for row in np.flatnonzero(np.isnan(draws)):
-        # no proposal accepted: go on with the sample's own generator, in
-        # blocks of PROPOSALS words (sample indices shifted so that none is 0)
-        fallback = philox_generator(seed, stream, attempt, start + row + 1)
-        while np.isnan(draws[row]):
-            draws[row] = _first_accepted(fallback.random((1, PROPOSALS)), z)[0]
-    return draws
+                      lower: float, upper: float) -> np.ndarray:
+    """Standard normal draws conditioned on [lower, upper] for the samples
+    [start, stop) of one substream and attempt, equal for any split of a
+    range: sample i maps uniform word i of the stream, u_i, to
+    Phi^-1(Phi(lower) + u_i * (Phi(upper) - Phi(lower))), where Phi^-1 is
+    `statistics.NormalDist`'s, Wichura's AS241."""
+    from statistics import NormalDist   # it loads decimal and fractions
+    normal = NormalDist()
+    gen = philox_generator(seed, stream, attempt, counter=start // 4)
+    words = gen.random(start % 4 + stop - start)[start % 4:]
+    low = normal.cdf(lower)
+    levels = low + words * (normal.cdf(upper) - low)
+    return np.fromiter(map(normal.inv_cdf, levels.tolist()), float, count=stop - start)
+
+
+def _window(value: float, spread: float, lower, upper) -> tuple:
+    """The standardised window of the draws around `value`: +/- TRUNCATION_Z
+    intersected with the domain [lower, upper], where None is unbounded. A
+    distance to a bound is compared with TRUNCATION_Z * spread before it is
+    divided, so a spread of 0 divides nothing and a subnormal one overflows
+    nothing."""
+    reach = TRUNCATION_Z * spread
+    distances = (-math.inf if lower is None else lower - value,
+                 math.inf if upper is None else upper - value)
+    return tuple(-TRUNCATION_Z if d <= -reach else TRUNCATION_Z if d >= reach else d / spread
+                 for d in distances)
 
 
 def _drawn_columns(cfg: McConfig) -> list:
@@ -179,7 +163,7 @@ def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> 
     one column per BATCH_COLUMNS entry.
 
     Each perturbed scalar input and value factor is drawn on its own
-    substream and clamped to its registered domain. A row that breaks an
+    substream, conditioned on its registered domain. A row that breaks an
     invariant (`model.valid_rows`) is redrawn whole on the next attempt's
     substreams; after MAX_ATTEMPTS the base configuration is declared
     unsatisfiable. A sigma under which a draw could overflow is a
@@ -195,12 +179,10 @@ def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> 
         lo, hi = pending[0], pending[-1] + 1
         for column, spec, sigma in _drawn_columns(cfg):
             value = base_row[column]
-            drawn = value + _spread(value, cfg, sigma) * truncated_normals(
-                cfg.seed, column, attempt, start + lo, start + hi, TRUNCATION_Z)
-            if spec.lower is not None:
-                drawn = np.maximum(spec.lower, drawn)
-            if spec.upper is not None:
-                drawn = np.minimum(spec.upper, drawn)
+            spread = _spread(value, cfg, sigma)
+            drawn = value + spread * truncated_normals(
+                cfg.seed, column, attempt, start + lo, start + hi,
+                *_window(value, spread, spec.lower, spec.upper))
             columns[column, pending] = drawn[pending - lo]
         pending = pending[~valid_rows(dict(zip(BATCH_COLUMNS, columns[:, pending])))]
     if not len(pending):
@@ -311,17 +293,18 @@ def lcos_sample_matrix(lcos_entries: Sequence[Tuple[str, float]],
     """Per-sample cost values for the storage reference technologies.
 
     Point sampling repeats the published value; same-scheme sampling applies
-    the input perturbation treatment, floored at 0. Entry order determines
-    substream ids, so keep the reference list order stable between runs.
+    the input perturbation treatment, conditioned on [0, inf). Entry order
+    determines substream ids, so keep the reference list order stable
+    between runs.
     """
     matrix = np.empty((len(lcos_entries), cfg.samples))
     for e, (_, value) in enumerate(lcos_entries):
         if cfg.lcos_sampling is LcosSampling.POINT or cfg.sigma_inputs == 0.0:
             matrix[e, :] = value
             continue
-        drawn = value + _spread(value, cfg, "sigma_inputs") * truncated_normals(
-            cfg.seed, LCOS_ID_OFFSET + e, 0, 0, cfg.samples, TRUNCATION_Z)
-        matrix[e, :] = np.maximum(0.0, drawn)
+        spread = _spread(value, cfg, "sigma_inputs")
+        matrix[e, :] = value + spread * truncated_normals(
+            cfg.seed, LCOS_ID_OFFSET + e, 0, 0, cfg.samples, *_window(value, spread, 0.0, None))
     return matrix
 
 

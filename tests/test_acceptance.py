@@ -230,7 +230,7 @@ def test_criterion_09_monte_carlo_contract(tmp_path):
 
     # the same truncation on the sampler Monte-Carlo runs, and on every
     # column of the perturbed matrix it evaluates
-    ok &= bool(np.all(np.abs(truncated_normals(909, 0, 0, 0, 100_000, 1.285)) <= 1.285))
+    ok &= bool(np.all(np.abs(truncated_normals(909, 0, 0, 0, 100_000, -1.285, 1.285)) <= 1.285))
     base = default_parameters()
     cfg = McConfig(samples=10_000, seed=909)
     base_row = np.array(batch_row(base))

@@ -478,7 +478,7 @@ def test_mc_manifest_records_the_rng_scheme(tmp_path):
     out = tmp_path / "out"
     assert main(["mc", "--out", str(out), "--samples", "3"]) == 0
     assert json.loads((out / "manifest.json").read_text())["mc"]["rng_scheme"] == RNG_SCHEME
-    assert RNG_SCHEME == "philox4x64-boxmuller-v1"
+    assert RNG_SCHEME == "philox4x64-invcdf-v1"
 
 
 MC_FILES = ("lcodr_mc.csv", "cheapest_probability.csv", "cost_composition.csv",
@@ -571,6 +571,17 @@ def test_an_lcos_technology_named_after_a_scheme_is_a_data_error(tmp_path, capsy
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert errors == [f"error: data: {lcos}:{row}: technology 'v2g' is named after a scheme"]
+
+
+def test_a_negative_lcos_is_a_data_error(tmp_path, capsys):
+    lcos = tmp_path / "lcos.csv"
+    lcos.write_text("application,technology,lcos_usd_per_mwh\n"
+                    "Energy arbitrage,Li-ion,0\nEnergy arbitrage,Flow,-20\n", encoding="utf-8")
+    assert main(["mc", "--samples", "5", "--applications", "Energy arbitrage",
+                 "--out", str(tmp_path / "o"), "--lcos", str(lcos)]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: data: {lcos}:3: lcos_usd_per_mwh -20.0 is below 0"]
 
 
 @pytest.mark.parametrize("row", ["Energy arbitrage,,100", ",Lithium-ion,100",

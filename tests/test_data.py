@@ -463,6 +463,17 @@ def test_lcos_reference_non_finite_is_a_data_error(tmp_path):
     assert err.value.row == 3
 
 
+def test_lcos_reference_negative_is_a_data_error(tmp_path):
+    # a same-scheme draw is conditioned on [0, inf), which a negative cost
+    # lies outside; a cost of 0 is valid
+    path = write(tmp_path, "application,technology,lcos_usd_per_mwh\n"
+                           "Energy arbitrage,Li-ion,0\n"
+                           "Energy arbitrage,Flow,-0.5\n")
+    with pytest.raises(DataError, match="lcos_usd_per_mwh -0.5 is below 0") as err:
+        load_lcos_reference(path)
+    assert err.value.row == 3
+
+
 @pytest.mark.parametrize("row,match", [
     ("Energy arbitrage,v2g,5.0\n", "named after a scheme"),
     ("Energy arbitrage,Li-ion,5.0\n", "repeated technology 'Li-ion'"),

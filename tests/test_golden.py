@@ -62,15 +62,15 @@ GOLDEN = {
     "mc_same_scheme": (["mc", "--samples", "40", "--compute-vf", "--lcos-sampling",
                         "same_scheme", "--emit-samples", "--seed", "5"], {
         "lcodr_mc.csv":
-            "22e522060cce17eeeb9710eb712c2450e23eabe166218c9137fb65c7eadd0c08",
+            "fda59e850c40865ddf8679c79a5296e8eb68303b2c37719cc8c428b232204aa7",
         "cheapest_probability.csv":
-            "f3dc561b7e317bad7157f8c9e2415252ae40d39226126704ab5cbffee6782111",
+            "92a9d5d7b1618a597d17bd4dcd4ee692b7c5b56e79334dd3fd849fea5ca1042f",
         "cost_composition.csv":
-            "54ff5b3630f74036ceb554945d14b757294365d794183395cb0041cef54a913b",
+            "a75d5016d4ce5bfca663635d0957b4b0640ba2df272603c851b2c9f820f7c05c",
         "lcodr_samples.csv":
-            "093acab16cd40427e27a2dadac7b58e6e49811803dd3b5adbf42b3a0b2c12a09",
+            "1021267e604ec06001bddc8cf57407869d9e18151be565acb2bf128c111ad1d6",
         "manifest.json":
-            "621d8d8bf53ef2b73036ba030544f71c03a19db0754d2bd69d84e894d5c61614",
+            "538b417019b1f143b5de9908b016a8690f5d62ece173a7fe363d05a78fa6395b",
     }),
 }
 

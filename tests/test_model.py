@@ -167,8 +167,8 @@ REGISTRY = [
 
 def test_registry_order_is_stable():
     # Substream ids in the Monte-Carlo machinery are registry positions and
-    # the bounds are the clamp values of perturbed draws, so neither may
-    # change without a declared re-baseline.
+    # the bounds are the domain that perturbed draws are conditioned on, so
+    # neither may change without a declared re-baseline.
     got = [(s.key, s.group, s.perturb, s.lower, s.upper) for s in PARAMETERS]
     assert got == REGISTRY
     assert SAMPLE_ROW[:35] == PARAMETERS
@@ -382,6 +382,7 @@ def test_startup_leaves_pyyaml_unimported(tmp_path):
     script = ("import sys, lcodr.cli, lcodr.model\n"
               "lcodr.model.load_config(None)\n"
               "assert 'yaml' not in sys.modules, 'yaml imported at start-up'\n"
+              "assert 'statistics' not in sys.modules, 'statistics imported at start-up'\n"
               "params, _ = lcodr.model.load_config(sys.argv[1])\n"
               "assert params.econ.discount_rate == 0.06 and 'yaml' in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

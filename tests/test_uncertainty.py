@@ -14,16 +14,13 @@ from lcodr.model import (
     default_applications,
     default_parameters,
     parameter_values,
-    philox_generator,
 )
 from lcodr.uncertainty import (
-    PROPOSALS,
     LcosSampling,
     McConfig,
     McDistribution,
     NoFeasibleTechnology,
     PerturbationUnsatisfiable,
-    _first_accepted,
     cheapest_probability,
     lcos_sample_matrix,
     perturb_matrix,
@@ -260,9 +257,9 @@ def test_draws_do_not_depend_on_the_split(n, cuts, seed, edge):
     whole = perturb_matrix(base, cfg, 0, n)
     joined = np.vstack([perturb_matrix(base, cfg, lo, hi) for lo, hi in _split(n, cuts)])
     assert np.array_equal(whole, joined)
-    normals = truncated_normals(seed, 3, 1, 0, n, 1.285)
+    normals = truncated_normals(seed, 3, 1, 0, n, -1.285, 1.285)
     assert np.array_equal(normals, np.concatenate(
-        [truncated_normals(seed, 3, 1, lo, hi, 1.285) for lo, hi in _split(n, cuts)]))
+        [truncated_normals(seed, 3, 1, lo, hi, -1.285, 1.285) for lo, hi in _split(n, cuts)]))
 
 
 def test_edge_base_redraws_rows_and_keeps_them_valid():
@@ -273,7 +270,7 @@ def test_edge_base_redraws_rows_and_keeps_them_valid():
     assert (columns["ceiling_height"] > 2 * columns["wall_thickness"]).all()
     # the attempt-0 draw of a redrawn row is not its final value
     stream = PARAMETER_INDEX["hp_active_power"]
-    first = 0.46 + 0.33 * 0.46 * truncated_normals(2, stream, 0, 0, 200, 1.285)
+    first = 0.46 + 0.33 * 0.46 * truncated_normals(2, stream, 0, 0, 200, -1.285, 1.285)
     redrawn = first != columns["hp_active_power"]
     assert 50 < redrawn.sum() < 200
 
@@ -294,31 +291,68 @@ def test_unsatisfiable_after_the_attempt_budget(monkeypatch):
         perturb_matrix(default_parameters(), McConfig(samples=5), 3, 5)
 
 
-def test_no_accepted_proposal_falls_back_to_the_sample_stream():
-    # at z = 0.01 under 1 % of proposals are accepted: most samples have
-    # none in their block of PROPOSALS
-    z = 0.01
-    block = _first_accepted(philox_generator(4, 2, 0).random((50, PROPOSALS)), z)
-    assert np.isnan(block).sum() > 30
-    draws = truncated_normals(4, 2, 0, 0, 50, z)
-    assert np.isfinite(draws).all() and (np.abs(draws) <= z).all()
-    assert np.array_equal(draws[~np.isnan(block)], block[~np.isnan(block)])
-    assert np.array_equal(draws[20:], truncated_normals(4, 2, 0, 20, 50, z))
+def _quantile_gap(draws, reference):
+    qs = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
+    return np.abs(np.quantile(draws, qs) - np.quantile(reference, qs)).max()
 
 
 def test_truncated_normals_match_the_scalar_sampler():
     z = 1.285
-    draws = truncated_normals(9, 0, 0, 0, 100_000, z)
+    draws = truncated_normals(9, 0, 0, 0, 100_000, -z, z)
     rng = np.random.default_rng(9)
     scalar = np.array([sample_truncated_normal(0.0, 1.0, z, rng) for _ in range(100_000)])
     assert np.abs(draws).max() <= z
     # quantiles agree to a few standard errors; the variance is that of the
     # standard normal truncated at +/- z
-    qs = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
-    assert np.abs(np.quantile(draws, qs) - np.quantile(scalar, qs)).max() < 0.02
+    assert _quantile_gap(draws, scalar) < 0.02
     density = math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
     assert draws.var() == pytest.approx(1 - 2 * z * density / math.erf(z / math.sqrt(2)),
                                         abs=0.005)
+
+
+def test_a_column_on_a_one_sided_window_matches_the_scalar_sampler():
+    # charger_efficiency (0.92, at most 1) reaches its upper bound 0.26
+    # standard deviations above the base: the sampler conditions on the
+    # domain, as the reference does by rejection
+    n, base, spread = 50_000, 0.92, 0.33 * 0.92
+    column = perturb_matrix(default_parameters(), McConfig(samples=n, seed=9), 0, n)[
+        :, BATCH_COLUMNS.index("charger_efficiency")]
+    rng = np.random.default_rng(9)
+    scalar = np.array([sample_truncated_normal(base, spread, 1.285, rng, upper=1.0)
+                       for _ in range(n)])
+    assert column.max() <= 1.0 and column.min() >= base - 1.285 * spread
+    assert _quantile_gap((column - base) / spread, (scalar - base) / spread) < 0.03
+
+
+def test_draws_on_a_bound_of_one_are_truncated_to_the_analytic_mean():
+    n = 10_000
+    matrix = perturb_matrix(default_parameters(), McConfig(samples=n, seed=0), 0, n)
+    z = 1.285
+    pdf = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)   # noqa: E731
+    cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2))              # noqa: E731
+    for key, base in (("charger_efficiency", 0.92), ("home_charge_fraction", 0.90)):
+        column = matrix[:, BATCH_COLUMNS.index(key)]
+        assert not (column == 1.0).any(), key   # no point mass on the bound
+        spread = 0.33 * base
+        upper = (1.0 - base) / spread
+        mean = base + spread * (pdf(-z) - pdf(upper)) / (cdf(upper) - cdf(-z))
+        assert abs(column.mean() - mean) < 4 * column.std() / math.sqrt(n), key
+
+
+def test_a_zero_spread_keeps_the_base_value_exactly():
+    values = {**parameter_values(default_parameters()), "v2g_reward_base": 0.0}
+    base = build_parameter_set(values, vars(default_parameters().value_factors))
+    matrix = perturb_matrix(base, McConfig(samples=30, seed=4), 0, 30)
+    assert (matrix[:, BATCH_COLUMNS.index("v2g_reward_base")] == 0.0).all()
+
+
+def test_a_subnormal_spread_keeps_the_base_row_without_overflow():
+    # (bound - value) / spread would overflow; the window is decided
+    # before dividing, and RuntimeWarnings are errors in this suite
+    base = default_parameters()
+    matrix = perturb_matrix(base, McConfig(samples=8, seed=1, sigma_inputs=2.2e-311,
+                                           sigma_vf=2.2e-311), 0, 8)
+    assert (matrix == np.array(batch_row(base))).all()
 
 
 def test_mc_builds_no_generator_per_sample(monkeypatch):
@@ -343,7 +377,9 @@ def test_same_scheme_lcos_draws_are_non_negative_and_prefix_stable():
     cfg = McConfig(samples=300, seed=6, sigma_inputs=1.5,
                    lcos_sampling=LcosSampling.SAME_SCHEME)
     m = lcos_sample_matrix(entries, cfg)
-    assert (m >= 0).all() and (m[0] == 0).any()
+    # conditioned on [0, inf): a positive entry draws above 0, and an entry
+    # of 0 has a spread of 0
+    assert (m[[0, 2]] > 0).all()
     assert (m[1] == 0).all()
     shorter = lcos_sample_matrix(entries, McConfig(samples=120, seed=6, sigma_inputs=1.5,
                                                    lcos_sampling=LcosSampling.SAME_SCHEME))
