@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -327,15 +328,14 @@ def test_a_column_on_a_one_sided_window_matches_the_scalar_sampler():
 def test_draws_on_a_bound_of_one_are_truncated_to_the_analytic_mean():
     n = 10_000
     matrix = perturb_matrix(default_parameters(), McConfig(samples=n, seed=0), 0, n)
-    z = 1.285
-    pdf = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)   # noqa: E731
-    cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2))              # noqa: E731
+    z, normal = 1.285, NormalDist()
     for key, base in (("charger_efficiency", 0.92), ("home_charge_fraction", 0.90)):
         column = matrix[:, BATCH_COLUMNS.index(key)]
         assert not (column == 1.0).any(), key   # no point mass on the bound
         spread = 0.33 * base
         upper = (1.0 - base) / spread
-        mean = base + spread * (pdf(-z) - pdf(upper)) / (cdf(upper) - cdf(-z))
+        mean = base + spread * ((normal.pdf(-z) - normal.pdf(upper))
+                                / (normal.cdf(upper) - normal.cdf(-z)))
         assert abs(column.mean() - mean) < 4 * column.std() / math.sqrt(n), key
 
 
