@@ -475,7 +475,8 @@ class CostBreakdown:
 class ParamSpec:
     """One scalar input: where it lives, whether uncertainty applies to it,
     and the bounds of its draws: Monte-Carlo draws it conditioned on
-    [lower, upper], where None is unbounded."""
+    [lower, upper], where None is unbounded. An open bound is recorded as
+    it is; `valid_rows` rejects a draw that lands on it."""
 
     key: str
     group: str                 # 'ev' | 'heat' | 'econ' | 'value_factors'
@@ -484,18 +485,14 @@ class ParamSpec:
     upper: Optional[float] = None
 
 
-_EPS = 1e-9
-
-
 def _draw_bounds(f) -> tuple:
-    """(lower, upper) that the perturbed draws of field f lie within: a
-    closed bound as it is, an open one moved _EPS inside; None for fields
-    that Monte-Carlo leaves alone."""
+    """(lower, upper) that the perturbed draws of field f are conditioned on,
+    open or closed; None for fields that Monte-Carlo leaves alone."""
     m = f.metadata
     if not m["perturb"]:
         return None, None
-    lower = m["ge"] if m["gt"] is None else m["gt"] + _EPS
-    upper = m["le"] if m["lt"] is None else m["lt"] - _EPS
+    lower = m["ge"] if m["gt"] is None else m["gt"]
+    upper = m["le"] if m["lt"] is None else m["lt"]
     return lower, upper
 
 
@@ -580,11 +577,119 @@ def valid_rows(columns) -> np.ndarray:
     return ok
 
 
-def philox_generator(seed: int, *key: int, counter: int = 0) -> np.random.Generator:
-    """The Philox4x64 generator of one (seed, *key) stream, at counter block
-    `counter`; it yields the stream from word 4 * counter on."""
-    words = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=words, counter=counter))
+# ---------------------------------------------------------------------------
+# Counter-based random numbers
+# ---------------------------------------------------------------------------
+
+_M32 = 0xFFFFFFFF
+_M64 = 0xFFFFFFFFFFFFFFFF
+#: Philox4x64-10 (Salmon et al., SC'11): the round multipliers and the key
+#: increments of each round.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+#: Counter blocks per kernel pass, over as many streams as fit. A temporary
+#: is then at most 16 KiB, well under glibc's 128 KiB mmap threshold; one
+#: pass over the 34 streams x 375 blocks of `mc --samples 1500` (100 KiB a
+#: temporary) raised that command's peak resident set by 0.46 MiB.
+PHILOX_CHUNK = 2048
+
+
+def _uint32_words(n: int) -> list:
+    """A non-negative int as little-endian 32-bit words, [0] for 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _philox_key(seed: int, key: tuple) -> tuple:
+    """The two 64-bit key words of the Philox4x64 stream (seed, *key), as
+    `np.random.SeedSequence(seed, spawn_key=key).generate_state(2,
+    np.uint64)` derives them: its uint32 hash mix over a pool of 4 words, in
+    Python ints."""
+    entropy = _uint32_words(seed)
+    spawned = [word for k in key for word in _uint32_words(k)]
+    if spawned:   # a spawned sequence pads its seed words to the pool size
+        entropy += [0] * (4 - len(entropy))
+    entropy += spawned
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, state = 0x8B51F9DD, []
+    for word in pool:
+        word ^= mult
+        mult = mult * 0x58F38DED & _M32
+        word = word * mult & _M32
+        state.append(word ^ word >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple:
+    """The high and low 64-bit words of each 128-bit product a * m, built
+    from 32-bit halves; uint64 array arithmetic wraps without a warning."""
+    a_lo, a_hi = a & _M32, a >> 32
+    m_lo, m_hi = m & _M32, m >> 32
+    t = a_hi * m_lo + (a_lo * m_lo >> 32)
+    u = (t & _M32) + a_lo * m_hi
+    return a_hi * m_hi + (t >> 32) + (u >> 32), a * m
+
+
+def philox_uniforms(seed: int, keys, start: int, stop: int) -> np.ndarray:
+    """Uniform words [start, stop) of the Philox4x64-10 streams (seed, *key)
+    for each key tuple in `keys`, one row per stream, bit for bit those of
+    `np.random.Generator(np.random.Philox(key=SeedSequence(seed,
+    spawn_key=key).generate_state(2, np.uint64))).random()`.
+
+    Word i is lane i % 4 of counter block i // 4 + 1 (numpy bumps the
+    counter before its first use), mapped to (w >> 11) * 2**-53. The
+    blocks are computed PHILOX_CHUNK at a time, for as many streams as fit.
+    """
+    first, n_blocks = start // 4, -(-stop // 4) - start // 4
+    stream_keys = [_philox_key(seed, key) for key in keys]
+    # round r adds r increments to the key, mod 2**64: in Python ints, as a
+    # numpy uint64 scalar would warn on the overflow
+    round_keys = np.array([[[(k + r * w) & _M64 for k, w in zip(words, _PHILOX_W)]
+                            for r in range(_PHILOX_ROUNDS)] for words in stream_keys],
+                          dtype=np.uint64).reshape(len(keys), _PHILOX_ROUNDS, 2)
+    out = np.empty((len(keys), n_blocks, 4))
+    rows = max(1, PHILOX_CHUNK // max(n_blocks, 1))
+    for r0 in range(0, len(keys), rows):
+        k = round_keys[r0:r0 + rows, :, :, None]
+        for b0 in range(0, n_blocks, PHILOX_CHUNK):
+            b1 = min(b0 + PHILOX_CHUNK, n_blocks)
+            x0 = np.repeat(np.arange(first + b0 + 1, first + b1 + 1, dtype=np.uint64)[None, :],
+                           len(k), axis=0)
+            x1 = x2 = x3 = np.zeros_like(x0)
+            for r in range(_PHILOX_ROUNDS):
+                hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+                hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+                x0, x1, x2, x3 = hi1 ^ x1 ^ k[:, r, 0], lo1, hi0 ^ x3 ^ k[:, r, 1], lo0
+            for lane, x in enumerate((x0, x1, x2, x3)):
+                np.multiply(x >> 11, 2.0 ** -53, out=out[r0:r0 + rows, b0:b1, lane])
+    return out.reshape(len(keys), 4 * n_blocks)[:, start % 4:start % 4 + stop - start]
 
 
 # ---------------------------------------------------------------------------

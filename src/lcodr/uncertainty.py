@@ -9,10 +9,11 @@ easy as 1, 2, 3", SC'11). Each perturbed input, value factor and LCOS
 reference entry has a substream id: an input's or value factor's id is its
 column in `model.SAMPLE_ROW`, and the LCOS entries follow from
 LCOS_ID_OFFSET. Each (seed, substream, attempt) keys one Philox4x64
-generator, and sample i takes uniform word i of that stream: a range of
-samples is drawn at once by starting the generator's counter at the
-range's first sample. The word is mapped through the inverse normal CDF
-over the draw's window: +/- TRUNCATION_Z intersected with the parameter's
+stream, and sample i takes uniform word i of that stream: the words of a
+range of samples, for every substream of an attempt, come from one call
+of `model.philox_uniforms`. The word is mapped through the inverse normal
+CDF (AS241's central branch, as `statistics.NormalDist` evaluates it) over
+the draw's window: +/- TRUNCATION_Z intersected with the parameter's
 domain, standardised. So each draw is a normal conditioned on that window,
 never a value moved onto a bound, and the draws are bit-identical for a
 fixed seed however the samples are split into ranges.
@@ -47,7 +48,7 @@ from .model import (
     VALUE_FACTOR_KEYS,
     ValidationError,
     build_parameter_set,
-    philox_generator,
+    philox_uniforms,
     valid_rows,
 )
 from .valuefactor import summary_statistics
@@ -108,20 +109,48 @@ class McConfig:
                 raise ValidationError(f"must be a finite number >= 0, got {value!r}", name)
 
 
+#: Wichura's AS241 (Applied Statistics 37(3), 1988), its central branch:
+#: the coefficients of the numerator and the denominator polynomials in r,
+#: highest power first, as `statistics.NormalDist.inv_cdf` writes them.
+_AS241_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+              4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+              1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_AS241_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+              2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+              4.2313330701600911252e+1, 1.0)
+
+
+def _normal_cdf(x: float) -> float:
+    """Phi(x), by `statistics.NormalDist().cdf`'s formula."""
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _normal_quantiles(p: np.ndarray) -> np.ndarray:
+    """Phi^-1(p), bit for bit `statistics.NormalDist().inv_cdf`, for levels
+    with |p - 0.5| <= 0.425, the central branch of AS241 that it evaluates
+    in this order. Every window lies inside +/- TRUNCATION_Z, whose levels
+    are central."""
+    q = p - 0.5
+    r = 0.180625 - q * q
+    num, den = _AS241_NUM[0] * r, _AS241_DEN[0] * r
+    for a, b in zip(_AS241_NUM[1:-1], _AS241_DEN[1:-1]):
+        num, den = (num + a) * r, (den + b) * r
+    return (num + _AS241_NUM[-1]) * q / (den + _AS241_DEN[-1])
+
+
+def _truncated(words: np.ndarray, lower: float, upper: float) -> np.ndarray:
+    """Standard normal draws conditioned on [lower, upper]: each uniform u
+    maps to Phi^-1(Phi(lower) + u * (Phi(upper) - Phi(lower)))."""
+    low = _normal_cdf(lower)
+    return _normal_quantiles(low + words * (_normal_cdf(upper) - low))
+
+
 def truncated_normals(seed: int, stream: int, attempt: int, start: int, stop: int,
                       lower: float, upper: float) -> np.ndarray:
     """Standard normal draws conditioned on [lower, upper] for the samples
     [start, stop) of one substream and attempt, equal for any split of a
-    range: sample i maps uniform word i of the stream, u_i, to
-    Phi^-1(Phi(lower) + u_i * (Phi(upper) - Phi(lower))), where Phi^-1 is
-    `statistics.NormalDist`'s, Wichura's AS241."""
-    from statistics import NormalDist   # it loads decimal and fractions
-    normal = NormalDist()
-    gen = philox_generator(seed, stream, attempt, counter=start // 4)
-    words = gen.random(start % 4 + stop - start)[start % 4:]
-    low = normal.cdf(lower)
-    levels = low + words * (normal.cdf(upper) - low)
-    return np.fromiter(map(normal.inv_cdf, levels.tolist()), float, count=stop - start)
+    range: sample i maps uniform word i of the stream through `_truncated`."""
+    return _truncated(philox_uniforms(seed, [(stream, attempt)], start, stop)[0], lower, upper)
 
 
 def _window(value: float, spread: float, lower, upper) -> tuple:
@@ -177,13 +206,14 @@ def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> 
             return columns.T
         # the failing rows are redrawn from the span of samples that holds them
         lo, hi = pending[0], pending[-1] + 1
-        for column, spec, sigma in _drawn_columns(cfg):
+        drawn = _drawn_columns(cfg)
+        words = philox_uniforms(cfg.seed, [(column, attempt) for column, _, _ in drawn],
+                                start + lo, start + hi)
+        for (column, spec, sigma), row in zip(drawn, words):
             value = base_row[column]
             spread = _spread(value, cfg, sigma)
-            drawn = value + spread * truncated_normals(
-                cfg.seed, column, attempt, start + lo, start + hi,
-                *_window(value, spread, spec.lower, spec.upper))
-            columns[column, pending] = drawn[pending - lo]
+            columns[column, pending] = value + spread * _truncated(
+                row[pending - lo], *_window(value, spread, spec.lower, spec.upper))
         pending = pending[~valid_rows(dict(zip(BATCH_COLUMNS, columns[:, pending])))]
     if not len(pending):
         return columns.T
@@ -298,13 +328,15 @@ def lcos_sample_matrix(lcos_entries: Sequence[Tuple[str, float]],
     between runs.
     """
     matrix = np.empty((len(lcos_entries), cfg.samples))
-    for e, (_, value) in enumerate(lcos_entries):
-        if cfg.lcos_sampling is LcosSampling.POINT or cfg.sigma_inputs == 0.0:
-            matrix[e, :] = value
-            continue
+    if cfg.lcos_sampling is LcosSampling.POINT or cfg.sigma_inputs == 0.0:
+        for e, (_, value) in enumerate(lcos_entries):
+            matrix[e] = value
+        return matrix
+    words = philox_uniforms(cfg.seed, [(LCOS_ID_OFFSET + e, 0) for e in range(len(lcos_entries))],
+                            0, cfg.samples)
+    for e, ((_, value), row) in enumerate(zip(lcos_entries, words)):
         spread = _spread(value, cfg, "sigma_inputs")
-        matrix[e, :] = value + spread * truncated_normals(
-            cfg.seed, LCOS_ID_OFFSET + e, 0, 0, cfg.samples, *_window(value, spread, 0.0, None))
+        matrix[e] = value + spread * _truncated(row, *_window(value, spread, 0.0, None))
     return matrix
 
 

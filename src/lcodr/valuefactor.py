@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .model import LcodrError, TimeSeries, philox_generator
+from .model import LcodrError, TimeSeries, philox_uniforms
 
 #: Recorded in the manifest and the run id of `vf --subsample` runs: a
 #: change to the subset selection changes it.
@@ -256,9 +256,7 @@ def subsample_masks(seed: int, n_assets: int, subset_size: int, start: int,
     and selects the `subset_size` assets with the smallest of them. So
     the rows of a range equal those of any range that holds it.
     """
-    first = n_assets * start
-    gen = philox_generator(seed, counter=first // 4)
-    uniforms = gen.random(first % 4 + (stop - start) * n_assets)[first % 4:]
+    uniforms = philox_uniforms(seed, [()], n_assets * start, n_assets * stop)[0]
     chosen = np.argpartition(uniforms.reshape(stop - start, n_assets), subset_size - 1,
                              axis=1)[:, :subset_size]
     mask = np.zeros((stop - start, n_assets), dtype=bool)

@@ -7,6 +7,7 @@ size_pairing) are compared with the oracle, never with each other.
 """
 
 import ast
+import dataclasses
 import math
 from collections import Counter
 from pathlib import Path
@@ -37,6 +38,9 @@ from lcodr.model import (
     ApplicationSpec,
     Assumptions,
     BindingConstraint,
+    EconomicParameters,
+    EvParameters,
+    HeatParameters,
     ParameterSet,
     SchemeKind,
     SizingResult,
@@ -180,13 +184,22 @@ def test_the_sizing_fields_of_other_schemes_share_one_nan_column():
     assert sizing["contracted_assets"].flags.writeable
 
 
+#: (gt, lt) of each scalar parameter: its open bounds, or None.
+OPEN_BOUNDS = {f.name: (f.metadata["gt"], f.metadata["lt"])
+               for cls in (EvParameters, HeatParameters, EconomicParameters)
+               for f in dataclasses.fields(cls)}
+
+
 def _value_strategy(spec):
-    """Values at or near the registry bounds, with the default in the mix so
-    that most drawn sets stay valid."""
+    """Values at or near the registry bounds, an open bound moved 1e-9
+    inside, with the default in the mix so that most drawn sets stay
+    valid."""
     default = parameter_values(BASE)[spec.key]
     options = [st.just(default), st.just(default),
                st.floats(0.5, 1.5).map(lambda f, d=default: d * f)]
-    options += [st.just(bound) for bound in (spec.lower, spec.upper) if bound is not None]
+    gt, lt = OPEN_BOUNDS[spec.key]
+    near = (spec.lower if gt is None else gt + 1e-9, spec.upper if lt is None else lt - 1e-9)
+    options += [st.just(bound) for bound in near if bound is not None]
     return st.one_of(options)
 
 

@@ -127,10 +127,10 @@ def test_parameter_registry_covers_all_groups():
 
 #: (key, group, perturb, lower, upper) of every registered parameter.
 REGISTRY = [
-    ("charger_power", "ev", True, 1e-09, None),
-    ("charger_efficiency", "ev", True, 1e-09, 1.0),
-    ("battery_capacity", "ev", True, 1e-09, None),
-    ("guaranteed_min_charge", "ev", True, 0.0, 0.999999999),
+    ("charger_power", "ev", True, 0.0, None),
+    ("charger_efficiency", "ev", True, 0.0, 1.0),
+    ("battery_capacity", "ev", True, 0.0, None),
+    ("guaranteed_min_charge", "ev", True, 0.0, 1.0),
     ("daily_drive_energy", "ev", True, 0.0, None),
     ("home_charge_fraction", "ev", True, 0.0, 1.0),
     ("base_plugin_time", "ev", True, 0.0, 24.0),
@@ -138,22 +138,22 @@ REGISTRY = [
     ("v2g_reward_per_hour", "ev", True, 0.0, None),
     ("smart_reward_base", "ev", True, 0.0, None),
     ("smart_reward_per_hour", "ev", True, 0.0, None),
-    ("hp_average_power", "heat", True, 1e-09, None),
-    ("hp_active_power", "heat", True, 1e-09, None),
-    ("seasonal_performance", "heat", True, 1.000000001, None),
-    ("building_heat_capacity", "heat", True, 1e-09, None),
+    ("hp_average_power", "heat", True, 0.0, None),
+    ("hp_active_power", "heat", True, 0.0, None),
+    ("seasonal_performance", "heat", True, 1.0, None),
+    ("building_heat_capacity", "heat", True, 0.0, None),
     ("building_temp_divergence", "heat", True, 0.0, None),
-    ("max_activations_per_month", "heat", True, 1e-09, None),
+    ("max_activations_per_month", "heat", True, 0.0, None),
     ("hp_reward_monthly", "heat", True, 0.0, None),
     ("tank_area_reward_monthly", "heat", True, 0.0, None),
-    ("water_density", "heat", True, 1e-09, None),
-    ("water_heat_capacity", "heat", True, 1e-09, None),
-    ("tank_temp_range", "heat", True, 1e-09, None),
-    ("wall_thickness", "heat", True, 1e-09, None),
-    ("ceiling_height", "heat", True, 1e-09, None),
-    ("discount_rate", "econ", True, 0.0, 0.999999999),
+    ("water_density", "heat", True, 0.0, None),
+    ("water_heat_capacity", "heat", True, 0.0, None),
+    ("tank_temp_range", "heat", True, 0.0, None),
+    ("wall_thickness", "heat", True, 0.0, None),
+    ("ceiling_height", "heat", True, 0.0, None),
+    ("discount_rate", "econ", True, 0.0, 1.0),
     ("lifetime_years", "econ", False, None, None),
-    ("electricity_price", "econ", True, 1e-09, None),
+    ("electricity_price", "econ", True, 0.0, None),
     ("v2g_charger_capex", "econ", True, 0.0, None),
     ("smart_charger_capex", "econ", True, 0.0, None),
     ("thermostat_capex", "econ", True, 0.0, None),
@@ -392,18 +392,49 @@ def test_startup_leaves_pyyaml_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("command", [["mc", "--samples", "20"],
-                                     ["vf", "--subsample", "5", "--iterations", "20"]],
-                         ids=["mc", "vf-subsample"])
-def test_mc_and_vf_leave_numpy_ma_unimported(tmp_path, command):
+def _small_vf_files(directory: Path) -> list:
+    """The five `vf` data flags with small files: one day, hourly, 8 EV and
+    4 heat-pump assets."""
+    stamps = [f"2023-01-01T{h:02d}:00:00" for h in range(24)]
+
+    def pool(prefix, n):
+        return "asset_id,timestamp,value\n" + "".join(
+            f"{prefix}{a},{t},{(a + h) % 3}\n" for a in range(n) for h, t in enumerate(stamps))
+
+    texts = {"price": "timestamp,value\n" + "".join(f"{t},{20 + h}\n" for h, t in enumerate(stamps)),
+             "ev-pool": pool("ev", 8), "hp-pool": pool("hp", 4),
+             "v2g-power": "timestamp,value\n" + "".join(f"{t},{1 + h % 2}\n" for h, t in enumerate(stamps)),
+             "v2g-boundaries": "timestamp,lower,upper\n" + "".join(
+                 f"{t},{h % 2},{2 + h % 3}\n" for h, t in enumerate(stamps))}
+    args = []
+    for flag, text in texts.items():
+        path = directory / f"{flag}.csv"
+        path.write_text(text, encoding="utf-8")
+        args += [f"--{flag}", str(path)]
+    return args
+
+
+@pytest.mark.parametrize("command,files,unloaded", [
+    (["mc", "--samples", "20"], False, ("numpy.ma", "numpy.random", "statistics")),
+    # the synthetic default pools draw with numpy.random.default_rng
+    (["vf", "--subsample", "5", "--iterations", "20"], False, ("numpy.ma",)),
+    (["vf", "--subsample", "5", "--iterations", "20"], True, ("numpy.ma", "numpy.random")),
+], ids=["mc", "vf-subsample", "vf-subsample-files"])
+def test_mc_and_vf_leave_numpy_ma_unimported(tmp_path, command, files, unloaded):
     """np.percentile imports numpy.ma (by np.unique); the summary statistics
-    do without it."""
+    do without it. Monte-Carlo and subsample draws come from lcodr's own
+    Philox and inverse-CDF kernels, so neither numpy.random nor statistics
+    is loaded for them."""
     script = ("import sys, lcodr.cli\n"
-              "assert lcodr.cli.main(sys.argv[1:]) == 0\n"
-              "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+              "assert lcodr.cli.main(sys.argv[2:]) == 0\n"
+              "loaded = [name for name in sys.argv[1].split(',') if name in sys.modules]\n"
+              "assert not loaded, f'{loaded} imported'\n")
+    if files:
+        command = command + _small_vf_files(tmp_path)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script, *command, "--out", str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", script, ",".join(unloaded), *command,
+                           "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
 

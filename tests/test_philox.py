@@ -1,0 +1,80 @@
+"""lcodr's Philox4x64-10 and inverse normal CDF kernels, bit for bit against
+numpy.random's Philox generator and the standard library's NormalDist."""
+
+from statistics import NormalDist
+
+import numpy as np
+import pytest
+
+from lcodr.model import PHILOX_CHUNK, philox_uniforms
+from lcodr.uncertainty import TRUNCATION_Z, _normal_cdf, _normal_quantiles, truncated_normals
+
+
+def _numpy_words(seed, key, start, stop):
+    """Words [start, stop) of numpy's Philox4x64 stream (seed, *key)."""
+    words = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=words, counter=start // 4))
+    return gen.random(start % 4 + stop - start)[start % 4:]
+
+
+#: 1 to 5 seed words; the large seeds leave no room for padding, or more
+#: entropy than the pool holds.
+SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**100 + 7, 2**130 + 3] + [
+    int(s) for s in np.random.default_rng(29).integers(2**63, 2**64 - 1, 3, dtype=np.uint64,
+                                                        endpoint=True)]
+KEYS = [(), (0,), (38,), (2**32 + 5,), (3, 0), (7, 99), (2**40, 2**33 + 1)]
+#: starts off a counter block, and ranges across the edges of kernel passes
+RANGES = [(0, 1), (0, 9), (3, 4), (1, 18), (5, 5),
+          (4 * PHILOX_CHUNK - 3, 4 * PHILOX_CHUNK + 6), (2, 8 * PHILOX_CHUNK + 3)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniform_rows_are_numpys_philox_words(seed):
+    for start, stop in RANGES:
+        rows = philox_uniforms(seed, KEYS, start, stop)
+        assert rows.shape == (len(KEYS), stop - start)
+        for key, row in zip(KEYS, rows):
+            assert np.array_equal(row, _numpy_words(seed, key, start, stop)), (key, start, stop)
+
+
+def test_streams_split_across_passes_are_numpys_philox_words():
+    # 375 blocks a stream: five streams a pass, the last pass short
+    keys = [(column, attempt) for column in range(39) for attempt in (0, 4)]
+    rows = philox_uniforms(11, keys, 7, 1507)
+    for key, row in zip(keys, rows):
+        assert np.array_equal(row, _numpy_words(11, key, 7, 1507)), key
+
+
+def test_no_streams_give_no_rows():
+    assert philox_uniforms(0, [], 3, 40).shape == (0, 37)
+
+
+@pytest.mark.parametrize("seed,key", [(-1, ()), (0, (2, -1))])
+def test_a_negative_seed_or_key_is_refused(seed, key):
+    with pytest.raises(ValueError, match="non-negative"):
+        philox_uniforms(seed, [key], 0, 4)
+
+
+def test_the_truncation_window_stays_in_the_central_branch():
+    # _normal_quantiles evaluates only AS241's central branch, |p - 0.5| <= 0.425
+    for z in (-TRUNCATION_Z, TRUNCATION_Z):
+        assert abs(_normal_cdf(z) - 0.5) <= 0.425
+
+
+def test_cdf_and_inverse_cdf_are_the_standard_librarys_on_the_window():
+    normal = NormalDist()
+    edges = np.linspace(-TRUNCATION_Z, TRUNCATION_Z, 10_001).tolist()
+    assert [_normal_cdf(z) for z in edges] == [normal.cdf(z) for z in edges]
+    levels = np.linspace(_normal_cdf(-TRUNCATION_Z), _normal_cdf(TRUNCATION_Z), 1_000_001)
+    assert (levels[0], levels[-1]) == (normal.cdf(-TRUNCATION_Z), normal.cdf(TRUNCATION_Z))
+    want = np.fromiter(map(normal.inv_cdf, levels.tolist()), float, count=len(levels))
+    assert np.array_equal(_normal_quantiles(levels), want)
+
+
+def test_truncated_normals_map_numpys_words_through_the_standard_library():
+    normal = NormalDist()
+    lower, upper = -TRUNCATION_Z, 0.4
+    low = normal.cdf(lower)
+    levels = low + _numpy_words(4, (12, 1), 3, 2003) * (normal.cdf(upper) - low)
+    assert truncated_normals(4, 12, 1, 3, 2003, lower, upper).tolist() == \
+        [normal.inv_cdf(p) for p in levels.tolist()]

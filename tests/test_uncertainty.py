@@ -339,6 +339,17 @@ def test_draws_on_a_bound_of_one_are_truncated_to_the_analytic_mean():
         assert abs(column.mean() - mean) < 4 * column.std() / math.sqrt(n), key
 
 
+def test_a_base_next_to_an_open_bound_draws_a_continuous_column():
+    # wall_thickness > 0: the window is +/- TRUNCATION_Z around 1e-12, which
+    # the open bound 0 does not cut, and no draw may sit on one value
+    values = {**parameter_values(default_parameters()), "wall_thickness": 1e-12}
+    base = build_parameter_set(values, vars(default_parameters().value_factors))
+    column = perturb_matrix(base, McConfig(samples=200, seed=0), 0, 200)[
+        :, BATCH_COLUMNS.index("wall_thickness")]
+    assert len(set(column.tolist())) == 200
+    assert (column > 0).all()
+
+
 def test_a_zero_spread_keeps_the_base_value_exactly():
     values = {**parameter_values(default_parameters()), "v2g_reward_base": 0.0}
     base = build_parameter_set(values, vars(default_parameters().value_factors))
@@ -356,14 +367,16 @@ def test_a_subnormal_spread_keeps_the_base_row_without_overflow():
 
 
 def test_mc_builds_no_generator_per_sample(monkeypatch):
+    # each (seed, substream, attempt) stream derives its Philox key once
+    import lcodr.model
     built = []
-    philox = np.random.Philox
+    derive = lcodr.model._philox_key
 
     def counting(*args, **kwargs):
         built.append(1)
-        return philox(*args, **kwargs)
+        return derive(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "Philox", counting)
+    monkeypatch.setattr(lcodr.model, "_philox_key", counting)
     counts = []
     for samples in (50, 400):
         built.clear()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcodr import data, valuefactor
-from lcodr.model import TimeSeries, philox_generator
+from lcodr.model import TimeSeries
 from lcodr.valuefactor import (
     AvailabilityProfile,
     IncompatibleIntervals,
@@ -191,7 +191,9 @@ def test_subsample_mc_equals_the_stacked_formula_bit_for_bit(seed):
 
 def test_subsets_are_the_smallest_uniforms_of_each_iteration():
     n_assets, subset_size = 9, 4
-    uniforms = philox_generator(3).random(50 * n_assets).reshape(50, n_assets)
+    key = np.random.SeedSequence(3).generate_state(2, np.uint64)
+    uniforms = np.random.Generator(np.random.Philox(key=key)).random(50 * n_assets).reshape(
+        50, n_assets)
     want = np.zeros((50, n_assets), dtype=bool)
     np.put_along_axis(want, np.argsort(uniforms, axis=1)[:, :subset_size], True, axis=1)
     assert np.array_equal(subsample_masks(3, n_assets, subset_size, 0, 50), want)
