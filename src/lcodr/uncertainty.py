@@ -201,12 +201,12 @@ def perturb_matrix(base: ParameterSet, cfg: McConfig, start: int, stop: int) -> 
     base_row = np.array(batch_row(base), dtype=float)
     columns = np.repeat(base_row[:, None], stop - start, axis=1)
     pending = np.arange(stop - start)
+    drawn = _drawn_columns(cfg)
     for attempt in range(MAX_ATTEMPTS):
         if not len(pending):
             return columns.T
         # the failing rows are redrawn from the span of samples that holds them
         lo, hi = pending[0], pending[-1] + 1
-        drawn = _drawn_columns(cfg)
         words = philox_uniforms(cfg.seed, [(column, attempt) for column, _, _ in drawn],
                                 start + lo, start + hi)
         for (column, spec, sigma), row in zip(drawn, words):
