@@ -365,7 +365,7 @@ def cmd_mc(args) -> int:
     params, configured, apps, schemes = _load(args)
     out = _out_dir(args)
     params, data_hashes = _with_computed_value_factors(params, args)
-    digest = hashlib.sha256()
+    digest = hashlib.sha256() if args.lcos else None   # the bundled table is not hashed
     lcos = load_lcos_reference(args.lcos, applications=configured, digest=digest)
     data_hashes["lcos"] = digest.hexdigest()[:16] if args.lcos else "bundled"
     cfg = McConfig(samples=args.samples, sigma_inputs=args.sigma,

@@ -14,6 +14,7 @@ cross-field rules as arrays.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
@@ -595,56 +596,17 @@ _PHILOX_ROUNDS = 10
 PHILOX_CHUNK = 2048
 
 
-def _uint32_words(n: int) -> list:
-    """A non-negative int as little-endian 32-bit words, [0] for 0."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
 def _philox_key(seed: int, key: tuple) -> tuple:
-    """The two 64-bit key words of the Philox4x64 stream (seed, *key), as
-    `np.random.SeedSequence(seed, spawn_key=key).generate_state(2,
-    np.uint64)` derives them: its uint32 hash mix over a pool of 4 words, in
-    Python ints."""
-    entropy = _uint32_words(seed)
-    spawned = [word for k in key for word in _uint32_words(k)]
-    if spawned:   # a spawned sequence pads its seed words to the pool size
-        entropy += [0] * (4 - len(entropy))
-    entropy += spawned
-    mult = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal mult
-        value ^= mult
-        mult = mult * 0x931E8875 & _M32
-        value = value * mult & _M32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return x ^ x >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    mult, state = 0x8B51F9DD, []
-    for word in pool:
-        word ^= mult
-        mult = mult * 0x58F38DED & _M32
-        word = word * mult & _M32
-        state.append(word ^ word >> 16)
-    return state[0] | state[1] << 32, state[2] | state[3] << 32
+    """The two 64-bit key words of the Philox4x64 stream (seed, *key): the
+    16-byte BLAKE2b digest of the ints in lower-case hexadecimal, joined by
+    ",", read as two little-endian words. Hexadecimal, unlike decimal, has
+    no digit limit (`sys.get_int_max_str_digits`)."""
+    words = [operator.index(word) for word in (seed, *key)]
+    if min(words) < 0:
+        raise ValueError(f"expected non-negative integers, got {(seed, *key)}")
+    text = ",".join(format(word, "x") for word in words)
+    digest = hashlib.blake2b(text.encode(), digest_size=16).digest()
+    return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
 
 
 def _mulhilo(a: np.ndarray, m: int) -> tuple:
@@ -660,8 +622,8 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple:
 def philox_uniforms(seed: int, keys, start: int, stop: int) -> np.ndarray:
     """Uniform words [start, stop) of the Philox4x64-10 streams (seed, *key)
     for each key tuple in `keys`, one row per stream, bit for bit those of
-    `np.random.Generator(np.random.Philox(key=SeedSequence(seed,
-    spawn_key=key).generate_state(2, np.uint64))).random()`.
+    `np.random.Generator(np.random.Philox(key=_philox_key(seed,
+    key))).random()`. Different keys give independent streams.
 
     Word i is lane i % 4 of counter block i // 4 + 1 (numpy bumps the
     counter before its first use), mapped to (w >> 11) * 2**-53. The

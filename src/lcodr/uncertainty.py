@@ -9,14 +9,16 @@ easy as 1, 2, 3", SC'11). Each perturbed input, value factor and LCOS
 reference entry has a substream id: an input's or value factor's id is its
 column in `model.SAMPLE_ROW`, and the LCOS entries follow from
 LCOS_ID_OFFSET. Each (seed, substream, attempt) keys one Philox4x64
-stream, and sample i takes uniform word i of that stream: the words of a
-range of samples, for every substream of an attempt, come from one call
-of `model.philox_uniforms`. The word is mapped through the inverse normal
-CDF (AS241's central branch, as `statistics.NormalDist` evaluates it) over
-the draw's window: +/- TRUNCATION_Z intersected with the parameter's
-domain, standardised. So each draw is a normal conditioned on that window,
-never a value moved onto a bound, and the draws are bit-identical for a
-fixed seed however the samples are split into ranges.
+stream, by the BLAKE2b digest of those integers in hexadecimal (so
+different triples give independent streams), and sample i takes uniform
+word i of that stream: the words of a range of samples, for every
+substream of an attempt, come from one call of `model.philox_uniforms`.
+The word is mapped through the inverse normal CDF (AS241's central branch,
+as `statistics.NormalDist` evaluates it) over the draw's window: +/-
+TRUNCATION_Z intersected with the parameter's domain, standardised. So
+each draw is a normal conditioned on that window, never a value moved onto
+a bound, and the draws are bit-identical for a fixed seed however the
+samples are split into ranges.
 
 A drawn row that breaks a parameter invariant is redrawn whole on the next
 attempt's substreams; only the failing rows are redrawn.
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
@@ -58,7 +61,7 @@ from .valuefactor import summary_statistics
 LCOS_ID_OFFSET = len(SAMPLE_ROW)
 
 #: Recorded in the manifest and the run id: a change to the draws changes it.
-RNG_SCHEME = "philox4x64-invcdf-v1"
+RNG_SCHEME = "philox4x64-blake2b-invcdf-v2"
 
 #: Attempts at a row that meets every parameter invariant.
 MAX_ATTEMPTS = 100
@@ -101,8 +104,10 @@ class McConfig:
     lcos_sampling: LcosSampling = LcosSampling.POINT
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValidationError("sample count must be >= 1", "samples")
+        for name, least in (("samples", 1), ("seed", 0)):
+            value = getattr(self, name)   # a bool is not a count, though True == 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValidationError(f"must be an integer >= {least}, got {value!r}", name)
         for name in ("sigma_inputs", "sigma_vf"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):

@@ -18,7 +18,7 @@ from .model import LcodrError, TimeSeries, philox_uniforms
 
 #: Recorded in the manifest and the run id of `vf --subsample` runs: a
 #: change to the subset selection changes it.
-VF_RNG_SCHEME = "philox4x64-argpartition-v1"
+VF_RNG_SCHEME = "philox4x64-blake2b-argpartition-v2"
 
 #: Iterations whose subsets `vf_subsample_mc` draws at once.
 SUBSAMPLE_BLOCK = 1024
@@ -251,7 +251,8 @@ def subsample_masks(seed: int, n_assets: int, subset_size: int, start: int,
     """The assets that iterations [start, stop) of `vf_subsample_mc` select,
     one boolean row per iteration.
 
-    The draws come from one Philox4x64 stream keyed by the seed alone.
+    The draws come from one Philox4x64 stream keyed by the seed alone (the
+    BLAKE2b digest of its hexadecimal text, `model.philox_uniforms`).
     Iteration i takes its uniforms n_assets * i to n_assets * (i + 1) - 1
     and selects the `subset_size` assets with the smallest of them. So
     the rows of a range equal those of any range that holds it.

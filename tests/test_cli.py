@@ -326,6 +326,22 @@ def test_manifest_hashes_each_data_file_from_its_bytes(tmp_path):
             hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
+def test_mc_hashes_no_bundled_lcos_table(tmp_path, monkeypatch):
+    import lcodr.cli
+    digests = []
+    load = lcodr.cli.load_lcos_reference
+
+    def recording(path, **kwargs):
+        digests.append(kwargs["digest"])
+        return load(path, **kwargs)
+
+    monkeypatch.setattr(lcodr.cli, "load_lcos_reference", recording)
+    assert main(["mc", "--out", str(tmp_path), "--samples", "2"]) == 0
+    assert digests == [None]
+    assert json.loads((tmp_path / "manifest.json").read_text())["data_files"]["lcos"] == \
+        "bundled"
+
+
 def test_vf_subsample_deterministic(tmp_path):
     args = ["vf", "--subsample", "50", "--iterations", "40", "--seed", "7"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -352,7 +368,7 @@ def test_vf_manifest_records_the_rng_scheme_of_subsample_runs_only(tmp_path):
     assert main(["vf", "--out", str(tmp_path / "full")]) == 0
     manifests = [json.loads((tmp_path / d / "manifest.json").read_text())
                  for d in ("sub", "full")]
-    assert manifests[0]["vf_rng_scheme"] == VF_RNG_SCHEME == "philox4x64-argpartition-v1"
+    assert manifests[0]["vf_rng_scheme"] == VF_RNG_SCHEME == "philox4x64-blake2b-argpartition-v2"
     assert "vf_rng_scheme" not in manifests[1]
 
 
@@ -478,7 +494,7 @@ def test_mc_manifest_records_the_rng_scheme(tmp_path):
     out = tmp_path / "out"
     assert main(["mc", "--out", str(out), "--samples", "3"]) == 0
     assert json.loads((out / "manifest.json").read_text())["mc"]["rng_scheme"] == RNG_SCHEME
-    assert RNG_SCHEME == "philox4x64-invcdf-v1"
+    assert RNG_SCHEME == "philox4x64-blake2b-invcdf-v2"
 
 
 MC_FILES = ("lcodr_mc.csv", "cheapest_probability.csv", "cost_composition.csv",

@@ -51,26 +51,26 @@ GOLDEN = {
     }),
     "vf_subsample": (["vf", "--subsample", "50", "--iterations", "300", "--seed", "11"], {
         "value_factors.csv":
-            "9bf76e3a1768053cadd8ce85cd478a6c12d4b17f0f2be8aa3c0c92e5fd9ae254",
+            "a54d2a899cd21d2a1b95ee4faa381662c4fbb9422d862e908344309566920d62",
         "vf_distribution.csv":
-            "953d58f8cb7dc0873e87f4af7755e0a9850ba6e84e7d9ff178ed3bb4dd82773f",
+            "767df54821edc62311c65b80e686ce7e83c6d111a7c5aed65db37f0a273efbbf",
         "vf_distribution_summary.csv":
-            "ea619d748f6c34ce0fdc7c622c48868e0554e9b39fe021c35a2be13638833c69",
+            "f56776bd638180855947eef683d71da208ad6816d4cac40340d83b17ca518791",
         "manifest.json":
-            "62c3d3de2d8324c92d3f30e8c56d4b09e8f1795eac0e8151c3df057e9d0ce684",
+            "1bdcbf9ce48ca2500f7b76da9c8b93bc7a560bd855a28eece4b40bffe9a8e6db",
     }),
     "mc_same_scheme": (["mc", "--samples", "40", "--compute-vf", "--lcos-sampling",
                         "same_scheme", "--emit-samples", "--seed", "5"], {
         "lcodr_mc.csv":
-            "fda59e850c40865ddf8679c79a5296e8eb68303b2c37719cc8c428b232204aa7",
+            "45b61a99e520961c706480a28f8a717ca7383b8509c870fbf50ae79c2a142ec5",
         "cheapest_probability.csv":
-            "92a9d5d7b1618a597d17bd4dcd4ee692b7c5b56e79334dd3fd849fea5ca1042f",
+            "97b70af2eb9d56b95302689635e04787a1716fe807e180b170f6574d8bf432d2",
         "cost_composition.csv":
-            "a75d5016d4ce5bfca663635d0957b4b0640ba2df272603c851b2c9f820f7c05c",
+            "f8b7c677e08430accbe2b9e72d1cabbc2f348aaf07b326eaad4c19f4a7842a23",
         "lcodr_samples.csv":
-            "1021267e604ec06001bddc8cf57407869d9e18151be565acb2bf128c111ad1d6",
+            "4adcfadc43674598019bc3359b1325fc5ab801d7e60e8c8ec037ea0918ed3b71",
         "manifest.json":
-            "538b417019b1f143b5de9908b016a8690f5d62ece173a7fe363d05a78fa6395b",
+            "2eacdc89d0e915911d0355e3f12deae18bbf4504016f78fa44d1530bc9166f68",
     }),
 }
 
@@ -135,11 +135,11 @@ def test_vf_on_files_is_byte_identical_to_golden(tmp_path):
     written = {p.name: _digest(p) for p in out.iterdir()}
     assert written == {
         "value_factors.csv":
-            "57ce2b2cdee77d6218bcf39bafd9eddbbe611cde2ec7775aa8b13660335d0dc8",
+            "82734b7e18ad56f6e95e1bd11787b49294f97d7ed72dea1541ca8ea7c34b00fb",
         "vf_distribution.csv":
-            "7e7ae7b94f4da473cf0cfb2aa3c9af81c6fb49627ea268ab0c8c6802c60f2a1c",
+            "52d3d657e97697848cce94779d3a4e76c0802e1e81dcc4c199c8b609f1860e4a",
         "vf_distribution_summary.csv":
-            "4fb2e5f472374bcc811ba786f6ef90b00cc941b614fb1557f95fd76338a95325",
+            "9986a360addd84f49d8106909ed976b60f30d9beac3f236c8dcfeb2875716d0c",
         "manifest.json":
-            "d3221033bf2b2873edc25a59932a5573e4ea996eb57561d98b7faa1e2368b612",
+            "75a65a5280dcafffe255e0b9486db9ea99dc68ad10e0caf1935e0411808b5a7a",
     }

@@ -1,24 +1,31 @@
 """lcodr's Philox4x64-10 and inverse normal CDF kernels, bit for bit against
 numpy.random's Philox generator and the standard library's NormalDist."""
 
+import hashlib
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from lcodr.model import PHILOX_CHUNK, philox_uniforms
+from lcodr.model import PHILOX_CHUNK, _philox_key, philox_uniforms
 from lcodr.uncertainty import TRUNCATION_Z, _normal_cdf, _normal_quantiles, truncated_normals
+
+
+def _blake2b_key(text: bytes) -> tuple:
+    """The two little-endian 64-bit words of text's 16-byte BLAKE2b digest."""
+    digest = hashlib.blake2b(text, digest_size=16).digest()
+    return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
 
 
 def _numpy_words(seed, key, start, stop):
     """Words [start, stop) of numpy's Philox4x64 stream (seed, *key)."""
-    words = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+    text = ",".join(format(word, "x") for word in (seed, *key)).encode()
+    words = np.array(_blake2b_key(text), dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=words, counter=start // 4))
     return gen.random(start % 4 + stop - start)[start % 4:]
 
 
-#: 1 to 5 seed words; the large seeds leave no room for padding, or more
-#: entropy than the pool holds.
+#: seeds of 1 to 5 32-bit words, several of them >= 2**63
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 1, 2**100 + 7, 2**130 + 3] + [
     int(s) for s in np.random.default_rng(29).integers(2**63, 2**64 - 1, 3, dtype=np.uint64,
                                                         endpoint=True)]
@@ -47,6 +54,36 @@ def test_streams_split_across_passes_are_numpys_philox_words():
 
 def test_no_streams_give_no_rows():
     assert philox_uniforms(0, [], 3, 40).shape == (0, 37)
+
+
+#: (seed, key) and the canonical text whose digest keys the stream: the
+#: integers in lower-case hexadecimal, joined by ","
+KNOWN_TEXTS = [((0, ()), b"0"), ((5, (3, 0)), b"5,3,0"), ((0, (42, 0)), b"0,2a,0"),
+               ((11, (7,)), b"b,7"),
+               ((2**70, (2**33 + 1, 9)), b"400000000000000000,200000001,9"),
+               ((2**130 + 3, ()), b"4" + b"0" * 31 + b"3"),
+               # past the 4,300 digits that int-to-decimal conversion allows
+               ((2**20000 + 1, (1,)), b"1" + b"0" * 4999 + b"1,1")]
+
+
+@pytest.mark.parametrize("stream,text", KNOWN_TEXTS)
+def test_the_key_is_the_blake2b_digest_of_the_hexadecimal_text(stream, text):
+    assert _philox_key(*stream) == _blake2b_key(text)
+
+
+def test_a_numpy_integer_keys_the_stream_of_its_value():
+    assert _philox_key(np.uint64(5), (np.int64(3), 0)) == _blake2b_key(b"5,3,0")
+
+
+def test_streams_of_different_keys_are_uncorrelated():
+    # every stream of a Monte-Carlo attempt and the subsample stream, at one seed
+    n = 8192
+    keys = [(column, attempt) for column in range(44) for attempt in range(3)] + [()]
+    assert len({_philox_key(0, key) for key in keys}) == len(keys)
+    rows = philox_uniforms(0, keys, 0, n)
+    assert (np.abs(rows.mean(axis=1) - 0.5) < 5 * np.sqrt(1 / 12 / n)).all()
+    corr = np.corrcoef(rows)[np.triu_indices(len(keys), k=1)]
+    assert (np.abs(corr) < 5 / np.sqrt(n)).all()
 
 
 @pytest.mark.parametrize("seed,key", [(-1, ()), (0, (2, -1))])

@@ -407,3 +407,19 @@ def test_mc_config_rejects_non_finite_settings(field, value):
     with pytest.raises(ValidationError) as info:
         McConfig(**{field: value})
     assert info.value.field_path == field
+
+
+@pytest.mark.parametrize("field,value", [("seed", -1), ("seed", 1.5), ("seed", True),
+                                         ("seed", "3"), ("seed", None), ("samples", 0),
+                                         ("samples", 2.0), ("samples", True)])
+def test_mc_config_rejects_a_seed_or_sample_count_that_is_not_a_counting_number(field, value):
+    from lcodr.model import ValidationError
+    with pytest.raises(ValidationError) as info:
+        McConfig(**{field: value})
+    assert info.value.field_path == field
+
+
+def test_mc_config_takes_numpy_and_arbitrary_size_integers():
+    for seed in (np.int64(7), 2**130 + 3, 2**20000 + 1):
+        cfg = McConfig(samples=np.uint32(3), seed=seed)
+        assert perturb_matrix(default_parameters(), cfg, 0, 3).shape == (3, len(BATCH_COLUMNS))
