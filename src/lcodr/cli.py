@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import enum
-import hashlib
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -34,6 +33,16 @@ from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
+
+# hashlib loads OpenSSL's _hashlib, which only pays off on data files: a run
+# id hashes a short text, so it takes the interpreter's own sha256 module
+try:
+    from _sha2 import sha256          # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256    # Python 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .costing import (COST_COMPONENTS, batch_columns, batch_row, evaluate_batch,
@@ -145,7 +154,7 @@ def _sample_lines(dists, samples: int):
 def _run_id(args, **key) -> str:
     """A hash of the command name and key, the effective inputs of the run."""
     blob = json.dumps({"command": args.command, **key}, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 def _write_manifest(out: Path, run_id: str, args, params, data_hashes: dict,
@@ -227,6 +236,7 @@ def _load_profile_data(args):
     for flag, load in _PROFILE_INPUTS:
         path = getattr(args, flag)
         if path:
+            import hashlib   # OpenSSL's sha256 is several times faster on a file
             digest = hashlib.sha256()
             profiles[flag] = load(path, digest)
             hashes[flag] = digest.hexdigest()[:16]
@@ -365,7 +375,10 @@ def cmd_mc(args) -> int:
     params, configured, apps, schemes = _load(args)
     out = _out_dir(args)
     params, data_hashes = _with_computed_value_factors(params, args)
-    digest = hashlib.sha256() if args.lcos else None   # the bundled table is not hashed
+    digest = None   # the bundled table is not hashed
+    if args.lcos:
+        import hashlib
+        digest = hashlib.sha256()
     lcos = load_lcos_reference(args.lcos, applications=configured, digest=digest)
     data_hashes["lcos"] = digest.hexdigest()[:16] if args.lcos else "bundled"
     cfg = McConfig(samples=args.samples, sigma_inputs=args.sigma,

@@ -14,7 +14,6 @@ cross-field rules as arrays.
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
@@ -22,6 +21,12 @@ from datetime import datetime, timezone
 from typing import Optional
 
 import numpy as np
+
+try:
+    # hashlib loads OpenSSL's _hashlib; the stream keys need only BLAKE2b
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -605,7 +610,7 @@ def _philox_key(seed: int, key: tuple) -> tuple:
     if min(words) < 0:
         raise ValueError(f"expected non-negative integers, got {(seed, *key)}")
     text = ",".join(format(word, "x") for word in words)
-    digest = hashlib.blake2b(text.encode(), digest_size=16).digest()
+    digest = blake2b(text.encode(), digest_size=16).digest()
     return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
 
 

@@ -415,7 +415,7 @@ def _small_vf_files(directory: Path) -> list:
 
 
 @pytest.mark.parametrize("command,files,unloaded", [
-    (["mc", "--samples", "20"], False, ("numpy.ma", "numpy.random", "statistics")),
+    (["mc", "--samples", "20"], False, ("numpy.ma", "numpy.random", "statistics", "_hashlib")),
     # the synthetic default pools draw with numpy.random.default_rng
     (["vf", "--subsample", "5", "--iterations", "20"], False, ("numpy.ma",)),
     (["vf", "--subsample", "5", "--iterations", "20"], True, ("numpy.ma", "numpy.random")),
