@@ -76,6 +76,7 @@ from .uncertainty import (
     TRUNCATION_Z,
     UncertaintyError,
     cheapest_probability,
+    lcos_uniforms,
     run_monte_carlo,
 )
 from .valuefactor import VF_RNG_SCHEME, ValueFactorError, vf_subsample_mc
@@ -391,11 +392,13 @@ def cmd_mc(args) -> int:
     # before anything is written: the same_scheme LCOS draws can still fail
     prob_rows = []
     skipped = []
-    for app, column in zip(apps, zip(*table)):
-        entries = [(e.technology, e.lcos_usd_per_mwh)
-                   for e in lcos if e.application == app.name]
+    entries = [[(e.technology, e.lcos_usd_per_mwh) for e in lcos if e.application == app.name]
+               for app in apps]
+    # entry e of every application reads the same stream: one draw serves all
+    words = lcos_uniforms(cfg, max(map(len, entries), default=0))
+    for app, column, app_entries in zip(apps, zip(*table), entries):
         try:
-            probs = cheapest_probability(column, cfg, entries)
+            probs = cheapest_probability(column, cfg, app_entries, words)
         except UncertaintyError as exc:
             print(f"warning: {app.name!r} left out of cheapest_probability.csv: {exc}",
                   file=sys.stderr)

@@ -323,22 +323,34 @@ def run_monte_carlo(schemes: Sequence[SchemeKind], apps: Sequence[ApplicationSpe
 # Cheapest-technology probabilities
 # ---------------------------------------------------------------------------
 
+def lcos_uniforms(cfg: McConfig, entries: int):
+    """The uniform words of the same-scheme LCOS entries 0 .. entries - 1, one
+    row per entry, keyed (LCOS_ID_OFFSET + e, 0); None where no entry is
+    drawn (point sampling, or sigma_inputs 0). Entry e of every application
+    reads row e, so one call over the longest entry list serves a run."""
+    if cfg.lcos_sampling is LcosSampling.POINT or cfg.sigma_inputs == 0.0:
+        return None
+    return philox_uniforms(cfg.seed, [(LCOS_ID_OFFSET + e, 0) for e in range(entries)],
+                           0, cfg.samples)
+
+
 def lcos_sample_matrix(lcos_entries: Sequence[Tuple[str, float]],
-                       cfg: McConfig) -> np.ndarray:
+                       cfg: McConfig, words=None) -> np.ndarray:
     """Per-sample cost values for the storage reference technologies.
 
     Point sampling repeats the published value; same-scheme sampling applies
-    the input perturbation treatment, conditioned on [0, inf). Entry order
-    determines substream ids, so keep the reference list order stable
-    between runs.
+    the input perturbation treatment, conditioned on [0, inf), to the rows
+    of `words` (`lcos_uniforms` of at least len(lcos_entries) entries, drawn
+    here when None). Entry order determines substream ids, so keep the
+    reference list order stable between runs.
     """
+    if words is None:
+        words = lcos_uniforms(cfg, len(lcos_entries))
     matrix = np.empty((len(lcos_entries), cfg.samples))
-    if cfg.lcos_sampling is LcosSampling.POINT or cfg.sigma_inputs == 0.0:
+    if words is None:
         for e, (_, value) in enumerate(lcos_entries):
             matrix[e] = value
         return matrix
-    words = philox_uniforms(cfg.seed, [(LCOS_ID_OFFSET + e, 0) for e in range(len(lcos_entries))],
-                            0, cfg.samples)
     for e, ((_, value), row) in enumerate(zip(lcos_entries, words)):
         spread = _spread(value, cfg, "sigma_inputs")
         matrix[e] = value + spread * _truncated(row, *_window(value, spread, 0.0, None))
@@ -347,14 +359,16 @@ def lcos_sample_matrix(lcos_entries: Sequence[Tuple[str, float]],
 
 def cheapest_probability(distributions: Sequence[McDistribution],
                          cfg: McConfig,
-                         lcos_entries: Sequence[Tuple[str, float]] = ()) -> dict:
+                         lcos_entries: Sequence[Tuple[str, float]] = (),
+                         lcos_words=None) -> dict:
     """Probability of each technology having the lowest adjusted levelised
     cost, for one application.
 
     Per sample index, the minimum over all feasible DR distributions and all
     storage reference entries wins; ties go to the first technology in input
     order (DR distributions first, then references). Infeasible samples can
-    never win. Returns {technology label: probability}; probabilities sum to
+    never win. The references are drawn by `lcos_sample_matrix` from
+    `lcos_words`. Returns {technology label: probability}; probabilities sum to
     1 over the samples where at least one technology is feasible.
     """
     if not distributions and not lcos_entries:
@@ -374,7 +388,7 @@ def cheapest_probability(distributions: Sequence[McDistribution],
     for t, d in enumerate(distributions):
         values[t, d.feasible] = d.samples[d.feasible]
     if lcos_entries:
-        values[n_dr:, :] = lcos_sample_matrix(lcos_entries, cfg)
+        values[n_dr:, :] = lcos_sample_matrix(lcos_entries, cfg, lcos_words)
 
     counted_mask = np.isfinite(values).any(axis=0)
     counted = int(counted_mask.sum())

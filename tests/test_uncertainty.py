@@ -24,6 +24,7 @@ from lcodr.uncertainty import (
     PerturbationUnsatisfiable,
     cheapest_probability,
     lcos_sample_matrix,
+    lcos_uniforms,
     perturb_matrix,
     perturb_parameters,
     run_monte_carlo,
@@ -423,3 +424,34 @@ def test_mc_config_takes_numpy_and_arbitrary_size_integers():
     for seed in (np.int64(7), 2**130 + 3, 2**20000 + 1):
         cfg = McConfig(samples=np.uint32(3), seed=seed)
         assert perturb_matrix(default_parameters(), cfg, 0, 3).shape == (3, len(BATCH_COLUMNS))
+
+
+def test_same_scheme_lcos_words_are_drawn_once_per_run(monkeypatch, tmp_path):
+    # entry e of every application reads stream (LCOS_ID_OFFSET + e, 0): one
+    # kernel call draws them for all twelve applications
+    import lcodr.uncertainty
+    from lcodr.cli import main
+    calls = []
+    draw = lcodr.uncertainty.philox_uniforms
+
+    def counting(seed, keys, start, stop):
+        keys = list(keys)
+        if keys and keys[0][0] >= lcodr.uncertainty.LCOS_ID_OFFSET:
+            calls.append(keys)
+        return draw(seed, keys, start, stop)
+
+    monkeypatch.setattr(lcodr.uncertainty, "philox_uniforms", counting)
+    assert main(["mc", "--samples", "20", "--lcos-sampling", "same_scheme",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_shared_lcos_words_give_each_entry_list_its_own_draws():
+    entries = [("a", 100.0), ("b", 40.0)]
+    cfg = McConfig(samples=50, seed=2, lcos_sampling=LcosSampling.SAME_SCHEME)
+    words = lcos_uniforms(cfg, 4)
+    assert np.array_equal(lcos_sample_matrix(entries, cfg, words),
+                          lcos_sample_matrix(entries, cfg))
+    point = McConfig(samples=50, seed=2)
+    assert lcos_uniforms(point, 4) is None
+    assert (lcos_sample_matrix(entries, point, None) == [[100.0], [40.0]]).all()
