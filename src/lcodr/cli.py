@@ -48,6 +48,7 @@ from . import __version__
 from .costing import (COST_COMPONENTS, batch_columns, batch_row, evaluate_batch,
                       left_to_right_sum, sample_values)
 from .data import (
+    BUNDLE_RNG_SCHEME,
     BUNDLED_EV_ASSETS,
     DataError,
     bundle_sources,
@@ -231,7 +232,8 @@ def _load_profile_data(args):
     """Price and availability profiles, from files when given, otherwise each
     from its own data.bundle_sources builder (a pool as an iterator).
     Returns ({flag: profile}, {flag: data hash}), both in _PROFILE_INPUTS
-    order; a file is hashed whole, in one pass after its loader parsed it."""
+    order; a file is hashed whole, in one pass after its loader parsed it,
+    and a bundled input is recorded by the bundle's BUNDLE_RNG_SCHEME."""
     profiles, hashes = {}, {}
     sources = bundle_sources()
     for flag, load in _PROFILE_INPUTS:
@@ -243,7 +245,7 @@ def _load_profile_data(args):
             hashes[flag] = digest.hexdigest()[:16]
         else:
             profiles[flag] = sources[flag]()
-            hashes[flag] = "synthetic"
+            hashes[flag] = BUNDLE_RNG_SCHEME
     return profiles, hashes
 
 

@@ -9,6 +9,12 @@ construction, so a ParameterSet that exists is always internally
 consistent. Monte-Carlo draws whole matrices of perturbed values instead,
 and checks their rows with `valid_rows`, the same single-field domains and
 cross-field rules as arrays.
+
+The random numbers of Monte-Carlo, the subsampler and the synthetic bundle
+all come from here: `philox_uniforms`, a counter-based Philox4x64-10
+kernel keyed by a BLAKE2b digest, and `normal_quantiles`, the inverse
+normal CDF. Neither loads numpy.random or OpenSSL's hashlib, and both use
+only arithmetic that gives the same bits on every CPU.
 """
 
 from __future__ import annotations
@@ -261,14 +267,14 @@ class ValueFactorTable:
     """Per-scheme value factors. V2G carries a power and an energy variant;
     the two heat-pump schemes share a single value because their
     uncontrolled demand profile is the same. The defaults are the golden
-    value factors; they agree to 1e-12 relative, not bit for bit, with those
-    of the bundled synthetic profiles at the bundled seed (see
-    `data.profile_value_factors`); replace them when supplying real data."""
+    value factors, those of the bundled synthetic profiles at the bundled
+    seed (see `data.profile_value_factors`; tests hold them to 1e-12
+    relative); replace them when supplying real data."""
 
-    v2g_power: float = _param(0.9691660535997968, gt=0.0)
-    v2g_energy: float = _param(0.9743345259373416, gt=0.0)
-    smart_charging: float = _param(1.1990290134805588, gt=0.0)
-    heat_pump: float = _param(1.1415170718967085, gt=0.0)
+    v2g_power: float = _param(0.9696432285834468, gt=0.0)
+    v2g_energy: float = _param(0.9748063414556309, gt=0.0)
+    smart_charging: float = _param(1.206913296683417, gt=0.0)
+    heat_pump: float = _param(1.1406399576763313, gt=0.0)
 
     def __post_init__(self):
         _check_fields(self)
@@ -657,6 +663,66 @@ def philox_uniforms(seed: int, keys, start: int, stop: int) -> np.ndarray:
             for lane, x in enumerate((x0, x1, x2, x3)):
                 np.multiply(x >> 11, 2.0 ** -53, out=out[r0:r0 + rows, b0:b1, lane])
     return out.reshape(len(keys), 4 * n_blocks)[:, start % 4:start % 4 + stop - start]
+
+
+#: Wichura's AS241 (Applied Statistics 37(3), 1988): the numerator and
+#: denominator coefficients of each branch, highest power first, as
+#: `statistics.NormalDist.inv_cdf` writes them. The central branch is a
+#: polynomial in r = 0.180625 - q**2; the tails in r = sqrt(-log(min(p, 1 - p))),
+#: shifted by 1.6 where r <= 5 and by 5 beyond.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_AS241_NEAR_TAIL = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0))
+_AS241_FAR_TAIL = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0))
+
+
+def _horner(coefficients: tuple, r: np.ndarray) -> np.ndarray:
+    """The polynomial in r, highest power first, evaluated as
+    (...(c0 * r + c1) * r + ...) * r + c_last."""
+    value = coefficients[0] * r
+    for c in coefficients[1:-1]:
+        value = (value + c) * r
+    return value + coefficients[-1]
+
+
+def normal_quantiles(p: np.ndarray) -> np.ndarray:
+    """Phi^-1(p) for levels 0 < p < 1, bit for bit
+    `statistics.NormalDist().inv_cdf`: AS241's three branches, in its order
+    of evaluation. Only the levels with |p - 0.5| > 0.425 enter the tail
+    branches, which take the logarithm with `math.log`, element by element,
+    as numpy's `np.log` differs between CPUs. A level of 0 or 1 has no
+    finite quantile: `math.log` refuses it with a ValueError."""
+    q = p - 0.5
+    central_r = 0.180625 - q * q
+    x = _horner(_AS241_CENTRAL[0], central_r) * q / _horner(_AS241_CENTRAL[1], central_r)
+    tail = np.abs(q) > 0.425
+    if tail.any():
+        q = q[tail]
+        low = np.where(q <= 0.0, p[tail], 1.0 - p[tail])   # the smaller of p and 1 - p
+        r = np.sqrt(-np.fromiter(map(math.log, low.tolist()), float, len(low)))
+        near = r <= 5.0
+        t = np.where(near, r - 1.6, r - 5.0)
+        x_tail = np.where(near, _horner(_AS241_NEAR_TAIL[0], t) / _horner(_AS241_NEAR_TAIL[1], t),
+                          _horner(_AS241_FAR_TAIL[0], t) / _horner(_AS241_FAR_TAIL[1], t))
+        x[tail] = np.where(q < 0.0, -x_tail, x_tail)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ stream, by the BLAKE2b digest of those integers in hexadecimal (so
 different triples give independent streams), and sample i takes uniform
 word i of that stream: the words of a range of samples, for every
 substream of an attempt, come from one call of `model.philox_uniforms`.
-The word is mapped through the inverse normal CDF (AS241's central branch,
-as `statistics.NormalDist` evaluates it) over the draw's window: +/-
+The word is mapped through the inverse normal CDF (`model.normal_quantiles`,
+AS241 as `statistics.NormalDist` evaluates it) over the draw's window: +/-
 TRUNCATION_Z intersected with the parameter's domain, standardised. So
 each draw is a normal conditioned on that window, never a value moved onto
 a bound, and the draws are bit-identical for a fixed seed however the
@@ -51,6 +51,7 @@ from .model import (
     VALUE_FACTOR_KEYS,
     ValidationError,
     build_parameter_set,
+    normal_quantiles,
     philox_uniforms,
     valid_rows,
 )
@@ -114,40 +115,16 @@ class McConfig:
                 raise ValidationError(f"must be a finite number >= 0, got {value!r}", name)
 
 
-#: Wichura's AS241 (Applied Statistics 37(3), 1988), its central branch:
-#: the coefficients of the numerator and the denominator polynomials in r,
-#: highest power first, as `statistics.NormalDist.inv_cdf` writes them.
-_AS241_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-              4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-              1.3314166789178437745e+2, 3.3871328727963666080e+0)
-_AS241_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-              2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-              4.2313330701600911252e+1, 1.0)
-
-
 def _normal_cdf(x: float) -> float:
     """Phi(x), by `statistics.NormalDist().cdf`'s formula."""
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def _normal_quantiles(p: np.ndarray) -> np.ndarray:
-    """Phi^-1(p), bit for bit `statistics.NormalDist().inv_cdf`, for levels
-    with |p - 0.5| <= 0.425, the central branch of AS241 that it evaluates
-    in this order. Every window lies inside +/- TRUNCATION_Z, whose levels
-    are central."""
-    q = p - 0.5
-    r = 0.180625 - q * q
-    num, den = _AS241_NUM[0] * r, _AS241_DEN[0] * r
-    for a, b in zip(_AS241_NUM[1:-1], _AS241_DEN[1:-1]):
-        num, den = (num + a) * r, (den + b) * r
-    return (num + _AS241_NUM[-1]) * q / (den + _AS241_DEN[-1])
 
 
 def _truncated(words: np.ndarray, lower: float, upper: float) -> np.ndarray:
     """Standard normal draws conditioned on [lower, upper]: each uniform u
     maps to Phi^-1(Phi(lower) + u * (Phi(upper) - Phi(lower)))."""
     low = _normal_cdf(lower)
-    return _normal_quantiles(low + words * (_normal_cdf(upper) - low))
+    return normal_quantiles(low + words * (_normal_cdf(upper) - low))
 
 
 def truncated_normals(seed: int, stream: int, attempt: int, start: int, stop: int,

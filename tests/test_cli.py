@@ -6,6 +6,7 @@ import inspect
 import json
 import re
 import tracemalloc
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -370,6 +371,34 @@ def test_vf_manifest_records_the_rng_scheme_of_subsample_runs_only(tmp_path):
                  for d in ("sub", "full")]
     assert manifests[0]["vf_rng_scheme"] == VF_RNG_SCHEME == "philox4x64-blake2b-argpartition-v2"
     assert "vf_rng_scheme" not in manifests[1]
+
+
+def test_each_bundled_input_records_the_bundle_rng_scheme(tmp_path, monkeypatch):
+    import lcodr.cli
+    from lcodr.data import BUNDLE_RNG_SCHEME
+    assert BUNDLE_RNG_SCHEME == "philox4x64-blake2b-as241-v1"
+    price = tmp_path / "price.csv"
+    start = datetime(2023, 1, 1)
+    price.write_text("timestamp,value\n" + "".join(
+        f"{(start + timedelta(hours=h)).isoformat()},{10 + h % 24}\n" for h in range(24 * 365)),
+        encoding="utf-8")
+    runs = {"vf": ["vf"], "vf-price": ["vf", "--price", str(price)],
+            "run": ["run", "--compute-vf"], "mc": ["mc", "--samples", "2", "--compute-vf"]}
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    manifests = {name: json.loads((tmp_path / name / "manifest.json").read_text())
+                 for name in runs}
+    bundled = ["price", "ev_pool", "hp_pool", "v2g_power", "v2g_boundaries"]
+    for name in ("vf", "run", "mc"):
+        assert [manifests[name]["data_files"][flag] for flag in bundled] == \
+            [BUNDLE_RNG_SCHEME] * 5
+    assert manifests["vf-price"]["data_files"]["price"] != BUNDLE_RNG_SCHEME
+    assert manifests["vf-price"]["data_files"]["ev_pool"] == BUNDLE_RNG_SCHEME
+    # the scheme keys the run id of a command that hashes its data
+    monkeypatch.setattr(lcodr.cli, "BUNDLE_RNG_SCHEME", "another-scheme")
+    assert main(["vf", "--out", str(tmp_path / "vf2")]) == 0
+    assert json.loads((tmp_path / "vf2" / "manifest.json").read_text())["run_id"] != \
+        manifests["vf"]["run_id"]
 
 
 def test_mc_degenerate_matches_deterministic(tmp_path):

@@ -9,7 +9,11 @@ updates them and says why in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
@@ -19,58 +23,58 @@ from lcodr.cli import main
 GOLDEN = {
     "run": (["run"], {
         "lcodr_deterministic.csv":
-            "10027835b27b50b53ccce93dfd78418cc678ea93417c9cd1d5fadcfcdea10d1c",
+            "e55dcf6ba1b177a066eadc0457d12a903dccd4a97dcfe85d19a048a7056d5467",
         "manifest.json":
-            "a152b054ec5d5257aeca5f9b9d4bd7b39bcb54ba425d5da9b5d74047f2c99932",
+            "2a5a4a1c5a48c6cf47e22986c37653d87201969a550cc62f39ab062413201721",
     }),
     "run_compute_vf": (["run", "--compute-vf"], {
         "lcodr_deterministic.csv":
-            "f3b775555c3bb8af6823a8d33b718732a0e6934670cd542c07d287c9daa77417",
+            "e55dcf6ba1b177a066eadc0457d12a903dccd4a97dcfe85d19a048a7056d5467",
         "manifest.json":
-            "b410ce5bd15566bb8d7597a2262373c5b54ef0407b7d9a6314ebfb8d74ad03f6",
+            "af88d0a6b38bd68ba252bd3b65e8d2958306f8d7d3c1edba9b50850634dd4472",
     }),
     "run_every_assumption_flipped": (["run", "--no-rpt-floor", "--simple-rebound",
                                       "--cycle-direction", "as_printed",
                                       "--reward-base-hours", "9.5"], {
         "lcodr_deterministic.csv":
-            "579b25d08f6fb8ef7145266eded2511e8b5db145beefd4c6aa989aebecfc5aef",
+            "7b8676a85b91e7663933bd660952e973ea641319da29d253f3294411056b5978",
         "manifest.json":
-            "0bb71c884966fe83592327738e4a13e81f301d992c109c09de8c5c0ddf67877c",
+            "eb58381b4a03294856c106b88b4f8b9f6f8df6facb008fcd93d24b6c11c04506",
     }),
     "run_compute_vf_as_printed": (["run", "--compute-vf", "--cycle-direction", "as_printed"], {
         "lcodr_deterministic.csv":
-            "253e248d307d1f0297cbe80cfe3f1e9d9ba205e80f0371dbc7471d68354e4780",
+            "938454a08aff675e8195f64edf6b27ff6a7aa90df94b10e48b48212b4d711d92",
         "manifest.json":
-            "558d0613d3b03e74621762f99db59673044bac9ec2f368381fa15ac5751771aa",
+            "7a667e318f083ce7c497abf4912788be6b250ea7bcdb02de5d79fd0deaadaa72",
     }),
     "vf":(["vf"], {
         "value_factors.csv":
-            "a3a55c7c55c6701b84f14824ef54cb53bba453e76dc291d7f2bc3535019cf26c",
+            "817ac2fd1d4d34bbf4eddaf1cc144d0b9f9d4db45d4fe7527983b1f993828e66",
         "manifest.json":
-            "adf893a125a47c66db08adae81fc71201ba7e780cf18ecbe8cb122e66bdec363",
+            "6523c66a38da768bd97fc90db690cd4cd2045434469214247d139497ee45d6cb",
     }),
     "vf_subsample": (["vf", "--subsample", "50", "--iterations", "300", "--seed", "11"], {
         "value_factors.csv":
-            "a54d2a899cd21d2a1b95ee4faa381662c4fbb9422d862e908344309566920d62",
+            "56d6f2b4d6c5637170bec08d7127b762f677c47a89493dccbfabdd119f8f0c10",
         "vf_distribution.csv":
-            "767df54821edc62311c65b80e686ce7e83c6d111a7c5aed65db37f0a273efbbf",
+            "163a0cc9c54c9ce2d2b4a981671077ad9d8c9509de4299d3fb9aa3d9cf2efbd8",
         "vf_distribution_summary.csv":
-            "f56776bd638180855947eef683d71da208ad6816d4cac40340d83b17ca518791",
+            "9714c9eb65af4fe6096214db0b154ecc0225a1ad05edeacfb32b3e4c9de27520",
         "manifest.json":
-            "1bdcbf9ce48ca2500f7b76da9c8b93bc7a560bd855a28eece4b40bffe9a8e6db",
+            "38f9924f6e06700536150a38de25fcfe8b3be50455c75e061e70b15a7cae0575",
     }),
     "mc_same_scheme": (["mc", "--samples", "40", "--compute-vf", "--lcos-sampling",
                         "same_scheme", "--emit-samples", "--seed", "5"], {
         "lcodr_mc.csv":
-            "45b61a99e520961c706480a28f8a717ca7383b8509c870fbf50ae79c2a142ec5",
+            "5a449e717e48a20956957cdf18b7c7236508d3bb017895be598e5ec8a266f514",
         "cheapest_probability.csv":
-            "97b70af2eb9d56b95302689635e04787a1716fe807e180b170f6574d8bf432d2",
+            "ff2b211ec0df1b75206eafd492ddfef14d7bf748ac3d4d848fb9df94bb32a608",
         "cost_composition.csv":
-            "f8b7c677e08430accbe2b9e72d1cabbc2f348aaf07b326eaad4c19f4a7842a23",
+            "3fd8ef80f595272c79df5a5a8c42790e6b351b02e1b9291d96a966c5a6b19162",
         "lcodr_samples.csv":
-            "4adcfadc43674598019bc3359b1325fc5ab801d7e60e8c8ec037ea0918ed3b71",
+            "f9991861339ab5f6d9650bde2a7aa129a03c813f71d359f1dccd94013e240373",
         "manifest.json":
-            "2eacdc89d0e915911d0355e3f12deae18bbf4504016f78fa44d1530bc9166f68",
+            "595877edc70a36af1ed840382e2bd5205b6f9ffac0a8a64798a702d77c954ce6",
     }),
 }
 
@@ -135,11 +139,29 @@ def test_vf_on_files_is_byte_identical_to_golden(tmp_path):
     written = {p.name: _digest(p) for p in out.iterdir()}
     assert written == {
         "value_factors.csv":
-            "82734b7e18ad56f6e95e1bd11787b49294f97d7ed72dea1541ca8ea7c34b00fb",
+            "5dc8d9f18b7bc1a6662a41ce42887a8767cd2154784b344d602c2608a7b2495a",
         "vf_distribution.csv":
-            "52d3d657e97697848cce94779d3a4e76c0802e1e81dcc4c199c8b609f1860e4a",
+            "a2df4dac6716f0c89cb69351c2b6f2e8cd7c1bd5eeadd8264903e5b399da37c6",
         "vf_distribution_summary.csv":
-            "9986a360addd84f49d8106909ed976b60f30d9beac3f236c8dcfeb2875716d0c",
+            "994aa4bd22cc7cd8f46732164ef4bdc29a5bdd3da2e9fd661961188eaff798ec",
         "manifest.json":
-            "75a65a5280dcafffe255e0b9486db9ea99dc68ad10e0caf1935e0411808b5a7a",
+            "684375174800d16dc3ac8f2c473c3d2c4d22483e2b97c130e6e756384575e120",
     }
+
+
+def test_goldens_hold_with_numpy_limited_to_its_baseline_cpu_features():
+    """Every golden case above, in a child process whose numpy runs none of
+    its CPU-dispatched kernels. Some of them give other bits than the
+    baseline ones (np.exp, np.log and np.power do on an AVX-512 CPU), so an
+    output that went through one would fail here. The variable is set for
+    the child only."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    if not __cpu_dispatch__:
+        pytest.skip("this numpy dispatches no CPU-specific kernels")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=",".join(__cpu_dispatch__),
+               PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           __file__, "-k", "byte_identical"],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -414,29 +416,42 @@ def _small_vf_files(directory: Path) -> list:
     return args
 
 
+#: Modules that no command loads without a data file: numpy.ma (1.2 MiB, by
+#: np.percentile's np.unique), numpy.random and OpenSSL's _hashlib.
+_HEAVY = ("numpy.ma", "numpy.random", "_hashlib")
+
+
 @pytest.mark.parametrize("command,files,unloaded", [
-    (["mc", "--samples", "20"], False, ("numpy.ma", "numpy.random", "statistics", "_hashlib")),
-    # the synthetic default pools draw with numpy.random.default_rng
-    (["vf", "--subsample", "5", "--iterations", "20"], False, ("numpy.ma",)),
+    (["mc", "--samples", "20"], False, (*_HEAVY, "statistics")),
+    (["mc", "--samples", "20", "--compute-vf", "--lcos-sampling", "same_scheme"], False, _HEAVY),
+    (["run", "--compute-vf"], False, _HEAVY),
+    (["vf", "--subsample", "5", "--iterations", "20"], False, _HEAVY),
+    # a data file is hashed with hashlib, whose OpenSSL sha256 is the faster
     (["vf", "--subsample", "5", "--iterations", "20"], True, ("numpy.ma", "numpy.random")),
-], ids=["mc", "vf-subsample", "vf-subsample-files"])
-def test_mc_and_vf_leave_numpy_ma_unimported(tmp_path, command, files, unloaded):
-    """np.percentile imports numpy.ma (by np.unique); the summary statistics
-    do without it. Monte-Carlo and subsample draws come from lcodr's own
-    Philox and inverse-CDF kernels, so neither numpy.random nor statistics
-    is loaded for them."""
+], ids=["mc", "mc-compute-vf-same-scheme", "run-compute-vf", "vf-subsample",
+        "vf-subsample-files"])
+def test_commands_leave_numpy_ma_numpy_random_and_hashlib_unimported(tmp_path, command, files,
+                                                                     unloaded):
+    """The summary statistics do without np.percentile; Monte-Carlo, subsample
+    and bundle draws come from lcodr's own Philox and inverse-CDF kernels;
+    stream keys and run ids are hashed with the interpreter's own BLAKE2b
+    and SHA-256 modules. With files, each one's manifest digest is its
+    sha256."""
     script = ("import sys, lcodr.cli\n"
               "assert lcodr.cli.main(sys.argv[2:]) == 0\n"
               "loaded = [name for name in sys.argv[1].split(',') if name in sys.modules]\n"
               "assert not loaded, f'{loaded} imported'\n")
-    if files:
-        command = command + _small_vf_files(tmp_path)
+    paths = _small_vf_files(tmp_path) if files else []
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script, ",".join(unloaded), *command,
+    proc = subprocess.run([sys.executable, "-c", script, ",".join(unloaded), *command, *paths,
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+    hashes = json.loads((tmp_path / "out" / "manifest.json").read_text())["data_files"]
+    for flag, path in zip(paths[::2], paths[1::2]):
+        assert hashes[flag[2:].replace("-", "_")] == \
+            hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

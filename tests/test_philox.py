@@ -2,13 +2,15 @@
 numpy.random's Philox generator and the standard library's NormalDist."""
 
 import hashlib
+import math
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from lcodr.model import PHILOX_CHUNK, _philox_key, philox_uniforms
-from lcodr.uncertainty import TRUNCATION_Z, _normal_cdf, _normal_quantiles, truncated_normals
+from lcodr.data import _normals
+from lcodr.model import PHILOX_CHUNK, _philox_key, normal_quantiles, philox_uniforms
+from lcodr.uncertainty import TRUNCATION_Z, _normal_cdf, truncated_normals
 
 
 def _blake2b_key(text: bytes) -> tuple:
@@ -92,10 +94,65 @@ def test_a_negative_seed_or_key_is_refused(seed, key):
         philox_uniforms(seed, [key], 0, 4)
 
 
-def test_the_truncation_window_stays_in_the_central_branch():
-    # _normal_quantiles evaluates only AS241's central branch, |p - 0.5| <= 0.425
-    for z in (-TRUNCATION_Z, TRUNCATION_Z):
-        assert abs(_normal_cdf(z) - 0.5) <= 0.425
+def _inv_cdf(levels) -> list:
+    normal = NormalDist()
+    return [normal.inv_cdf(p) for p in np.asarray(levels).tolist()]
+
+
+def _around(edge: float, steps: int = 8) -> list:
+    """The floats from `steps` below edge to `steps` above it."""
+    levels = [edge]
+    for _ in range(steps):
+        levels = [math.nextafter(levels[0], 0.0), *levels, math.nextafter(levels[-1], 1.0)]
+    return levels
+
+
+def _branch(p: float) -> str:
+    """The AS241 branch that NormalDist.inv_cdf takes for level p."""
+    if abs(p - 0.5) <= 0.425:
+        return "central"
+    return "near" if math.sqrt(-math.log(p if p <= 0.5 else 1.0 - p)) <= 5.0 else "far"
+
+
+def _first_level_past(lo: float, hi: float) -> float:
+    """The smallest level in (lo, hi] that takes another branch than lo, by
+    bisection over the bit patterns of the positive floats between them."""
+    a, b = (np.float64(v).view(np.int64).item() for v in (lo, hi))
+    while b - a > 1:
+        m = (a + b) // 2
+        if _branch(np.int64(m).view(np.float64).item()) == _branch(lo):
+            a = m
+        else:
+            b = m
+    return np.int64(b).view(np.float64).item()
+
+
+@pytest.mark.parametrize("lo,hi,branches", [
+    (0.07, 0.08, {"near", "central"}), (0.92, 0.93, {"central", "near"}),
+    (1e-11, 2e-11, {"far", "near"}), (1.0 - 2e-11, 1.0 - 1e-11, {"near", "far"}),
+], ids=["q=-0.425", "q=+0.425", "r=5,p<0.5", "r=5,p>0.5"])
+def test_inverse_cdf_is_the_standard_librarys_on_each_side_of_every_branch_edge(lo, hi,
+                                                                                 branches):
+    levels = _around(_first_level_past(lo, hi))
+    assert [_branch(p) for p in levels] == [_branch(lo)] * 8 + [_branch(hi)] * 9
+    assert {_branch(lo), _branch(hi)} == branches
+    assert normal_quantiles(np.array(levels)).tolist() == _inv_cdf(levels)
+
+
+def test_every_word_has_a_finite_normal_the_standard_librarys():
+    # the smallest word, 0.0, is taken at 2**-54; the largest is 1 - 2**-53
+    extremes = np.array([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53])
+    normals = _normals(extremes)
+    assert np.isfinite(normals).all()
+    assert normals.tolist() == _inv_cdf([2.0 ** -54, *extremes[1:]])
+    with pytest.raises(ValueError):   # a level of 0 has no finite quantile
+        normal_quantiles(np.array([0.0]))
+
+
+def test_normals_of_philox_words_are_the_standard_librarys():
+    words = philox_uniforms(0, [(1, 0, 0)], 0, 100_000)[0]
+    assert {_branch(p) for p in words.tolist()} == {"central", "near"}
+    assert _normals(words).tolist() == _inv_cdf(words)
 
 
 def test_cdf_and_inverse_cdf_are_the_standard_librarys_on_the_window():
@@ -105,7 +162,7 @@ def test_cdf_and_inverse_cdf_are_the_standard_librarys_on_the_window():
     levels = np.linspace(_normal_cdf(-TRUNCATION_Z), _normal_cdf(TRUNCATION_Z), 1_000_001)
     assert (levels[0], levels[-1]) == (normal.cdf(-TRUNCATION_Z), normal.cdf(TRUNCATION_Z))
     want = np.fromiter(map(normal.inv_cdf, levels.tolist()), float, count=len(levels))
-    assert np.array_equal(_normal_quantiles(levels), want)
+    assert np.array_equal(normal_quantiles(levels), want)
 
 
 def test_truncated_normals_map_numpys_words_through_the_standard_library():
