@@ -200,14 +200,14 @@ def _load(args):
              if getattr(args, f.name) is not None}
     params = replace(params, assumptions=replace(params.assumptions, **given))
     known = {app.name for app in apps}
-    if args.applications:
+    if args.applications is not None:
         wanted = [name.strip() for name in args.applications.split(";")]
         for name in wanted:
             if name not in known:
                 raise ValidationError(f"unknown application {name!r}", "applications")
         apps = [app for app in apps if app.name in wanted]
     schemes = list(SchemeKind)
-    if args.schemes:
+    if args.schemes is not None:
         # a repeated scheme is kept once, at its first position
         schemes = list(dict.fromkeys(SchemeKind.from_name(s.strip())
                                      for s in args.schemes.split(",")))

@@ -22,9 +22,8 @@ loads no numpy.random. BUNDLE_RNG_SCHEME names this scheme.
 `bundle_sources` builds each input of the bundled dataset on its own, a
 pool as an iterator of its profiles, under the name of its CLI flag dest;
 `default_bundle` is made from it. So `--compute-vf` without files streams
-each synthetic pool into its total, one asset at a time, and gives the same
-numbers as `profile_value_factors(*vars(default_bundle()).values())`
-without holding the 260 asset profiles at once.
+each synthetic pool into its total, one asset at a time, without holding
+the 260 asset profiles at once.
 
 CSV layouts:
   single series      timestamp,value
@@ -48,8 +47,7 @@ file.
 A block is split on its commas and LF line ends; from the first block
 holding a quote, a CR, a NUL or lines of differing field counts on, the
 rest of the file goes to csv.reader. A UTF-8 byte-order mark at the
-start of a file is dropped from the text; a U+FEFF anywhere later is
-data.
+start of a file is dropped; a U+FEFF anywhere later is data.
 A file of more than two blocks is parsed in two processes where this
 process may fork (_split_offset): a forked child parses the blocks after
 the first LF at or after the middle while the parent reads the rest
@@ -58,8 +56,10 @@ that would go to csv.reader, has a short record or fails to parse, and
 the parent reads on from there, so the results and the errors with their
 rows are those of the serial read. A quoted or CRLF file gains nothing:
 from its first such block on, it goes to csv.reader in the parent.
-Smaller files are read serially. A block's asset codes are numbered in
-the block (_parse_codes); the pool loader numbers the file's assets.
+Smaller files are read serially, and so is every file in a process that
+imported numpy before lcodr: OpenBLAS's worker threads run there (unless
+OPENBLAS_NUM_THREADS=1 was set), and a process with threads never forks.
+A block's asset codes are numbered in the block (_parse_codes).
 Each file loader takes an optional `digest` (a hashlib object): a read
 that finishes hashes the whole file into it in one pass from its first
 byte, once the blocks are parsed. A negative availability value, or an

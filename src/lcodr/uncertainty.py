@@ -127,14 +127,6 @@ def _truncated(words: np.ndarray, lower: float, upper: float) -> np.ndarray:
     return normal_quantiles(low + words * (_normal_cdf(upper) - low))
 
 
-def truncated_normals(seed: int, stream: int, attempt: int, start: int, stop: int,
-                      lower: float, upper: float) -> np.ndarray:
-    """Standard normal draws conditioned on [lower, upper] for the samples
-    [start, stop) of one substream and attempt, equal for any split of a
-    range: sample i maps uniform word i of the stream through `_truncated`."""
-    return _truncated(philox_uniforms(seed, [(stream, attempt)], start, stop)[0], lower, upper)
-
-
 def _window(value: float, spread: float, lower, upper) -> tuple:
     """The standardised window of the draws around `value`: +/- TRUNCATION_Z
     intersected with the domain [lower, upper], where None is unbounded. A

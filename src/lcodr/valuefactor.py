@@ -80,76 +80,63 @@ class AvailabilityProfile:
 
 @dataclass(frozen=True)
 class AlignmentReport:
+    """Rows of each input left off the common grid before and after it:
+    head + points * ratio + tail is the input's length."""
+
     dropped_head_a: int
     dropped_tail_a: int
     dropped_head_b: int
     dropped_tail_b: int
 
 
-def _coarsen(series: TimeSeries, ratio: int) -> TimeSeries:
-    """Average consecutive blocks of `ratio` points; trims a partial tail."""
-    if ratio == 1:
-        return series
-    n = (len(series) // ratio) * ratio
-    vals = series.values[:n].reshape(-1, ratio).mean(axis=1)
-    return TimeSeries(series.start, series.interval_seconds * ratio, vals)
-
-
-def align_series(a: TimeSeries, b: TimeSeries):
-    """Put two series on their coarser common grid over the overlapping range.
-
-    Intervals must be equal or related by an integer ratio; the finer series
-    is averaged into the coarser buckets. Returns (a, b, AlignmentReport).
-    """
+def common_grid(a: TimeSeries, b: TimeSeries) -> tuple:
+    """The coarser common grid of two series over their overlap: (start,
+    interval, points). Intervals must be equal or related by an integer
+    ratio. The grid starts at the overlap's first point of the coarser
+    series, where both series must have a point, and holds the whole coarse
+    intervals up to the overlap's end."""
     ia, ib = a.interval_seconds, b.interval_seconds
     coarse = max(ia, ib)
-    fine = min(ia, ib)
-    ratio = coarse / fine
+    ratio = coarse / min(ia, ib)
     if abs(ratio - round(ratio)) > 1e-9:
         raise IncompatibleIntervals(
             f"intervals {ia} s and {ib} s are not integer-related")
-    ratio = int(round(ratio))
-
-    start = max(a.start, b.start)
-    end = min(a.end, b.end)
+    start, end = max(a.start, b.start), min(a.end, b.end)
     if start >= end:
         raise NoOverlap("series do not overlap in time")
-    # The coarse grid anchors bucket boundaries; the fine series must hit
-    # those boundaries exactly.
-    coarse_series, fine_series = (a, b) if ia >= ib else (b, a)
-    offset = (start - fine_series.start).total_seconds()
-    shift = (start - coarse_series.start).total_seconds()
-    if abs(offset % fine - 0.0) > 1e-6 and abs(offset % fine - fine) > 1e-6:
-        raise IncompatibleIntervals("series grids are phase-shifted")
-    if abs(shift % coarse) > 1e-6 and abs(shift % coarse - coarse) > 1e-6:
-        # align the overlap start up to the next coarse boundary
-        bump = coarse - (shift % coarse)
-        start = start + timedelta(seconds=bump)
-    if (end - start).total_seconds() // coarse < 2:
+    shift = (start - (a if ia >= ib else b).start).total_seconds() % coarse
+    if 1e-6 < shift < coarse - 1e-6:   # up to the coarser series' next point
+        start += timedelta(seconds=coarse - shift)
+    for series in (a, b):
+        phase = (start - series.start).total_seconds() % series.interval_seconds
+        if 1e-6 < phase < series.interval_seconds - 1e-6:
+            raise IncompatibleIntervals("series grids are phase-shifted")
+    points = int((end - start).total_seconds() // coarse)
+    if points < 2:
         raise NoOverlap("series share fewer than 2 points on their common grid")
+    return start, coarse, points
 
-    def crop(series: TimeSeries):
-        head = int(round((start - series.start).total_seconds()
-                         / series.interval_seconds))
-        span = int((end - start).total_seconds() // series.interval_seconds)
-        tail = len(series) - head - span
-        return series.values[head:head + span], head, tail
 
-    va, head_a, tail_a = crop(a)
-    vb, head_b, tail_b = crop(b)
-    a2 = TimeSeries(start, ia, va)
-    b2 = TimeSeries(start, ib, vb)
-    if ia < coarse:
-        a2 = _coarsen(a2, ratio)
-    if ib < coarse:
-        b2 = _coarsen(b2, ratio)
-    n = min(len(a2), len(b2))
-    if n < 2:
-        raise NoOverlap("fewer than two common intervals after alignment")
-    a2 = TimeSeries(a2.start, coarse, a2.values[:n])
-    b2 = TimeSeries(b2.start, coarse, b2.values[:n])
-    report = AlignmentReport(head_a, tail_a, head_b, tail_b)
-    return a2, b2, report
+def crop(series: TimeSeries, grid: tuple):
+    """(values, head, tail): the values of `series` on a common_grid, a finer
+    series averaged over each grid interval, and the rows left off before
+    and after them."""
+    start, interval, points = grid
+    ratio = int(round(interval / series.interval_seconds))
+    head = int(round((start - series.start).total_seconds() / series.interval_seconds))
+    values = series.values[head:head + points * ratio]
+    if ratio > 1:
+        values = values.reshape(points, ratio).mean(axis=1)
+    return values, head, len(series) - head - points * ratio
+
+
+def align_series(a: TimeSeries, b: TimeSeries):
+    """Put two series on their common_grid, each cropped and a finer one
+    averaged. Returns (a, b, AlignmentReport)."""
+    grid = common_grid(a, b)
+    (va, head_a, tail_a), (vb, head_b, tail_b) = crop(a, grid), crop(b, grid)
+    return (TimeSeries(grid[0], grid[1], va), TimeSeries(grid[0], grid[1], vb),
+            AlignmentReport(head_a, tail_a, head_b, tail_b))
 
 
 def align(price: TimeSeries, profile: AvailabilityProfile):
@@ -273,10 +260,11 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
 
     The value factor is linear in the summed profile: with w_j = sum(p *
     a_j) and m_j = sum(a_j) per asset j over n points, a subset S has the
-    factor sum_S(w) / ((sum_S(m) / n) * sum(p)). So each asset is reduced
-    to w_j and m_j as it is aligned, and no pool of aligned profiles is
-    held; each iteration sums `subset_size` scalars, in asset order. The
-    assets must share the first's grid (check_pool_grid). Selections are
+    factor sum_S(w) / ((sum_S(m) / n) * sum(p)). The common grid is decided
+    once, from the price and the first asset, whose grid every asset must
+    share (check_pool_grid); each asset is cropped onto it and reduced to
+    w_j and m_j, and no pool of aligned profiles is held; each iteration
+    sums `subset_size` scalars, in asset order. Selections are
     drawn SUBSAMPLE_BLOCK iterations at a time. Only when a subset's factor
     is undefined is its summed profile built, for value_factor's own error.
     """
@@ -285,23 +273,26 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
     if len(profiles) < subset_size:
         raise TooFewAssets(
             f"need at least {subset_size} asset profiles, got {len(profiles)}")
+    grid = common_grid(price, profiles[0].band())
+    prices = crop(price, grid)[0]
     weighted, totals = np.empty(len(profiles)), np.empty(len(profiles))
     for j, prof in enumerate(profiles):
         check_pool_grid(profiles[0].series, prof)
-        price0, band, _ = align(price, prof)
-        weighted[j] = (band.values * price0.values).sum()
-        totals[j] = band.values.sum()
-    price_sum = price0.values.sum()
+        band = crop(prof.band(), grid)[0]
+        weighted[j] = (band * prices).sum()
+        totals[j] = band.sum()
+    price_sum = prices.sum()
 
     samples = np.empty(iterations)
     for start in range(0, iterations, SUBSAMPLE_BLOCK):
         stop = min(start + SUBSAMPLE_BLOCK, iterations)
         mask = subsample_masks(seed, len(profiles), subset_size, start, stop)
-        mean = np.where(mask, totals, 0.0).sum(axis=1) / len(price0)
+        mean = np.where(mask, totals, 0.0).sum(axis=1) / grid[2]
         failed = np.flatnonzero((mean <= 0) | (price_sum == 0))
         if failed.size:   # value_factor's own error for the first failing subset
             subset = np.flatnonzero(mask[failed[0]])
+            price0 = TimeSeries(grid[0], grid[1], prices)
             value_factor(price0, price0.with_values(
-                sum(align(price, profiles[j])[1].values for j in subset)))
+                sum(crop(profiles[j].band(), grid)[0] for j in subset)))
         samples[start:stop] = np.where(mask, weighted, 0.0).sum(axis=1) / (mean * price_sum)
     return VfDistribution.from_samples(samples)

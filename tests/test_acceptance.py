@@ -219,8 +219,8 @@ def test_criterion_08_value_factor_properties():
 
 def test_criterion_09_monte_carlo_contract(tmp_path):
     from lcodr.costing import batch_row
-    from lcodr.model import SAMPLE_ROW
-    from lcodr.uncertainty import perturb_matrix, truncated_normals
+    from lcodr.model import SAMPLE_ROW, philox_uniforms
+    from lcodr.uncertainty import _truncated, perturb_matrix
     from truncated_normal import sample_truncated_normal
     rng = np.random.default_rng(909)
     bound = 1.285 * 0.33
@@ -230,7 +230,8 @@ def test_criterion_09_monte_carlo_contract(tmp_path):
 
     # the same truncation on the sampler Monte-Carlo runs, and on every
     # column of the perturbed matrix it evaluates
-    ok &= bool(np.all(np.abs(truncated_normals(909, 0, 0, 0, 100_000, -1.285, 1.285)) <= 1.285))
+    words = philox_uniforms(909, [(0, 0)], 0, 100_000)[0]
+    ok &= bool(np.all(np.abs(_truncated(words, -1.285, 1.285)) <= 1.285))
     base = default_parameters()
     cfg = McConfig(samples=10_000, seed=909)
     base_row = np.array(batch_row(base))

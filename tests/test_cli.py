@@ -67,6 +67,21 @@ def test_run_unknown_application_is_config_error(tmp_path):
                  "--applications", "Not A Service"]) == 2
 
 
+@pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
+@pytest.mark.parametrize("flag,separator,message", [
+    ("--schemes", ",", "config: scheme: unknown scheme ''"),
+    ("--applications", ";", "config: applications: unknown application ''"),
+])
+def test_an_empty_scheme_or_application_list_is_config_error(tmp_path, capsys, command,
+                                                             flag, separator, message):
+    # an empty value selects nothing, as a lone separator does, not everything
+    for value in ("", separator):
+        out = tmp_path / f"o{value}"
+        assert main(command + [f"{flag}={value}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
+        assert not (out / "manifest.json").exists()
+
+
 def test_usage_error_is_exit_1(tmp_path):
     assert main(["frobnicate"]) == 1
     assert main(["run", "--samples"]) == 1
@@ -695,6 +710,18 @@ def test_a_profile_that_does_not_fit_the_price_or_its_pool_names_its_file(
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert errors == [f"error: data: {path}: {message}"]
+
+
+def test_a_power_series_half_an_hour_off_the_price_grid_names_its_file(tmp_path, capsys):
+    price, power = tmp_path / "price.csv", tmp_path / "power.csv"
+    price.write_text("timestamp,value\n" + hourly("", 2023, 24), encoding="utf-8")
+    power.write_text("timestamp,value\n" + hourly("", 2023, 24).replace(":00:00,", ":30:00,"),
+                     encoding="utf-8")
+    assert main(["vf", "--price", str(price), "--v2g-power", str(power),
+                 "--out", str(tmp_path / "o")]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: data: {power}: series grids are phase-shifted"]
 
 
 @pytest.mark.parametrize("subsample,message", [

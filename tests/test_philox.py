@@ -10,7 +10,7 @@ import pytest
 
 from lcodr.data import _normals
 from lcodr.model import PHILOX_CHUNK, _philox_key, normal_quantiles, philox_uniforms
-from lcodr.uncertainty import TRUNCATION_Z, _normal_cdf, truncated_normals
+from lcodr.uncertainty import TRUNCATION_Z, _normal_cdf, _truncated
 
 
 def _blake2b_key(text: bytes) -> tuple:
@@ -170,5 +170,5 @@ def test_truncated_normals_map_numpys_words_through_the_standard_library():
     lower, upper = -TRUNCATION_Z, 0.4
     low = normal.cdf(lower)
     levels = low + _numpy_words(4, (12, 1), 3, 2003) * (normal.cdf(upper) - low)
-    assert truncated_normals(4, 12, 1, 3, 2003, lower, upper).tolist() == \
+    assert _truncated(philox_uniforms(4, [(12, 1)], 3, 2003)[0], lower, upper).tolist() == \
         [normal.inv_cdf(p) for p in levels.tolist()]

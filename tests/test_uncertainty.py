@@ -15,9 +15,11 @@ from lcodr.model import (
     default_applications,
     default_parameters,
     parameter_values,
+    philox_uniforms,
 )
 from lcodr.uncertainty import (
     LcosSampling,
+    _truncated,
     McConfig,
     McDistribution,
     NoFeasibleTechnology,
@@ -28,7 +30,6 @@ from lcodr.uncertainty import (
     perturb_matrix,
     perturb_parameters,
     run_monte_carlo,
-    truncated_normals,
 )
 from truncated_normal import sample_truncated_normal
 
@@ -259,9 +260,10 @@ def test_draws_do_not_depend_on_the_split(n, cuts, seed, edge):
     whole = perturb_matrix(base, cfg, 0, n)
     joined = np.vstack([perturb_matrix(base, cfg, lo, hi) for lo, hi in _split(n, cuts)])
     assert np.array_equal(whole, joined)
-    normals = truncated_normals(seed, 3, 1, 0, n, -1.285, 1.285)
+    normals = _truncated(philox_uniforms(seed, [(3, 1)], 0, n)[0], -1.285, 1.285)
     assert np.array_equal(normals, np.concatenate(
-        [truncated_normals(seed, 3, 1, lo, hi, -1.285, 1.285) for lo, hi in _split(n, cuts)]))
+        [_truncated(philox_uniforms(seed, [(3, 1)], lo, hi)[0], -1.285, 1.285)
+         for lo, hi in _split(n, cuts)]))
 
 
 def test_edge_base_redraws_rows_and_keeps_them_valid():
@@ -272,7 +274,8 @@ def test_edge_base_redraws_rows_and_keeps_them_valid():
     assert (columns["ceiling_height"] > 2 * columns["wall_thickness"]).all()
     # the attempt-0 draw of a redrawn row is not its final value
     stream = PARAMETER_INDEX["hp_active_power"]
-    first = 0.46 + 0.33 * 0.46 * truncated_normals(2, stream, 0, 0, 200, -1.285, 1.285)
+    first = 0.46 + 0.33 * 0.46 * _truncated(philox_uniforms(2, [(stream, 0)], 0, 200)[0],
+                                            -1.285, 1.285)
     redrawn = first != columns["hp_active_power"]
     assert 50 < redrawn.sum() < 200
 
@@ -300,7 +303,7 @@ def _quantile_gap(draws, reference):
 
 def test_truncated_normals_match_the_scalar_sampler():
     z = 1.285
-    draws = truncated_normals(9, 0, 0, 0, 100_000, -z, z)
+    draws = _truncated(philox_uniforms(9, [(0, 0)], 0, 100_000)[0], -z, z)
     rng = np.random.default_rng(9)
     scalar = np.array([sample_truncated_normal(0.0, 1.0, z, rng) for _ in range(100_000)])
     assert np.abs(draws).max() <= z

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lcodr import data, valuefactor
 from lcodr.model import TimeSeries
 from lcodr.valuefactor import (
+    AlignmentReport,
     AvailabilityProfile,
     IncompatibleIntervals,
     NoOverlap,
@@ -17,6 +18,7 @@ from lcodr.valuefactor import (
     ZeroAvailabilityMean,
     ZeroPriceSum,
     align_series,
+    common_grid,
     subsample_masks,
     summary_statistics,
     v2g_value_factors,
@@ -100,6 +102,48 @@ def test_align_rejects_disjoint_ranges():
         align_series(series([1.0, 2.0]), late)
     with pytest.raises(NoOverlap):   # one point on the common 2 h grid
         align_series(series([1.0, 2.0], interval=7200.0), series([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["hourly-first", "shifted-first"])
+@pytest.mark.parametrize("shifted", [
+    series(np.arange(10.0), start=START + timedelta(minutes=30)),
+    series(np.arange(20.0), interval=1800.0, start=START + timedelta(minutes=15)),
+], ids=["hourly-at-30", "half-hourly-at-15-and-45"])
+def test_align_rejects_a_series_with_no_point_at_the_grid_start(shifted, swap):
+    # the grid starts at the hourly series' first point after the overlap
+    # starts, 01:00, where the other series has none
+    hourly = series(np.arange(10.0))
+    with pytest.raises(IncompatibleIntervals, match="phase-shifted"):
+        align_series(*((shifted, hourly) if swap else (hourly, shifted)))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_alignment_report_counts_every_unused_row(swap):
+    # 9.5 hours in common: 9 points, so the hourly series' row 10 and the
+    # half-hourly one's row 19 are unused
+    hourly, half_hourly = series(np.arange(10.0)), series(np.arange(19.0), interval=1800.0)
+    a, b = (half_hourly, hourly) if swap else (hourly, half_hourly)
+    a2, b2, report = align_series(a, b)
+    assert len(a2) == len(b2) == 9
+    assert report == AlignmentReport(0, 1, 0, 1)
+    for whole, aligned, head, tail in ((a, a2, report.dropped_head_a, report.dropped_tail_a),
+                                       (b, b2, report.dropped_head_b, report.dropped_tail_b)):
+        ratio = round(aligned.interval_seconds / whole.interval_seconds)
+        assert head + len(aligned) * ratio + tail == len(whole)
+
+
+def test_subsample_mc_decides_the_common_grid_once(monkeypatch):
+    decided = []
+
+    def counted(a, b):
+        decided.append((a, b))
+        return common_grid(a, b)
+
+    monkeypatch.setattr(valuefactor, "common_grid", counted)
+    pool = [AvailabilityProfile(series(p.series.values, interval=1800.0), asset_id=p.asset_id)
+            for p in _pool(12, length=96)]
+    vf_subsample_mc(pool, series(np.linspace(10, 90, 48)), subset_size=4, iterations=30, seed=1)
+    assert len(decided) == 1
 
 
 def test_energy_boundary_profile_band():

@@ -2,8 +2,9 @@
 
 Plain rejection sampling, one draw at a time from a numpy Generator. The
 batched, counter-based inverse-CDF sampler that Monte-Carlo runs
-(`uncertainty.truncated_normals`) is compared with it in distribution by
-tests/test_uncertainty.py and tests/test_acceptance.py.
+(`uncertainty._truncated` on the words of `model.philox_uniforms`) is
+compared with it in distribution by tests/test_uncertainty.py and
+tests/test_acceptance.py.
 """
 
 import math
