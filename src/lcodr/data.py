@@ -943,6 +943,6 @@ def profile_value_factors(price: TimeSeries, ev_pool: Iterable[AvailabilityProfi
         try:
             factors[scheme] = profile_factor(price, profile())
         except ValueFactorError as exc:
-            exc.source = source
+            exc.source = exc.source or source
             raise
     return factors

@@ -770,12 +770,15 @@ def _applications_from_config(entries: list) -> list:
         if unknown:
             raise ValidationError(f"unknown keys {sorted(unknown)}", path)
         try:
-            name = str(entry["name"])
+            name = entry["name"]
             power, duration, cycles = (
                 _number(entry[key], f"{path}.{key}")
                 for key in ("power_capacity_mw", "discharge_duration_h", "annual_cycles"))
         except KeyError as exc:
             raise ValidationError(f"missing key {exc.args[0]!r}", path) from None
+        if not isinstance(name, str):
+            raise ValidationError("must be a string", f"{path}.name")
+        name = name.strip()
         if CSV_UNSAFE.intersection(name):
             raise ValidationError("must not hold a comma, a double quote or a line break",
                                   f"{path}.name")

@@ -42,7 +42,7 @@ class ZeroAvailabilityMean(ValueFactorError):
 
 
 class ZeroPriceSum(ValueFactorError):
-    pass
+    source = "price"
 
 
 class TooFewAssets(ValueFactorError):
@@ -76,17 +76,6 @@ class AvailabilityProfile:
         if self.upper is not None:
             return self.series.with_values(self.upper.values - self.series.values)
         return self.series
-
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    """Rows of each input left off the common grid before and after it:
-    head + points * ratio + tail is the input's length."""
-
-    dropped_head_a: int
-    dropped_tail_a: int
-    dropped_head_b: int
-    dropped_tail_b: int
 
 
 def common_grid(a: TimeSeries, b: TimeSeries) -> tuple:
@@ -130,19 +119,22 @@ def crop(series: TimeSeries, grid: tuple):
     return values, head, len(series) - head - points * ratio
 
 
-def align_series(a: TimeSeries, b: TimeSeries):
-    """Put two series on their common_grid, each cropped and a finer one
-    averaged. Returns (a, b, AlignmentReport)."""
-    grid = common_grid(a, b)
-    (va, head_a, tail_a), (vb, head_b, tail_b) = crop(a, grid), crop(b, grid)
-    return (TimeSeries(grid[0], grid[1], va), TimeSeries(grid[0], grid[1], vb),
-            AlignmentReport(head_a, tail_a, head_b, tail_b))
-
-
 def align(price: TimeSeries, profile: AvailabilityProfile):
-    """Align a price series with the band of an availability profile. Returns
-    (price, band) on the common grid plus the alignment report."""
-    return align_series(price, profile.band())
+    """Put a price series and the band of an availability profile on their
+    common_grid, each cropped and a finer one averaged (crop). Returns
+    (price, band), two TimeSeries on that grid."""
+    band = profile.band()
+    grid = common_grid(price, band)
+    return tuple(TimeSeries(grid[0], grid[1], crop(s, grid)[0]) for s in (price, band))
+
+
+def _check_sums(mean_avail, price_sum) -> None:
+    """Refuse an undefined value factor: the availability mean first, then
+    the price sum."""
+    if mean_avail <= 0:
+        raise ZeroAvailabilityMean("availability series has non-positive mean")
+    if price_sum == 0:
+        raise ZeroPriceSum("price series sums to zero")
 
 
 def value_factor(price: TimeSeries, availability: TimeSeries) -> float:
@@ -153,14 +145,9 @@ def value_factor(price: TimeSeries, availability: TimeSeries) -> float:
     """
     if len(price) != len(availability):
         raise ValueFactorError("price and availability must have equal length")
-    p = price.values
-    a = availability.values
-    mean_avail = a.mean()
-    if mean_avail <= 0:
-        raise ZeroAvailabilityMean("availability series has non-positive mean")
-    price_sum = p.sum()
-    if price_sum == 0:
-        raise ZeroPriceSum("price series sums to zero")
+    p, a = price.values, availability.values
+    mean_avail, price_sum = a.mean(), p.sum()
+    _check_sums(mean_avail, price_sum)
     return float((p * a).sum() / (mean_avail * price_sum))
 
 
@@ -172,10 +159,9 @@ def check_pool_grid(first: TimeSeries, profile: AvailabilityProfile) -> None:
 
 
 def profile_factor(price: TimeSeries, profile: AvailabilityProfile) -> float:
-    """The value factor of a profile's band against the price, on their common
-    grid (align, then value_factor)."""
-    price_aligned, band, _ = align(price, profile)
-    return value_factor(price_aligned, band)
+    """The value factor of a profile's band against the price: value_factor
+    of align's pair."""
+    return value_factor(*align(price, profile))
 
 
 def v2g_value_factors(price: TimeSeries, power_boundary: AvailabilityProfile,
@@ -265,8 +251,9 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
     share (check_pool_grid); each asset is cropped onto it and reduced to
     w_j and m_j, and no pool of aligned profiles is held; each iteration
     sums `subset_size` scalars, in asset order. Selections are
-    drawn SUBSAMPLE_BLOCK iterations at a time. Only when a subset's factor
-    is undefined is its summed profile built, for value_factor's own error.
+    drawn SUBSAMPLE_BLOCK iterations at a time. The first subset whose
+    factor is undefined raises value_factor's error, from its own mean and
+    the price sum.
     """
     if subset_size < 1:
         raise ValueFactorError(f"subset size must be >= 1, got {subset_size}")
@@ -289,10 +276,7 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
         mask = subsample_masks(seed, len(profiles), subset_size, start, stop)
         mean = np.where(mask, totals, 0.0).sum(axis=1) / grid[2]
         failed = np.flatnonzero((mean <= 0) | (price_sum == 0))
-        if failed.size:   # value_factor's own error for the first failing subset
-            subset = np.flatnonzero(mask[failed[0]])
-            price0 = TimeSeries(grid[0], grid[1], prices)
-            value_factor(price0, price0.with_values(
-                sum(crop(profiles[j].band(), grid)[0] for j in subset)))
+        if failed.size:   # value_factor's error, of the first failing subset
+            _check_sums(mean[failed[0]], price_sum)
         samples[start:stop] = np.where(mask, weighted, 0.0).sum(axis=1) / (mean * price_sum)
     return VfDistribution.from_samples(samples)

@@ -254,12 +254,19 @@ _NAMED = ("applications: [{name: %s, power_capacity_mw: 1, discharge_duration_h:
     (_NAMED % "'Say \"when\"'", "applications[0].name"),
     (_NAMED % '"Peak\\rer"', "applications[0].name"),
     (_NAMED % '"Peak\\ner"', "applications[0].name"),
+    (_NAMED % "null", "applications[0].name"),
+    (_NAMED % "true", "applications[0].name"),
+    (_NAMED % "5", "applications[0].name"),
     ("schema_version: true\n", "schema_version"),
     ("applications:\n"
      "  - {name: A, power_capacity_mw: 1, discharge_duration_h: 1, annual_cycles: 10,\n"
      "     suitable_schemes: [v2g, smart_charging]}\n"
      "  - {name: A, power_capacity_mw: 1, discharge_duration_h: 4, annual_cycles: 10,\n"
      "     suitable_schemes: [hp_thermal_storage]}\n", "applications[1].name"),
+    ("applications:\n"   # a repeat once stripped
+     "  - {name: A, power_capacity_mw: 1, discharge_duration_h: 1, annual_cycles: 10}\n"
+     "  - {name: ' A ', power_capacity_mw: 1, discharge_duration_h: 1, annual_cycles: 10}\n",
+     "applications[1].name"),
 ])
 @pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, text, field, command):
@@ -283,6 +290,22 @@ def test_an_apostrophe_in_an_application_name_keeps_rows_unquoted(tmp_path):
     assert len(rows) == 4
     assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
     assert "smart_charging cannot service 'it's'" in text
+
+
+def test_a_padded_application_name_is_stripped(tmp_path):
+    # as --applications and --lcos names are: so it can be picked, and mc
+    # finds its bundled storage references
+    cfg = tmp_path / "padded.yaml"
+    cfg.write_text(_APP.replace("name: X", "name: ' Energy arbitrage '") % ("1", "[v2g]"),
+                   encoding="utf-8")
+    run, mc = tmp_path / "run", tmp_path / "mc"
+    assert main(["run", "--config", str(cfg), "--applications", "Energy arbitrage",
+                 "--out", str(run)]) == 0
+    assert {r["application"] for r in read_csv(run / "lcodr_deterministic.csv")} == \
+        {"Energy arbitrage"}
+    assert main(["mc", "--samples", "5", "--config", str(cfg), "--out", str(mc)]) == 0
+    technologies = {r["technology"] for r in read_csv(mc / "cheapest_probability.csv")}
+    assert technologies - {s.value for s in SchemeKind}
 
 
 def test_reward_base_hours_flag_sets_metadata(tmp_path):
@@ -722,6 +745,22 @@ def test_a_power_series_half_an_hour_off_the_price_grid_names_its_file(tmp_path,
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert errors == [f"error: data: {power}: series grids are phase-shifted"]
+
+
+@pytest.mark.parametrize("command", [["vf"], ["run", "--compute-vf"]])
+def test_a_zero_sum_price_names_the_price_file(tmp_path, capsys, command):
+    # the power series is valid, and aligned first: the price is at fault
+    price, power = tmp_path / "zero.csv", tmp_path / "power.csv"
+    hours = [datetime(2023, 1, 1) + timedelta(hours=h) for h in range(48)]
+    price.write_text("timestamp,value\n" + "".join(f"{t.isoformat()},0\n" for t in hours),
+                     encoding="utf-8")
+    power.write_text("timestamp,value\n" + "".join(f"{t.isoformat()},1\n" for t in hours),
+                     encoding="utf-8")
+    assert main(command + ["--price", str(price), "--v2g-power", str(power),
+                           "--out", str(tmp_path / "o")]) == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: data: {price}: price series sums to zero"]
 
 
 @pytest.mark.parametrize("subsample,message", [

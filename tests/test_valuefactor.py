@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lcodr import data, valuefactor
 from lcodr.model import TimeSeries
 from lcodr.valuefactor import (
-    AlignmentReport,
     AvailabilityProfile,
     IncompatibleIntervals,
     NoOverlap,
@@ -17,8 +16,9 @@ from lcodr.valuefactor import (
     ValueFactorError,
     ZeroAvailabilityMean,
     ZeroPriceSum,
-    align_series,
+    align,
     common_grid,
+    crop,
     subsample_masks,
     summary_statistics,
     v2g_value_factors,
@@ -64,44 +64,65 @@ def test_degenerate_inputs():
         value_factor(series([-1.0, 1.0]), series([1.0, 2.0]))
 
 
+def aligned(a, b):
+    """align with `a` as the price and `b` as an availability profile."""
+    return align(a, AvailabilityProfile(b))
+
+
 def test_align_identical_grids():
     a = series([1.0, 2.0, 3.0, 4.0])
     b = series([5.0, 6.0, 7.0, 8.0])
-    a2, b2, report = align_series(a, b)
+    a2, b2 = aligned(a, b)
     assert list(a2.values) == [1.0, 2.0, 3.0, 4.0]
-    assert report.dropped_head_a == 0 and report.dropped_tail_b == 0
+    assert list(b2.values) == [5.0, 6.0, 7.0, 8.0]
+    grid = common_grid(a, b)
+    assert crop(a, grid)[1] == 0 and crop(b, grid)[2] == 0
 
 
 def test_align_overlap_cropping():
     a = series([1.0, 2.0, 3.0, 4.0])
     b = series([9.0, 9.0, 9.0], start=START + timedelta(hours=2))
-    a2, b2, report = align_series(a, b)
+    a2, b2 = aligned(a, b)
     assert len(a2) == 2
     assert list(a2.values) == [3.0, 4.0]
-    assert report.dropped_head_a == 2
-    assert report.dropped_tail_b == 1
+    grid = common_grid(a, b)
+    assert crop(a, grid)[1] == 2
+    assert crop(b, grid)[2] == 1
 
 
 def test_align_integer_ratio_averages_fine_series():
     coarse = series([10.0, 20.0], interval=7200.0)
     fine = series([1.0, 3.0, 5.0, 7.0], interval=3600.0)
-    c2, f2, _ = align_series(coarse, fine)
+    c2, f2 = aligned(coarse, fine)
     assert f2.interval_seconds == 7200.0
     assert list(f2.values) == [2.0, 6.0]   # bucket means
 
 
-def test_align_rejects_non_integer_ratio():
+def test_align_takes_the_band_of_energy_boundaries():
+    price = series([10.0, 20.0, 30.0, 40.0])
+    lower = series([0.0, 1.0, 2.0], start=START + timedelta(hours=1))
+    profile = AvailabilityProfile(lower, upper=lower.with_values(np.array([3.0, 3.0, 3.0])))
+    p2, band = align(price, profile)
+    assert (p2.start, p2.interval_seconds) == (band.start, band.interval_seconds)
+    assert list(p2.values) == [20.0, 30.0, 40.0]
+    assert list(band.values) == [3.0, 2.0, 1.0]
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_align_rejects_non_integer_ratio(swap):
+    a, b = series([1.0, 2.0], interval=3600.0), series([1.0, 2.0], interval=2500.0)
     with pytest.raises(IncompatibleIntervals):
-        align_series(series([1.0, 2.0], interval=3600.0),
-                     series([1.0, 2.0], interval=2500.0))
+        aligned(*((b, a) if swap else (a, b)))
 
 
-def test_align_rejects_disjoint_ranges():
+@pytest.mark.parametrize("swap", [False, True])
+def test_align_rejects_disjoint_ranges(swap):
     late = series([1.0, 2.0], start=START + timedelta(days=30))
     with pytest.raises(NoOverlap):
-        align_series(series([1.0, 2.0]), late)
+        aligned(*((late, series([1.0, 2.0])) if swap else (series([1.0, 2.0]), late)))
+    two_hourly, hourly = series([1.0, 2.0], interval=7200.0), series([1.0, 2.0, 3.0])
     with pytest.raises(NoOverlap):   # one point on the common 2 h grid
-        align_series(series([1.0, 2.0], interval=7200.0), series([1.0, 2.0, 3.0]))
+        aligned(*((hourly, two_hourly) if swap else (two_hourly, hourly)))
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["hourly-first", "shifted-first"])
@@ -114,22 +135,24 @@ def test_align_rejects_a_series_with_no_point_at_the_grid_start(shifted, swap):
     # starts, 01:00, where the other series has none
     hourly = series(np.arange(10.0))
     with pytest.raises(IncompatibleIntervals, match="phase-shifted"):
-        align_series(*((shifted, hourly) if swap else (hourly, shifted)))
+        aligned(*((shifted, hourly) if swap else (hourly, shifted)))
 
 
 @pytest.mark.parametrize("swap", [False, True])
-def test_alignment_report_counts_every_unused_row(swap):
+def test_crop_counts_every_unused_row(swap):
     # 9.5 hours in common: 9 points, so the hourly series' row 10 and the
     # half-hourly one's row 19 are unused
     hourly, half_hourly = series(np.arange(10.0)), series(np.arange(19.0), interval=1800.0)
     a, b = (half_hourly, hourly) if swap else (hourly, half_hourly)
-    a2, b2, report = align_series(a, b)
+    a2, b2 = aligned(a, b)
     assert len(a2) == len(b2) == 9
-    assert report == AlignmentReport(0, 1, 0, 1)
-    for whole, aligned, head, tail in ((a, a2, report.dropped_head_a, report.dropped_tail_a),
-                                       (b, b2, report.dropped_head_b, report.dropped_tail_b)):
-        ratio = round(aligned.interval_seconds / whole.interval_seconds)
-        assert head + len(aligned) * ratio + tail == len(whole)
+    grid = common_grid(a, b)
+    (va, head_a, tail_a), (vb, head_b, tail_b) = crop(a, grid), crop(b, grid)
+    assert (head_a, tail_a, head_b, tail_b) == (0, 1, 0, 1)
+    assert list(va) == list(a2.values) and list(vb) == list(b2.values)
+    for whole, values, head, tail in ((a, va, head_a, tail_a), (b, vb, head_b, tail_b)):
+        ratio = round(grid[1] / whole.interval_seconds)
+        assert head + len(values) * ratio + tail == len(whole)
 
 
 def test_subsample_mc_decides_the_common_grid_once(monkeypatch):
@@ -226,7 +249,7 @@ def test_subsample_mc_equals_the_stacked_formula_bit_for_bit(seed):
         dist = vf_subsample_mc(pool, price, subset_size=5, iterations=300, seed=seed)
         aligned = [valuefactor.align(price, prof) for prof in pool]
         p = aligned[0][0].values
-        stack = np.stack([band.values for _, band, _ in aligned])
+        stack = np.stack([band.values for _, band in aligned])
         weighted, totals = (stack * p).sum(axis=1), stack.sum(axis=1)
         masks = subsample_masks(seed, n_assets, 5, 0, 300)
         mean = np.where(masks, totals, 0.0).sum(axis=1) / len(p)
@@ -290,6 +313,32 @@ def test_subsample_mc_raises_value_factor_errors():
     s = next(s for s in range(100) if subsample_masks(s, 3, 1, 0, 1)[0, 1])
     with pytest.raises(ZeroAvailabilityMean):
         vf_subsample_mc(pool, zero_sum, subset_size=1, iterations=5, seed=s)
+
+
+def test_subsample_mc_raises_its_errors_without_value_factor_or_a_crop(monkeypatch):
+    # a failing subset's error comes from its own mean and the price sum:
+    # no subset profile is summed and nothing is cropped after the set-up
+    def unused(*args):
+        raise AssertionError("value_factor was called")
+
+    crops = []
+
+    def counted(series, grid):
+        crops.append(series)
+        return crop(series, grid)
+
+    monkeypatch.setattr(valuefactor, "value_factor", unused)
+    monkeypatch.setattr(valuefactor, "crop", counted)
+    pool = _pool(3)
+    pool[1] = AvailabilityProfile(series(np.zeros(48)))
+    with pytest.raises(ZeroAvailabilityMean, match="availability series has non-positive mean"):
+        vf_subsample_mc(pool, series(np.linspace(10, 90, 48)), subset_size=1, iterations=200,
+                        seed=0)
+    assert len(crops) == len(pool) + 1   # the price and each asset, once
+    with pytest.raises(ZeroPriceSum, match="price series sums to zero"):
+        vf_subsample_mc(_pool(3), series(np.tile([-1.0, 1.0], 24)), subset_size=2,
+                        iterations=5, seed=0)
+    assert len(crops) == 2 * (len(pool) + 1)
 
 
 @pytest.mark.parametrize("grids", [((START, 36), (START, 48)),
