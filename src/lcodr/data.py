@@ -45,9 +45,9 @@ strings, the output values and, for a pool, two numbers per asset in each
 block until its assets are joined, however the assets are laid out in the
 file.
 A block is split on its commas and LF line ends; from the first block
-holding a quote, a CR, a NUL or lines of differing field counts on, the
-rest of the file goes to csv.reader. A UTF-8 byte-order mark at the
-start of a file is dropped; a U+FEFF anywhere later is data.
+holding a quote, a CR or lines of differing field counts on, the rest of
+the file goes to csv.reader. A UTF-8 byte-order mark at the start of a
+file is dropped; a U+FEFF anywhere later is data.
 A file of more than two blocks is parsed in two processes where this
 process may fork (_split_offset): a forked child parses the blocks after
 the first LF at or after the middle while the parent reads the rest
@@ -125,9 +125,8 @@ _MICROSECOND = timedelta(microseconds=1)
 #: Bytes read from a CSV file at a time. Each block is cut after its last line
 #: end, LF or CR, so that it holds whole lines and decodes on its own.
 _BLOCK_BYTES = 1 << 18
-#: Every byte but the four that csv.reader treats specially and NUL, which
-#: csv.reader rejects before Python 3.11.
-_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"\0')))
+#: Every byte but the four that csv.reader treats specially.
+_PLAIN_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"')))
 
 
 def _parse_timestamps(column: List[str], name: str, path: str, row: int = 2,
@@ -194,10 +193,9 @@ def _blocks(fh, split: int = 0):
     ends there, so a block ends there too when the byte before it is a LF.
     A read from byte 0 decodes its first block as utf-8-sig, dropping a
     byte-order mark from the text (not from the file's digest)."""
-    pieces, at = [], fh.tell()
-    encoding = "utf-8" if at else "utf-8-sig"
-    while raw := fh.read(split - at if at < split < at + _BLOCK_BYTES else _BLOCK_BYTES):
-        at += len(raw)
+    pieces, encoding = [], "utf-8" if fh.tell() else "utf-8-sig"
+    while raw := fh.read(min(split - fh.tell(), _BLOCK_BYTES) if fh.tell() < split
+                         else _BLOCK_BYTES):
         cut = max(raw.rfind(b"\n"), raw.rfind(b"\r")) + 1
         if cut:
             block = b"".join(pieces + [raw[:cut]])
@@ -224,9 +222,9 @@ def _lines_within(raw: bytes, limit: int) -> bool:
 
 def _split(raw: bytes, text: str):
     """(fields, n) of a block by whole-text splits, when every line has the
-    same n >= 2 fields and the block has no quote, no CR, no NUL and no line
-    longer than csv's field size limit, so that csv.reader would read the
-    same records. Otherwise None."""
+    same n >= 2 fields and the block has no quote, no CR and no line longer
+    than csv's field size limit, so that csv.reader would read the same
+    records. Otherwise None."""
     delimiters = raw.translate(None, _PLAIN_BYTES)
     if not raw.endswith(b"\n"):
         delimiters += b"\n"
@@ -436,15 +434,14 @@ def _column_blocks(path: str, columns, digest=None):
     header is read, a forked child (_forked_half) parses the blocks from the
     split on, while this process reads up to the split. If it gets there on
     the _split path, it takes the child's blocks and reads on from their
-    end; else it reads on from where it is. So the blocks, rows and errors
-    are those of the serial read."""
+    end; else it kills the child and reads on from where it is. So the
+    blocks, rows and errors are those of the serial read."""
     names = [name for name, _ in columns]
     header, rows, half = None, 0, None   # data rows read so far
     try:
         with open(path, "rb") as fh:
             split = _split_offset(fh)
-            tables = _tables(_blocks(fh, split))
-            for table, n in tables:
+            for table, n in _tables(_blocks(fh, split)):
                 if header is None:
                     if not table:
                         continue
@@ -461,19 +458,12 @@ def _column_blocks(path: str, columns, digest=None):
                 yield rows + 2, parsed
                 rows += count
                 if half is not None and (not n or fh.tell() == split):
-                    break
-            if half is not None and n and fh.tell() == split:   # on the _split path
-                for size, count, parsed in half:
-                    yield rows + 2, parsed
-                    rows += count
-                    fh.seek(size, os.SEEK_CUR)
-                tables = _tables(_blocks(fh))
-            if half is not None:   # reaped, or killed as the parent left the _split path
-                half.close()
-            for table, n in tables:
-                count, parsed = _parse_block(table, n, index, columns, path, rows + 2)
-                yield rows + 2, parsed
-                rows += count
+                    for size, count, parsed in half if n else ():   # on the _split path
+                        yield rows + 2, parsed
+                        rows += count
+                        fh.seek(size, os.SEEK_CUR)
+                    half.close()   # reaped, or killed as the parent left the _split path
+                    half = None
             if header is None:
                 raise MissingColumn(f"missing column {names[0]!r} (found [])", path, 1)
             if not rows:
@@ -917,14 +907,17 @@ def default_bundle(seed: int = BUNDLE_SEED, days: int = BUNDLED_DAYS) -> DataBun
 def _pool_total(pool: Iterable[AvailabilityProfile]) -> AvailabilityProfile:
     """Sum of the pool's profiles, added in order; every asset must share the
     first's grid (check_pool_grid). Only the first profile and the running
-    total are kept, so a pool given as an iterator is never held whole."""
+    total are kept, so a pool given as an iterator is never held whole. A
+    pool with no profile is a ValueFactorError."""
     profiles = iter(pool)
-    first = next(profiles).series
-    total = first.values.copy()
+    first = next(profiles, None)
+    if first is None:
+        raise ValueFactorError("pool has no assets")
+    total = first.series.values.copy()
     for prof in profiles:
-        check_pool_grid(first, prof)
+        check_pool_grid(first.series, prof)
         total += prof.series.values
-    return AvailabilityProfile(first.with_values(total), asset_id="pool-total")
+    return AvailabilityProfile(first.series.with_values(total), asset_id="pool-total")
 
 
 def profile_value_factors(price: TimeSeries, ev_pool: Iterable[AvailabilityProfile],

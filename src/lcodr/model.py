@@ -53,7 +53,7 @@ class ValidationError(LcodrError):
     """A value violates a model invariant. Carries the offending field."""
 
     def __init__(self, message: str, field_path: str = ""):
-        self.field_path = field_path
+        self.message, self.field_path = message, field_path
         super().__init__(f"{field_path}: {message}" if field_path else message)
 
 
@@ -669,7 +669,8 @@ def philox_uniforms(seed: int, keys, start: int, stop: int) -> np.ndarray:
 #: denominator coefficients of each branch, highest power first, as
 #: `statistics.NormalDist.inv_cdf` writes them. The central branch is a
 #: polynomial in r = 0.180625 - q**2; the tails in r = sqrt(-log(min(p, 1 - p))),
-#: shifted by 1.6 where r <= 5 and by 5 beyond.
+#: shifted by 1.6 where r <= 5 and by 5 beyond. np.polyval evaluates each
+#: by Horner's rule, (...(c0 * r + c1) * r + ...) * r + c_last, as statistics does.
 _AS241_CENTRAL = (
     (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
      4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
@@ -693,15 +694,6 @@ _AS241_FAR_TAIL = (
      5.9983220655588793769e-1, 1.0))
 
 
-def _horner(coefficients: tuple, r: np.ndarray) -> np.ndarray:
-    """The polynomial in r, highest power first, evaluated as
-    (...(c0 * r + c1) * r + ...) * r + c_last."""
-    value = coefficients[0] * r
-    for c in coefficients[1:-1]:
-        value = (value + c) * r
-    return value + coefficients[-1]
-
-
 def normal_quantiles(p: np.ndarray) -> np.ndarray:
     """Phi^-1(p) for levels 0 < p < 1, bit for bit
     `statistics.NormalDist().inv_cdf`: AS241's three branches, in its order
@@ -711,7 +703,7 @@ def normal_quantiles(p: np.ndarray) -> np.ndarray:
     finite quantile: `math.log` refuses it with a ValueError."""
     q = p - 0.5
     central_r = 0.180625 - q * q
-    x = _horner(_AS241_CENTRAL[0], central_r) * q / _horner(_AS241_CENTRAL[1], central_r)
+    x = np.polyval(_AS241_CENTRAL[0], central_r) * q / np.polyval(_AS241_CENTRAL[1], central_r)
     tail = np.abs(q) > 0.425
     if tail.any():
         q = q[tail]
@@ -719,8 +711,9 @@ def normal_quantiles(p: np.ndarray) -> np.ndarray:
         r = np.sqrt(-np.fromiter(map(math.log, low.tolist()), float, len(low)))
         near = r <= 5.0
         t = np.where(near, r - 1.6, r - 5.0)
-        x_tail = np.where(near, _horner(_AS241_NEAR_TAIL[0], t) / _horner(_AS241_NEAR_TAIL[1], t),
-                          _horner(_AS241_FAR_TAIL[0], t) / _horner(_AS241_FAR_TAIL[1], t))
+        x_tail = np.where(near,
+                          np.polyval(_AS241_NEAR_TAIL[0], t) / np.polyval(_AS241_NEAR_TAIL[1], t),
+                          np.polyval(_AS241_FAR_TAIL[0], t) / np.polyval(_AS241_FAR_TAIL[1], t))
         x[tail] = np.where(q < 0.0, -x_tail, x_tail)
     return x
 
@@ -758,6 +751,10 @@ CSV_UNSAFE = frozenset(',"\r\n')
 _ALLOWED_APP_KEYS = {"name", "power_capacity_mw", "discharge_duration_h",
                      "annual_cycles", "suitable_schemes"}
 _ALLOWED_ASSUMPTION_KEYS = {f.name for f in fields(Assumptions)}
+#: The entry key behind each ApplicationSpec field named otherwise, and behind
+#: the "scheme" of SchemeKind.from_name's error.
+_APP_FIELD_KEYS = {"power_capacity": "power_capacity_mw",
+                   "discharge_duration": "discharge_duration_h", "scheme": "suitable_schemes"}
 
 
 def _applications_from_config(entries: list) -> list:
@@ -787,8 +784,12 @@ def _applications_from_config(entries: list) -> list:
         schemes = entry.get("suitable_schemes", [])
         if not isinstance(schemes, list):
             raise ValidationError("must be a list", f"{path}.suitable_schemes")
-        apps.append(ApplicationSpec(name, power * 1000.0, duration, cycles,
-                                    frozenset(SchemeKind.from_name(s) for s in schemes)))
+        try:
+            apps.append(ApplicationSpec(name, power * 1000.0, duration, cycles,
+                                        frozenset(SchemeKind.from_name(s) for s in schemes)))
+        except ValidationError as exc:
+            key = _APP_FIELD_KEYS.get(exc.field_path, exc.field_path)
+            raise ValidationError(exc.message, f"{path}.{key}") from None
     return apps
 
 

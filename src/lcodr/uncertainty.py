@@ -310,16 +310,19 @@ def lcos_sample_matrix(lcos_entries: Sequence[Tuple[str, float]],
     Point sampling repeats the published value; same-scheme sampling applies
     the input perturbation treatment, conditioned on [0, inf), to the rows
     of `words` (`lcos_uniforms` of at least len(lcos_entries) entries, drawn
-    here when None). Entry order determines substream ids, so keep the
+    here when None); fewer rows, or rows of other than cfg.samples words, are
+    an UncertaintyError. Entry order determines substream ids, so keep the
     reference list order stable between runs.
     """
     if words is None:
         words = lcos_uniforms(cfg, len(lcos_entries))
-    matrix = np.empty((len(lcos_entries), cfg.samples))
+    matrix = np.array([value for _, value in lcos_entries], float)[:, None].repeat(cfg.samples, 1)
     if words is None:
-        for e, (_, value) in enumerate(lcos_entries):
-            matrix[e] = value
         return matrix
+    if len(words) < len(lcos_entries):
+        raise UncertaintyError(f"{len(lcos_entries)} LCOS entries, but words for only {len(words)}")
+    if any(len(row) != cfg.samples for row in words):
+        raise UncertaintyError(f"a row of LCOS words is not {cfg.samples} words long")
     for e, ((_, value), row) in enumerate(zip(lcos_entries, words)):
         spread = _spread(value, cfg, "sigma_inputs")
         matrix[e] = value + spread * _truncated(row, *_window(value, spread, 0.0, None))

@@ -257,6 +257,8 @@ def vf_subsample_mc(profiles: Sequence[AvailabilityProfile], price: TimeSeries,
     """
     if subset_size < 1:
         raise ValueFactorError(f"subset size must be >= 1, got {subset_size}")
+    if iterations < 1:
+        raise ValueFactorError(f"iterations must be >= 1, got {iterations}")
     if len(profiles) < subset_size:
         raise TooFewAssets(
             f"need at least {subset_size} asset profiles, got {len(profiles)}")

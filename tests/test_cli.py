@@ -241,7 +241,9 @@ _NAMED = ("applications: [{name: %s, power_capacity_mw: 1, discharge_duration_h:
 @pytest.mark.parametrize("text,field", [
     (_APP % ("abc", "[v2g]"), "applications[0].power_capacity_mw"),
     (_APP % ("1", "5"), "applications[0].suitable_schemes"),
-    (_APP % (".inf", "[v2g]"), "power_capacity"),
+    (_APP % (".inf", "[v2g]"), "applications[0].power_capacity_mw"),
+    (_APP % ("1", "[v2g, nope]"), "applications[0].suitable_schemes"),
+    (_NAMED % "' '", "applications[0].name"),
     ('assumptions: {rpt_floor_at_base: "no"}\n', "rpt_floor_at_base"),
     ("assumptions: {v2g_rebound_roundtrip: 0}\n", "v2g_rebound_roundtrip"),
     ("assumptions: {reward_base_hours: true}\n", "reward_base_hours"),
@@ -267,6 +269,10 @@ _NAMED = ("applications: [{name: %s, power_capacity_mw: 1, discharge_duration_h:
      "  - {name: A, power_capacity_mw: 1, discharge_duration_h: 1, annual_cycles: 10}\n"
      "  - {name: ' A ', power_capacity_mw: 1, discharge_duration_h: 1, annual_cycles: 10}\n",
      "applications[1].name"),
+    ("applications:\n"   # a bad second entry
+     "  - {name: A, power_capacity_mw: 1, discharge_duration_h: 1, annual_cycles: 10}\n"
+     "  - {name: B, power_capacity_mw: 1, discharge_duration_h: 0, annual_cycles: 10}\n",
+     "applications[1].discharge_duration_h"),
 ])
 @pytest.mark.parametrize("command", [["run"], ["mc", "--samples", "5"]])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, text, field, command):

@@ -49,7 +49,7 @@ BAD = {
     "text": [""],
 }
 #: Fields that csv.reader reads specially when they are written unquoted, and
-#: NUL, which it rejects before Python 3.11.
+#: NUL, which the block splitter takes as a plain byte, as csv.reader does.
 ODD = st.text(alphabet=',"\r\n\0 a1', max_size=4)
 
 
@@ -169,7 +169,7 @@ def test_block_reader_equals_the_whole_file_reference(case, block_bytes):
     ('a,b\n"1",2\n', False),
     ("a,b\r\n1,2\r\n", False),    # CRLF line ends
     ("a,b\r1,2\r", False),        # lone CR line ends
-    ("a,b\n1\0,2\n", False),      # a NUL
+    ("a,b\n1\0,2\n", True),       # a NUL, data to csv.reader
     ("a,b\n1,22222\n", False),    # a line longer than the field size limit
 ])
 def test_split_takes_only_blocks_that_csv_reader_reads_the_same(monkeypatch, text, split):
@@ -177,7 +177,11 @@ def test_split_takes_only_blocks_that_csv_reader_reads_the_same(monkeypatch, tex
     table = data._split(text.encode("utf-8"), text)
     assert (table is not None) == split
     if split:
-        assert table == (["a", "b", "1", "2"], 2)
+        assert table == ([f for r in csv.reader(io.StringIO(text, newline="")) for f in r], 2)
+
+
+def test_every_byte_but_the_four_csv_reader_treats_specially_is_plain():
+    assert set(range(256)) - set(data._PLAIN_BYTES) == set(b',\n\r"')
 
 
 def test_blocks_are_cut_after_a_cr_too(monkeypatch):

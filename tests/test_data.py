@@ -182,6 +182,15 @@ def test_a_pool_total_over_a_generator_is_bitwise_the_total_over_its_list(profil
         (b.upper, b.asset_id, b.series.start, b.series.interval_seconds)
 
 
+@pytest.mark.parametrize("empty", [[], iter(())])
+def test_an_empty_pool_is_a_value_factor_error_naming_the_pool(empty):
+    bundle = default_bundle(days=3)
+    with pytest.raises(ValueFactorError, match="pool has no assets") as info:
+        profile_value_factors(bundle.price, bundle.ev_charging_pool, empty,
+                              bundle.v2g_power, bundle.v2g_energy)
+    assert info.value.source == "hp_pool"
+
+
 def test_bundled_value_factors_are_the_config_goldens():
     from lcodr.model import ValueFactorTable, default_parameters
     table = ValueFactorTable(**profile_value_factors(*vars(default_bundle()).values()))

@@ -24,6 +24,7 @@ from lcodr.uncertainty import (
     McDistribution,
     NoFeasibleTechnology,
     PerturbationUnsatisfiable,
+    UncertaintyError,
     cheapest_probability,
     lcos_sample_matrix,
     lcos_uniforms,
@@ -458,3 +459,15 @@ def test_shared_lcos_words_give_each_entry_list_its_own_draws():
     point = McConfig(samples=50, seed=2)
     assert lcos_uniforms(point, 4) is None
     assert (lcos_sample_matrix(entries, point, None) == [[100.0], [40.0]]).all()
+
+
+def test_lcos_words_must_cover_every_entry_and_sample():
+    entries = [("a", 100.0), ("b", 40.0), ("c", 70.0)]
+    cfg = McConfig(samples=50, seed=2, lcos_sampling=LcosSampling.SAME_SCHEME)
+    words = lcos_uniforms(cfg, 3)
+    with pytest.raises(UncertaintyError, match="3 LCOS entries, but words for only 1"):
+        lcos_sample_matrix(entries, cfg, words[:1])
+    with pytest.raises(UncertaintyError, match="not 50 words long"):
+        lcos_sample_matrix(entries, cfg, words[:, :49])
+    with pytest.raises(UncertaintyError, match="3 LCOS entries, but words for only 1"):
+        cheapest_probability([], cfg, entries, words[:1])

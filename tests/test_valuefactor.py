@@ -218,6 +218,13 @@ def test_subsample_mc_needs_enough_assets():
                         seed=0)
 
 
+@pytest.mark.parametrize("iterations", [0, -3])
+def test_subsample_mc_needs_an_iteration(iterations):
+    with pytest.raises(ValueFactorError, match=f"iterations must be >= 1, got {iterations}"):
+        vf_subsample_mc(_pool(4), series(np.linspace(10, 90, 48)), subset_size=2,
+                        iterations=iterations, seed=0)
+
+
 @pytest.mark.parametrize("seed", [0, 5, 13])
 def test_subsample_mc_equals_gathered_sum(seed):
     # the linear path against value_factor of the summed profiles of the
